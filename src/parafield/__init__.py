@@ -17,7 +17,8 @@ from .interactions import (EmpiricalMeasure, GridKernel, InteractionSpec,
                            make_interaction, make_kernel)
 from .paracontrolled import (Paracontrolled, decompose, paralinearize_f,
                              pc_product, reconstruct)
-from .solver import (ExplosionError, PicardError, SolveConfig, default_dt,
+from .solver import (ExplosionError, FixedPointError, PicardError,
+                     SolveConfig, default_dt,
                      solve_additive_frozen, solve_additive_mckean,
                      solve_mean_field, solve_paracontrolled,
                      solve_particle_system, solve_renormalized)

@@ -25,9 +25,10 @@ from .littlewood_paley import RegularityParams, besov_norm, dyadic_blocks
 from .measures import chaos_metric
 from .noise import (NoiseSpec, enhance, mean_field_enhance, mollify,
                     power_law_multiplier, renorm_constant, sample_noise)
+from .paracontrolled import decompose, reconstruct
 from .solver import (SolveConfig, default_dt, solve_additive_mckean,
-                     solve_mean_field, solve_particle_system,
-                     solve_renormalized)
+                     solve_mean_field, solve_paracontrolled,
+                     solve_particle_system, solve_renormalized)
 from .torus import Field, PathField, make_grid, make_times, write_pfld
 
 __all__ = ["ExperimentConfig", "run_experiment", "parse_config",
@@ -328,19 +329,16 @@ def _exp_solve(cfg: ExperimentConfig, outdir: str):
     g_spec = _interaction(cfg, "g")
     u0 = _initial_field(cfg, grid)
     scheme = cfg.get("params", "scheme", "direct_renormalized")
-    scfg = SolveConfig(reg=_reg(cfg), scheme=scheme)
+    scfg = SolveConfig()
     raw = sample_noise(spec, grid, times, stream_id=0)
     en = enhance(raw, eps)
     frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
     if scheme == "direct_renormalized":
         u = solve_renormalized(en, frozen, f_spec, g_spec, u0, scfg)
     elif scheme == "paracontrolled":
-        from .paracontrolled import decompose
-        from .solver import solve_paracontrolled
         zero = PathField.zero(times, grid)
         pcs = [decompose(fr, en.X, zero) for fr in frozen]
         pc = solve_paracontrolled(en, pcs, f_spec, g_spec, u0, scfg)
-        from .paracontrolled import reconstruct
         u = reconstruct(pc)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -368,7 +366,7 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
     g_spec = _interaction(cfg, "g")
     base = _initial_field(cfg, grid)
     u0 = base * (0.9 * C0 / base.linf())
-    scfg = SolveConfig(reg=_reg(cfg))
+    scfg = SolveConfig()
     part = dyadic_blocks(grid)
     rows = []
     for s in range(n_seeds):
@@ -418,7 +416,7 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
         for eps in all_eps:
             en = enhance(raw, eps, part)
             for renorm in (True, False):
-                scfg = SolveConfig(reg=_reg(cfg), renormalize=renorm)
+                scfg = SolveConfig(renormalize=renorm)
                 sols[(eps, renorm)] = solve_renormalized(
                     en, frozen, f_spec, g_spec, u0, scfg)
         for j, eps in enumerate(eps_ladder):
@@ -444,7 +442,7 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
     M_ref = cfg.get("ensemble", "m_ref", 256, int)
     g_spec = _interaction(cfg, "g", "tanh_revert")
     spec = _noise_spec(cfg, cfg.seed)
-    scfg = SolveConfig(reg=_reg(cfg))
+    scfg = SolveConfig()
 
     def u0_for(stream):
         rng = np.random.Generator(np.random.Philox(
@@ -492,7 +490,7 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
     g_spec = _interaction(cfg, "g")
     spec = _noise_spec(cfg, cfg.seed)
     u0 = _initial_field(cfg, grid)
-    scfg = SolveConfig(reg=_reg(cfg))
+    scfg = SolveConfig()
     part = dyadic_blocks(grid)
 
     mf_noises = [enhance(sample_noise(
@@ -532,8 +530,7 @@ def _exp_picard_trace(cfg: ExperimentConfig):
     spec = _noise_spec(cfg, cfg.seed)
     u0 = _initial_field(cfg, grid)
     part = dyadic_blocks(grid)
-    scfg = SolveConfig(reg=_reg(cfg),
-                       picard_tol=cfg.get("params", "picard_tol", 1e-4, float),
+    scfg = SolveConfig(picard_tol=cfg.get("params", "picard_tol", 1e-4, float),
                        picard_max_iters=cfg.get("params", "picard_max_iters",
                                                 60, int))
     noises = [enhance(sample_noise(spec, grid, times, stream_id=i), eps, part)

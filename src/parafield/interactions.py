@@ -66,8 +66,7 @@ class InteractionSpec:
 
     ``F`` takes (m+1) arrays; ``partials[i]`` is dF/d(arg i+1).  When
     ``kernel`` is set the interaction is long-range and m must be 1.
-    ``C0`` marks the vanishing threshold of Assumption-B variants;
-    ``lipschitz_L`` is a documented Lipschitz constant used by probes.
+    ``C0`` marks the vanishing threshold of Assumption-B variants.
     """
 
     name: str
@@ -76,7 +75,6 @@ class InteractionSpec:
     m: int = 1
     kernel: object = None
     C0: float | None = None
-    lipschitz_L: float | None = None
 
 
 def _tuples(n: int, m: int):
@@ -231,13 +229,13 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         spec = InteractionSpec(
             name, lambda a, b: s * a * b,
             (lambda a, b: s * b, lambda a, b: s * a),
-            m=1, lipschitz_L=None)
+            m=1)
     elif name == "tanh_bilinear":
         spec = InteractionSpec(
             name, lambda a, b: s * np.tanh(a) * np.tanh(b),
             (lambda a, b: s * np.tanh(b) / np.cosh(a) ** 2,
              lambda a, b: s * np.tanh(a) / np.cosh(b) ** 2),
-            m=1, lipschitz_L=abs(s))
+            m=1)
     elif name == "cos_bump":
         c0 = 1.0 if C0 is None else float(C0)
         w = np.pi / (2.0 * c0)
@@ -246,7 +244,7 @@ def make_interaction(name: str, **params) -> InteractionSpec:
             (lambda a, b: -s * w * np.sin(np.clip(w * a, -np.pi, np.pi)) / (1.0 + b ** 2),
              lambda a, b: -2.0 * s * b * np.cos(np.clip(w * a, -np.pi, np.pi))
              / (1.0 + b ** 2) ** 2),
-            m=1, C0=c0, lipschitz_L=abs(s) * w)
+            m=1, C0=c0)
     elif name == "quadratic_cap":
         c0 = 1.0 if C0 is None else float(C0)
 
@@ -260,38 +258,38 @@ def make_interaction(name: str, **params) -> InteractionSpec:
              / (1.0 + b ** 2),
              lambda a, b: -2.0 * s * b * (c0 ** 2 - a ** 2) * env(a)
              / (1.0 + b ** 2) ** 2),
-            m=1, C0=c0, lipschitz_L=3.0 * abs(s) * c0)
+            m=1, C0=c0)
     elif name == "identity":
         spec = InteractionSpec(
             name, lambda a, b: a + 0.0 * b,
             (lambda a, b: np.ones_like(a + 0.0 * b),
              lambda a, b: np.zeros_like(a + 0.0 * b)),
-            m=1, lipschitz_L=1.0)
+            m=1)
     elif name == "constant":
         c = params.get("c", 1.0)
         spec = InteractionSpec(
             name, lambda a, b: np.full_like(a + 0.0 * b, c),
             (lambda a, b: np.zeros_like(a + 0.0 * b),
              lambda a, b: np.zeros_like(a + 0.0 * b)),
-            m=1, lipschitz_L=0.0)
+            m=1)
     elif name == "mean_revert":
         spec = InteractionSpec(
             name, lambda a, b: s * (b - a),
             (lambda a, b: np.full_like(a + 0.0 * b, -s),
              lambda a, b: np.full_like(a + 0.0 * b, s)),
-            m=1, lipschitz_L=abs(s))
+            m=1)
     elif name == "tanh_revert":
         spec = InteractionSpec(
             name, lambda a, b: s * np.tanh(b - a),
             (lambda a, b: -s / np.cosh(b - a) ** 2,
              lambda a, b: s / np.cosh(b - a) ** 2),
-            m=1, lipschitz_L=abs(s))
+            m=1)
     elif name == "zero":
         spec = InteractionSpec(
             name, lambda a, b: np.zeros_like(a + 0.0 * b),
             (lambda a, b: np.zeros_like(a + 0.0 * b),
              lambda a, b: np.zeros_like(a + 0.0 * b)),
-            m=1, lipschitz_L=0.0)
+            m=1)
     else:
         raise ValueError(f"unknown interaction {name!r}")
 
@@ -330,4 +328,4 @@ def _lift_to_m(base: InteractionSpec, m: int, s: float, name: str) -> Interactio
 
     return InteractionSpec(name + f"_m{m}", F,
                            tuple(partial(i) for i in range(m + 1)),
-                           m=m, lipschitz_L=abs(s))
+                           m=m)

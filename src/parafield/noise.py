@@ -252,8 +252,14 @@ class EnhancedNoise:
 
 
 def enhance(xi_raw: PathField, eps: float,
-            part: DyadicPartition | None = None, n_mc: int = 128) -> EnhancedNoise:
-    """Mollify, solve for X and renormalize the resonant part."""
+            part: DyadicPartition | None = None, n_mc: int = 128,
+            c_eps=None) -> EnhancedNoise:
+    """Mollify, solve for X and renormalize the resonant part.
+
+    ``c_eps`` is a renormalization constant already computed for the
+    noise class, eps, times and grid of xi_raw; by default it is
+    computed here.
+    """
     spec = xi_raw.meta.get("spec")
     if spec is None:
         raise ValueError("xi_raw must come from sample_noise")
@@ -261,7 +267,8 @@ def enhance(xi_raw: PathField, eps: float,
     part = part or dyadic_blocks(grid)
     xi = mollify(xi_raw, eps)
     X = duhamel(xi)
-    c_eps = renorm_constant(spec, eps, xi.times, grid, part, n_mc=n_mc)
+    if c_eps is None:
+        c_eps = renorm_constant(spec, eps, xi.times, grid, part, n_mc=n_mc)
     cs = np.atleast_1d(c_eps(xi.times))
     xi2 = PathField(xi.times, [
         resonant(X[i], xi[i], part).shift(-float(cs[i]))
@@ -309,10 +316,8 @@ class MeanFieldEnhancedNoise:
             raise ValueError("diagonal entries live in xi2, not cross")
         key = (i, j)
         if key not in self._cross:
-            xi_i = self.noises[i].xi
-            X_j = self.noises[j].X
-            out = xi_i.zip_with(X_j, lambda a, b: resonant(b, a, self.part))
-            self._cross[key] = out
+            self._cross[key] = cross_resonant(self.noises[i].xi,
+                                              self.noises[j].X, self.part)
         return self._cross[key]
 
 
@@ -325,21 +330,10 @@ def mean_field_enhance(n: int, spec: NoiseSpec, eps: float, grid: TorusGrid,
     part = part or dyadic_blocks(grid)
     seed = spec.seed if master_seed is None else master_seed
     base = replace(spec, seed=seed)
-    c_shared = None
     noises = []
     for i in range(n):
         xi_raw = sample_noise(base, grid, times, stream_id=i)
-        if c_shared is None or base.temporal != TIME_INDEPENDENT:
-            en = enhance(xi_raw, eps, part)
-            c_shared = en.c_eps
-        else:
-            xi = mollify(xi_raw, eps)
-            X = duhamel(xi)
-            cs = np.atleast_1d(c_shared(xi.times))
-            xi2 = PathField(xi.times, [
-                resonant(X[k], xi[k], part).shift(-float(cs[k]))
-                for k in range(len(xi))
-            ], meta=dict(xi.meta))
-            en = EnhancedNoise(xi=xi, X=X, xi2=xi2, c_eps=c_shared, eps=eps)
-        noises.append(en)
+        # c_eps is a function of (base, eps, times, grid) alone
+        c_eps = noises[0].c_eps if noises else None
+        noises.append(enhance(xi_raw, eps, part, c_eps=c_eps))
     return MeanFieldEnhancedNoise(noises, part)

@@ -1,9 +1,12 @@
 """Paracontrolled data, the singular product and paralinearization.
 
-A path u is stored as u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp,
-slice by slice.  The remainder ``sharp`` is always the exact residual,
-so decompose-then-reconstruct is the identity and the regularity of
-sharp is checked as a property, not imposed.
+A path u is stored as u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp.
+Each operator is defined once, on a single time slice (the ``*_slice``
+functions, whose Paracontrolled entries are Fields); the path versions
+apply it to every slice and collect the results into PathFields.  The
+remainder ``sharp`` is always the exact residual, so
+decompose-then-reconstruct is the identity and the regularity of sharp
+is checked as a property, not imposed.
 """
 
 from __future__ import annotations
@@ -19,22 +22,24 @@ from .noise import EnhancedNoise
 from .torus import Field, PathField, pointwise_product
 
 __all__ = ["Paracontrolled", "decompose", "reconstruct", "pc_product",
-           "paralinearize_f"]
+           "paralinearize_f", "decompose_slice", "reconstruct_slice",
+           "pc_product_slice", "paralinearize_slice"]
 
 
 @dataclass
 class Paracontrolled:
-    """Paracontrolled decomposition of a path.
+    """Paracontrolled decomposition of a path or of one time slice.
 
-    ``reference`` is the rough reference X; ``dz`` the Gubinelli
-    derivative; ``dmu`` the per-sample measure derivatives with their
-    references ``dmu_refs`` (both empty in the null-derivative case);
-    ``sharp`` the residual.
+    The entries are all PathFields (a path) or all Fields (a slice);
+    ``pc[n]`` is slice n of a path.  ``reference`` is the rough
+    reference X; ``dz`` the Gubinelli derivative; ``dmu`` the
+    per-sample measure derivatives with their references ``dmu_refs``
+    (both empty in the null-derivative case); ``sharp`` the residual.
     """
 
-    reference: PathField
-    dz: PathField
-    sharp: PathField
+    reference: PathField | Field
+    dz: PathField | Field
+    sharp: PathField | Field
     dmu: list = field(default_factory=list)
     dmu_refs: list = field(default_factory=list)
 
@@ -42,101 +47,128 @@ class Paracontrolled:
         if len(self.dmu) != len(self.dmu_refs):
             raise ValueError("dmu and dmu_refs must be aligned")
 
-
-def decompose(u: PathField, reference: PathField, dz: PathField,
-              dmu: list | None = None, dmu_refs: list | None = None,
-              part: DyadicPartition | None = None) -> Paracontrolled:
-    """Store u with the given derivatives; sharp is the exact residual."""
-    part = part or dyadic_blocks(u.grid)
-    dmu = dmu or []
-    dmu_refs = dmu_refs or []
-    paras = dz.zip_with(reference, lambda a, b: para(a, b, part))
-    sharp = u - paras
-    if dmu:
-        mean = _mean_para(dmu, dmu_refs, part)
-        sharp = sharp - mean
-    return Paracontrolled(reference=reference, dz=dz, sharp=sharp,
-                          dmu=list(dmu), dmu_refs=list(dmu_refs))
+    def __getitem__(self, n: int) -> "Paracontrolled":
+        return Paracontrolled(self.reference[n], self.dz[n], self.sharp[n],
+                              [d[n] for d in self.dmu],
+                              [r[n] for r in self.dmu_refs])
 
 
-def _mean_para(dmu, dmu_refs, part) -> PathField:
-    terms = [d.zip_with(r, lambda a, b: para(a, b, part))
-             for d, r in zip(dmu, dmu_refs)]
+def _mean_para(dmu: list, dmu_refs: list, part: DyadicPartition) -> Field:
+    terms = [para(d, r, part) for d, r in zip(dmu, dmu_refs)]
     out = terms[0]
     for t in terms[1:]:
         out = out + t
     return out * (1.0 / len(terms))
 
 
-def reconstruct(pc: Paracontrolled, part: DyadicPartition | None = None) -> PathField:
-    """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp."""
-    part = part or dyadic_blocks(pc.reference.grid)
-    out = pc.dz.zip_with(pc.reference, lambda a, b: para(a, b, part)) + pc.sharp
+def decompose_slice(u: Field, reference: Field, dz: Field, dmu: list,
+                    dmu_refs: list, part: DyadicPartition) -> Paracontrolled:
+    """Store the slice u with the given derivatives; sharp is the exact residual."""
+    sharp = u - para(dz, reference, part)
+    if dmu:
+        sharp = sharp - _mean_para(dmu, dmu_refs, part)
+    return Paracontrolled(reference, dz, sharp, list(dmu), list(dmu_refs))
+
+
+def decompose(u: PathField, reference: PathField, dz: PathField,
+              dmu: list | None = None, dmu_refs: list | None = None,
+              part: DyadicPartition | None = None) -> Paracontrolled:
+    """Store u with the given derivatives; sharp is the exact residual."""
+    part = part or dyadic_blocks(u.grid)
+    dmu = list(dmu or [])
+    dmu_refs = list(dmu_refs or [])
+    sharp = [decompose_slice(u[i], reference[i], dz[i], [d[i] for d in dmu],
+                             [r[i] for r in dmu_refs], part).sharp
+             for i in range(len(u))]
+    return Paracontrolled(reference, dz, PathField(u.times, sharp), dmu,
+                          dmu_refs)
+
+
+def reconstruct_slice(pc: Paracontrolled, part: DyadicPartition) -> Field:
+    """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp on one slice."""
+    out = para(pc.dz, pc.reference, part) + pc.sharp
     if pc.dmu:
         out = out + _mean_para(pc.dmu, pc.dmu_refs, part)
     return out
 
 
-def pc_product(pc: Paracontrolled, en: EnhancedNoise, cross: list | None = None,
-               part: DyadicPartition | None = None) -> PathField:
-    """The singular product (u xi) of a paracontrolled path with the noise.
+def reconstruct(pc: Paracontrolled, part: DyadicPartition | None = None) -> PathField:
+    """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp."""
+    part = part or dyadic_blocks(pc.reference.grid)
+    return PathField(pc.reference.times, [
+        reconstruct_slice(pc[i], part) for i in range(len(pc.reference))])
 
-    Slice-wise sum of u < xi, xi < u, sharp (.) xi, the correctors of
-    dz and each dmu_j, dz * xi2 and the mean of dmu_j * cross_j.
+
+def pc_product_slice(pc: Paracontrolled, xi: Field, X: Field, xi2: Field,
+                     cross: list, part: DyadicPartition) -> Field:
+    """One slice of the singular product (u xi).
+
+    Sum of u < xi, xi < u, sharp (.) xi, the correctors of dz and each
+    dmu_j, dz * xi2 and the mean of dmu_j * cross_j.  ``X`` is the
+    reference of xi, ``xi2`` the renormalized X (.) xi and ``cross[j]``
+    the term xi (.) Xbar_j of the j-th measure derivative.
     """
-    cross = cross or []
     if len(cross) != len(pc.dmu):
         raise ValueError("need one cross term per dmu entry")
+    u = reconstruct_slice(pc, part)
+    acc = para(u, xi, part) + para(xi, u, part)
+    acc = acc + resonant(pc.sharp, xi, part)
+    acc = acc + corrector(pc.dz, X, xi, part)
+    acc = acc + pointwise_product(pc.dz, xi2)
+    n = len(pc.dmu)
+    for j in range(n):
+        acc = acc + (1.0 / n) * corrector(pc.dmu[j], pc.dmu_refs[j], xi, part)
+        acc = acc + (1.0 / n) * pointwise_product(pc.dmu[j], cross[j])
+    return acc
+
+
+def pc_product(pc: Paracontrolled, en: EnhancedNoise, cross: list | None = None,
+               part: DyadicPartition | None = None) -> PathField:
+    """The singular product (u xi) of a paracontrolled path with the noise."""
+    cross = cross or []
     part = part or dyadic_blocks(en.grid)
-    u = reconstruct(pc, part)
-    out = []
-    for i in range(len(u)):
-        xi = en.xi[i]
-        acc = para(u[i], xi, part) + para(xi, u[i], part)
-        acc = acc + resonant(pc.sharp[i], xi, part)
-        acc = acc + corrector(pc.dz[i], en.X[i], xi, part)
-        acc = acc + pointwise_product(pc.dz[i], en.xi2[i])
-        if pc.dmu:
-            n = len(pc.dmu)
-            for j in range(n):
-                acc = acc + (1.0 / n) * corrector(pc.dmu[j][i], pc.dmu_refs[j][i],
-                                                  xi, part)
-                acc = acc + (1.0 / n) * pointwise_product(pc.dmu[j][i], cross[j][i])
-        out.append(acc)
-    return PathField(u.times, out)
+    return PathField(pc.reference.times, [
+        pc_product_slice(pc[i], en.xi[i], en.X[i], en.xi2[i],
+                         [c[i] for c in cross], part)
+        for i in range(len(pc.reference))])
+
+
+def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
+                        sample_pcs: list, part: DyadicPartition) -> Paracontrolled:
+    """Paracontrolled structure of f(u, mu) on one slice.
+
+    mu is the measure of the samples; dz = (d1 f)(u, mu) * u' and
+    dmu_j = (sum over measure slots of the slot-j partial average) *
+    v_j'; sharp is the exact residual of eval_f(u, mu).
+    """
+    if not sample_pcs:
+        raise ValueError("need at least one measure sample")
+    u = reconstruct_slice(u_pc, part)
+    mu = EmpiricalMeasure([reconstruct_slice(s, part) for s in sample_pcs])
+    p1 = eval_partial(spec, 1, u, mu)
+    dz = pointwise_product(p1, u_pc.dz, dealias=False)
+    dmu = [pointwise_product(_slot_partial_sum(spec, u, mu, j), s.dz,
+                             dealias=False)
+           for j, s in enumerate(sample_pcs)]
+    return decompose_slice(eval_f(spec, u, mu), u_pc.reference, dz, dmu,
+                           [s.reference for s in sample_pcs], part)
 
 
 def paralinearize_f(spec: InteractionSpec, u_pc: Paracontrolled,
                     sample_pcs: list | None = None,
                     part: DyadicPartition | None = None) -> Paracontrolled:
-    """Paracontrolled structure of f(u, mu) for mu the samples' measure.
-
-    dz = (d1 f)(u, mu) * u' and dmu_j = (sum over measure slots of the
-    slot-j partial average) * v_j'; sharp is the exact residual of
-    eval_f(u, mu).
-    """
+    """Paracontrolled structure of f(u, mu) for mu the samples' measure."""
     sample_pcs = sample_pcs or []
     part = part or dyadic_blocks(u_pc.reference.grid)
-    u = reconstruct(u_pc, part)
-    samples = [reconstruct(s, part) for s in sample_pcs]
-    if not samples:
-        raise ValueError("need at least one measure sample")
-    times = u.times
-    dz_slices, dmu_sl = [], [[] for _ in samples]
-    f_slices = []
-    for i in range(len(u)):
-        mu_i = EmpiricalMeasure([s[i] for s in samples])
-        p1 = eval_partial(spec, 1, u[i], mu_i)
-        dz_slices.append(pointwise_product(p1, u_pc.dz[i], dealias=False))
-        f_slices.append(eval_f(spec, u[i], mu_i))
-        for j, s_pc in enumerate(sample_pcs):
-            amp = _slot_partial_sum(spec, u[i], mu_i, j)
-            dmu_sl[j].append(pointwise_product(amp, s_pc.dz[i], dealias=False))
-    dz = PathField(times, dz_slices)
-    dmu = [PathField(times, sl) for sl in dmu_sl]
-    dmu_refs = [s.reference for s in sample_pcs]
-    f_path = PathField(times, f_slices)
-    return decompose(f_path, u_pc.reference, dz, dmu, dmu_refs, part)
+    slices = [paralinearize_slice(spec, u_pc[i], [s[i] for s in sample_pcs],
+                                  part)
+              for i in range(len(u_pc.reference))]
+    times = u_pc.reference.times
+    return Paracontrolled(
+        u_pc.reference, PathField(times, [s.dz for s in slices]),
+        PathField(times, [s.sharp for s in slices]),
+        [PathField(times, list(d)) for d in zip(*(s.dmu for s in slices))],
+        [s.reference for s in sample_pcs])
 
 
 def _slot_partial_sum(spec: InteractionSpec, u: Field, mu: EmpiricalMeasure,

@@ -9,7 +9,7 @@ the first crossing time instead of letting the run NaN out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +17,17 @@ from .bony import para
 from .heat import etd_step, semigroup
 from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
     eval_partial
-from .littlewood_paley import DyadicPartition, RegularityParams, dyadic_blocks
+from .littlewood_paley import DyadicPartition, dyadic_blocks
 from .noise import EnhancedNoise, MeanFieldEnhancedNoise, cross_resonant
-from .paracontrolled import Paracontrolled, decompose, paralinearize_f, \
-    pc_product, reconstruct
+from .paracontrolled import Paracontrolled, paralinearize_slice, \
+    pc_product_slice, reconstruct
 from .torus import Field, PathField, pointwise_product
 
 __all__ = [
     "SolveConfig",
     "ExplosionError",
     "PicardError",
+    "FixedPointError",
     "solve_additive_mckean",
     "solve_additive_frozen",
     "solve_renormalized",
@@ -56,10 +57,22 @@ class PicardError(RuntimeError):
         self.residuals = list(residuals)
 
 
+class FixedPointError(RuntimeError):
+    """Raised when u = (f(u, mu) < X) + sharp is not solved within the cap."""
+
+    def __init__(self, time: float, defect: float):
+        super().__init__(f"fixed point not reached at t = {time:.6g}; "
+                         f"final defect {defect:.3e}")
+        self.time = time
+        self.defect = defect
+
+
+# iteration cap of the fixed point that pins the Gubinelli derivative
+FIXED_POINT_MAX_ITERS = 100
+
+
 @dataclass
 class SolveConfig:
-    reg: RegularityParams = field(default_factory=RegularityParams)
-    scheme: str = "direct_renormalized"
     picard_tol: float = 1e-4
     picard_max_iters: int = 40
     max_linf: float | None = None  # None: 10 * (1 + |u0|_inf)
@@ -202,77 +215,41 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
              else en.xi2  # same stream: renormalized diagonal
              for s in frozen_pcs]
 
-    def fix_dz(sharp_f: Field, X_f: Field, mu: EmpiricalMeasure, u_guess: Field):
+    def fix_dz(sharp_f: Field, X_f: Field, mu: EmpiricalMeasure, u_guess: Field,
+               t: float):
         # solve u = (f(u, mu) < X) + sharp to high accuracy
         u = u_guess
-        for _ in range(100):
-            dz = eval_f(f_spec, u, mu)
-            u_new = para(dz, X_f, part) + sharp_f
-            if (u_new - u).linf() <= 1e-14 * max(1.0, u.linf()):
-                u = u_new
-                break
+        for _ in range(FIXED_POINT_MAX_ITERS):
+            u_new = para(eval_f(f_spec, u, mu), X_f, part) + sharp_f
+            defect = (u_new - u).linf()
+            converged = defect <= 1e-14 * max(1.0, u.linf())
             u = u_new
-        dz = eval_f(f_spec, u, mu)
-        return u, dz
+            if converged:
+                return u, eval_f(f_spec, u, mu)
+        raise FixedPointError(t, defect)
 
     mu0 = EmpiricalMeasure([p[0] for p in sample_paths])
     sharp = u0  # X_0 = 0, so u_0 = sharp_0
-    u, dz = fix_dz(sharp, en.X[0], mu0, u0)
-    us, dzs, sharps = [u], [dz], [sharp]
+    u, dz = fix_dz(sharp, en.X[0], mu0, u0, float(times[0]))
+    dzs, sharps = [dz], [sharp]
     for n in range(times.size - 1):
         mu = EmpiricalMeasure([p[n] for p in sample_paths])
-        u_pc = Paracontrolled(reference=en.X, dz=_const_path(times, dz, n),
-                              sharp=_const_path(times, sharp, n))
-        f_pc = _paralin_slice(f_spec, u_pc, frozen_pcs, sample_paths, n,
-                              en, part)
-        phi = pc_product_slice(f_pc, en, cross, n, part)
+        f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
+                                   [s[n] for s in frozen_pcs], part)
+        phi = pc_product_slice(f_pc, en.xi[n], en.X[n], en.xi2[n],
+                               [c[n] for c in cross], part)
         phi = phi - para(dz, en.xi[n], part)
         if g_spec is not None:
             phi = phi + eval_g(g_spec, u, mu)
         sharp = etd_step(sharp, phi, dt)
         mu_next = EmpiricalMeasure([p[n + 1] for p in sample_paths])
-        u, dz = fix_dz(sharp, en.X[n + 1], mu_next, u)
+        u, dz = fix_dz(sharp, en.X[n + 1], mu_next, u, float(times[n + 1]))
         sharp = u - para(dz, en.X[n + 1], part)  # exact residual storage
         _check_guard(u, R, float(times[n + 1]))
-        us.append(u)
         dzs.append(dz)
         sharps.append(sharp)
     return Paracontrolled(reference=en.X, dz=PathField(times, dzs),
                           sharp=PathField(times, sharps))
-
-
-def _const_path(times, f: Field, n: int) -> PathField:
-    # single-slice stand-in aligned with slice n; only slice n is read
-    return PathField(np.asarray([times[n]]), [f])
-
-
-def _paralin_slice(f_spec, u_pc_slice, frozen_pcs, sample_paths, n, en, part):
-    """Slice-n paralinearization of f, returned as one-slice structures."""
-    t = np.asarray([en.times[n]])
-    sample_pcs_n = [
-        Paracontrolled(reference=PathField(t, [s.reference[n]],
-                                           meta=s.reference.meta),
-                       dz=PathField(t, [s.dz[n]]),
-                       sharp=PathField(t, [s.sharp[n]]))
-        for s in frozen_pcs
-    ]
-    u_pc_n = Paracontrolled(
-        reference=PathField(t, [en.X[n]], meta=en.X.meta),
-        dz=u_pc_slice.dz, sharp=u_pc_slice.sharp)
-    return paralinearize_f(f_spec, u_pc_n, sample_pcs_n, part)
-
-
-def pc_product_slice(f_pc: Paracontrolled, en: EnhancedNoise, cross: list,
-                     n: int, part: DyadicPartition) -> Field:
-    """Slice n of the paracontrolled product of a one-slice structure."""
-    t = np.asarray([en.times[n]])
-    en_n = EnhancedNoise(
-        xi=PathField(t, [en.xi[n]], meta=en.xi.meta),
-        X=PathField(t, [en.X[n]], meta=en.X.meta),
-        xi2=PathField(t, [en.xi2[n]], meta=en.xi2.meta),
-        c_eps=en.c_eps, eps=en.eps)
-    cross_n = [PathField(t, [c[n]]) for c in cross]
-    return pc_product(f_pc, en_n, cross_n, part)[0]
 
 
 def solve_particle_system(mf: MeanFieldEnhancedNoise, f_spec: InteractionSpec,

@@ -7,6 +7,7 @@ from parafield import (EmpiricalMeasure, NoiseSpec, PathField, decompose,
                        dyadic_blocks, enhance, eval_f, eval_partial,
                        make_interaction, paralinearize_f, pc_product,
                        pointwise_product, reconstruct, sample_noise)
+from parafield.paracontrolled import paralinearize_slice, pc_product_slice
 from conftest import random_field
 
 TIMES = np.array([0.0, 0.25, 0.5])
@@ -101,3 +102,26 @@ def test_paralinearize_f_reconstructs_f_exactly(grid32, rng):
         assert (f_pc.dz[i] - want_dz).linf() < 1e-12
     with pytest.raises(ValueError):
         paralinearize_f(f_spec, u_pc, [], part=part)
+
+
+def test_path_operators_map_slice_operators(grid32, rng):
+    part = dyadic_blocks(grid32)
+    f_spec = make_interaction("tanh_bilinear", scale=0.8)
+    en = enhance(sample_noise(NoiseSpec(seed=102), grid32, TIMES, stream_id=0),
+                 0.3, part)
+    u_pc = decompose(_random_path(grid32, rng, smooth=0.1), en.X,
+                     _random_path(grid32, rng, smooth=0.3), part=part)
+    s_pc = decompose(_random_path(grid32, rng, smooth=0.1),
+                     _random_path(grid32, rng),
+                     _random_path(grid32, rng, smooth=0.3), part=part)
+    cross = [_random_path(grid32, rng)]
+    f_pc = paralinearize_f(f_spec, u_pc, [s_pc], part=part)
+    prod = pc_product(f_pc, en, cross, part=part)
+    for i in range(len(TIMES)):
+        f_i = paralinearize_slice(f_spec, u_pc[i], [s_pc[i]], part)
+        for path, one in [(f_pc.dz, f_i.dz), (f_pc.sharp, f_i.sharp),
+                          (f_pc.dmu[0], f_i.dmu[0])]:
+            assert np.array_equal(path[i].values, one.values)
+        want = pc_product_slice(f_pc[i], en.xi[i], en.X[i], en.xi2[i],
+                                [cross[0][i]], part)
+        assert np.array_equal(prod[i].values, want.values)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from parafield import (ExplosionError, Field, NoiseSpec, PathField,
-                       PicardError, SolveConfig, default_dt, dyadic_blocks,
-                       enhance, make_interaction, make_times, sample_noise,
-                       semigroup, solve_additive_frozen, solve_additive_mckean,
-                       solve_mean_field, solve_particle_system,
-                       solve_renormalized)
+from parafield import (ExplosionError, Field, FixedPointError, NoiseSpec,
+                       PathField, PicardError, SolveConfig, decompose,
+                       default_dt, dyadic_blocks, enhance, make_interaction,
+                       make_times, sample_noise, semigroup,
+                       solve_additive_frozen, solve_additive_mckean,
+                       solve_mean_field, solve_paracontrolled,
+                       solve_particle_system, solve_renormalized)
 from conftest import random_field
 
 
@@ -127,6 +128,24 @@ def test_picard_error_on_tight_budget(grid16):
     assert len(exc.value.residuals) == 1
     with pytest.raises(ValueError):
         solve_mean_field(noises[:1], f_spec, None, u0, SolveConfig())
+
+
+def test_fixed_point_error_when_cap_is_reached(grid16, monkeypatch):
+    times = _times(T=0.125)
+    part = dyadic_blocks(grid16)
+    en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
+                 0.05, part)
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    u0 = Field(grid16, np.full((16, 16), 0.4))
+    frozen = [decompose(PathField.constant(times, u0), en.X,
+                        PathField.zero(times, grid16), part=part)]
+    # X_0 = 0 pins the first slice in one iteration; X_1 != 0 needs more
+    monkeypatch.setattr("parafield.solver.FIXED_POINT_MAX_ITERS", 1)
+    with pytest.raises(FixedPointError) as exc:
+        solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig(),
+                             part=part)
+    assert exc.value.time == pytest.approx(times[1])
+    assert exc.value.defect > 0.0
 
 
 def test_mean_field_fixed_point_residual(grid16):
