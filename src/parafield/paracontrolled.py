@@ -134,17 +134,21 @@ def pc_product(pc: Paracontrolled, en: EnhancedNoise, cross: list | None = None,
 
 
 def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
-                        sample_pcs: list, part: DyadicPartition) -> Paracontrolled:
+                        sample_pcs: list, part: DyadicPartition,
+                        mu: EmpiricalMeasure | None = None) -> Paracontrolled:
     """Paracontrolled structure of f(u, mu) on one slice.
 
-    mu is the measure of the samples; dz = (d1 f)(u, mu) * u' and
-    dmu_j = (sum over measure slots of the slot-j partial average) *
-    v_j'; sharp is the exact residual of eval_f(u, mu).
+    mu is the measure of the reconstructed samples, built here unless
+    the caller already holds it; dz = (d1 f)(u, mu) * u' and dmu_j =
+    (sum over measure slots of the slot-j partial average) * v_j';
+    sharp is the exact residual of eval_f(u, mu).
     """
     if not sample_pcs:
         raise ValueError("need at least one measure sample")
     u = reconstruct_slice(u_pc, part)
-    mu = EmpiricalMeasure([reconstruct_slice(s, part) for s in sample_pcs])
+    if mu is None:
+        mu = EmpiricalMeasure([reconstruct_slice(s, part)
+                               for s in sample_pcs])
     p1 = eval_partial(spec, 1, u, mu)
     dz = pointwise_product(p1, u_pc.dz, dealias=False)
     dmu = [pointwise_product(_slot_partial_sum(spec, u, mu, j), s.dz,

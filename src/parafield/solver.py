@@ -235,7 +235,7 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
     for n in range(times.size - 1):
         mu = EmpiricalMeasure([p[n] for p in sample_paths])
         f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
-                                   [s[n] for s in frozen_pcs], part)
+                                   [s[n] for s in frozen_pcs], part, mu)
         phi = pc_product_slice(f_pc, en.xi[n], en.X[n], en.xi2[n],
                                [c[n] for c in cross], part)
         phi = phi - para(dz, en.xi[n], part)

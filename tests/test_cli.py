@@ -2,10 +2,14 @@
 
 import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import parafield
 from parafield import read_pfld
 from parafield.cli import main
 from parafield.experiments import ConfigError, parse_config, run_experiment
@@ -158,3 +162,29 @@ def test_thread_env_mapping(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     _apply_thread_env()
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+HEAP_CHURN = """\
+import resource, sys
+import numpy as np
+from parafield.experiments import parse_config, run_experiment
+run_experiment(parse_config(sys.argv[1], out=sys.argv[2]))
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    held = [np.ones((64, 64), complex) for _ in range(64)]  # 4 MiB
+    del held
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the trim threshold is glibc's")
+def test_run_keeps_freed_heap_for_reuse(tmp_path):
+    # 50 rounds of holding and freeing 4 MiB fault its 1024 pages in
+    # about once after a run, not once per round (about 40000 faults)
+    src = os.path.dirname(os.path.dirname(parafield.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", HEAP_CHURN, _write(tmp_path, SOLVE_CFG),
+         str(tmp_path / "out")], env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True).stdout
+    assert int(out) < 4 * 1024

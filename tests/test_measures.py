@@ -1,12 +1,17 @@
 """Wasserstein distances: brute-force oracle and metric properties."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import parafield
 from parafield import (Field, chaos_metric, ground_distance_matrix, make_grid,
                        subsample_ensemble, wasserstein)
+from parafield.measures import linear_sum_assignment
 from conftest import random_field
 
 
@@ -27,6 +32,70 @@ def test_wasserstein_matches_brute_force(grid16, rng, p, ground):
     got = wasserstein(xs, ys, p, ground)
     want = _brute_force_w(xs, ys, p, ground)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def _assert_permutation(rows, cols, n):
+    assert np.array_equal(rows, np.arange(n))
+    assert sorted(cols.tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_assignment_matches_brute_force(rng, n):
+    # continuous costs (a unique optimum) and small integers (many ties)
+    for cost in (rng.random((n, n)), rng.integers(0, 3, (n, n)) * 1.0):
+        rows, cols = linear_sum_assignment(cost)
+        _assert_permutation(rows, cols, n)
+        best = min(sum(cost[i, perm[i]] for i in range(n))
+                   for perm in itertools.permutations(range(n)))
+        assert cost[rows, cols].sum() == best
+
+
+def test_assignment_constant_cost_is_identity():
+    for n in (1, 2, 7):
+        rows, cols = linear_sum_assignment(np.full((n, n), 2.5))
+        assert np.array_equal(cols, np.arange(n))
+
+
+def test_assignment_input_validation():
+    for bad in (np.nan, np.inf, -np.inf):
+        cost = np.ones((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_sum_assignment(cost)
+    with pytest.raises(ValueError, match="square"):
+        linear_sum_assignment(np.ones((2, 3)))
+
+
+def test_assignment_agrees_with_scipy():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+    for trial in range(120):
+        n = int(rng.integers(1, 71))
+        cost = rng.random((n, n))
+        want = scipy_optimize.linear_sum_assignment(cost)[1]
+        assert np.array_equal(linear_sum_assignment(cost)[1], want)
+        ints = rng.integers(0, 4, (n, n)) * 1.0
+        rows, cols = linear_sum_assignment(ints)
+        _assert_permutation(rows, cols, n)
+        r2, c2 = scipy_optimize.linear_sum_assignment(ints)
+        assert ints[rows, cols].sum() == ints[r2, c2].sum()
+
+
+def test_wasserstein_identical_ensembles_is_zero(grid16, rng):
+    a, b = random_field(grid16, rng), random_field(grid16, rng)
+    atoms = [a, b, a, b, a]  # repeated atoms: many optimal pairings
+    assert wasserstein(atoms, atoms, 2, "Linf") == 0.0
+    assert wasserstein(atoms, list(reversed(atoms)), 1, "Linf") == 0.0
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(parafield.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, parafield, parafield.experiments; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_ground_l2_matches_field_norm(grid16, rng):
@@ -77,6 +146,11 @@ def test_wasserstein_input_validation(grid16, rng):
     many = [Field.zero(g8)] * 513
     with pytest.raises(ValueError):
         wasserstein(many, many)
+    with pytest.raises(ValueError, match="empty"):
+        wasserstein([], [])
+    nan = Field(grid16, np.full((16, 16), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        wasserstein([nan], [xs[0]])
 
 
 def test_subsample_ensemble(grid16, rng):

@@ -117,11 +117,17 @@ def test_path_operators_map_slice_operators(grid32, rng):
     cross = [_random_path(grid32, rng)]
     f_pc = paralinearize_f(f_spec, u_pc, [s_pc], part=part)
     prod = pc_product(f_pc, en, cross, part=part)
+    s_path = reconstruct(s_pc, part)
     for i in range(len(TIMES)):
         f_i = paralinearize_slice(f_spec, u_pc[i], [s_pc[i]], part)
-        for path, one in [(f_pc.dz, f_i.dz), (f_pc.sharp, f_i.sharp),
-                          (f_pc.dmu[0], f_i.dmu[0])]:
+        # a measure built by the caller from the reconstructed samples
+        f_mu = paralinearize_slice(f_spec, u_pc[i], [s_pc[i]], part,
+                                   EmpiricalMeasure([s_path[i]]))
+        for path, one, given in [(f_pc.dz, f_i.dz, f_mu.dz),
+                                 (f_pc.sharp, f_i.sharp, f_mu.sharp),
+                                 (f_pc.dmu[0], f_i.dmu[0], f_mu.dmu[0])]:
             assert np.array_equal(path[i].values, one.values)
+            assert np.array_equal(one.values, given.values)
         want = pc_product_slice(f_pc[i], en.xi[i], en.X[i], en.xi2[i],
                                 [cross[0][i]], part)
         assert np.array_equal(prod[i].values, want.values)
