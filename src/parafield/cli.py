@@ -51,11 +51,11 @@ def main(argv=None) -> int:
         if cfg.experiment != args.experiment:
             raise ConfigError(
                 f"config is for {cfg.experiment!r}, not {args.experiment!r}")
+        record = run_experiment(cfg)
     except ConfigError as e:
         print(f"parafield: config error: {e}", file=sys.stderr)
         return 2
 
-    record = run_experiment(cfg)
     for a in record["assertions"]:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}")

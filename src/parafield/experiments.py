@@ -119,9 +119,10 @@ def _grid_times(cfg: ExperimentConfig, default_N=64, default_T=0.5,
     if dt is None:
         dt = default_dt(eps if eps else 0.1, N)
         dt = T / max(1, int(np.ceil(T / dt)))
-    grid = make_grid(N)
-    times = make_times(T, dt)
-    return grid, times
+    try:
+        return make_grid(N), make_times(T, dt)
+    except ValueError as e:
+        raise ConfigError(f"[grid] n = {N}, t = {T}, dt = {dt}: {e}") from None
 
 
 def _noise_spec(cfg: ExperimentConfig, seed: int) -> NoiseSpec:
@@ -137,18 +138,24 @@ def _interaction(cfg: ExperimentConfig, section: str, default_name=None):
     name = sec.get("name", default_name)
     if name is None or name == "none":
         return None
-    params = {}
-    for k in ("scale", "c0", "c"):
-        if k in sec:
-            params["C0" if k == "c0" else k] = float(sec[k])
-    if "m" in sec:
-        params["m"] = int(sec["m"])
-    if "kernel" in cfg.sections and section == "f":
-        ksec = dict(cfg.sections["kernel"])
-        kname = ksec.pop("name")
-        params["kernel"] = make_kernel(kname, **{k: float(v)
-                                                 for k, v in ksec.items()})
-    return make_interaction(name, **params)
+    kernel = (dict(cfg.sections["kernel"])
+              if section == "f" and "kernel" in cfg.sections else None)
+    if kernel is not None and "name" not in kernel:
+        raise ConfigError("[kernel] name is mandatory")
+    try:
+        params = {}
+        for k in ("scale", "c0", "c"):
+            if k in sec:
+                params["C0" if k == "c0" else k] = float(sec[k])
+        if "m" in sec:
+            params["m"] = int(sec["m"])
+        if kernel is not None:
+            kname = kernel.pop("name")
+            params["kernel"] = make_kernel(
+                kname, **{k: float(v) for k, v in kernel.items()})
+        return make_interaction(name, **params)
+    except ValueError as e:
+        raise ConfigError(f"[{section}] {e}") from None
 
 
 def _initial_field(cfg: ExperimentConfig, grid) -> Field:
@@ -493,10 +500,8 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
     scfg = SolveConfig()
     part = dyadic_blocks(grid)
 
-    mf_noises = [enhance(sample_noise(
-        NoiseSpec(seed=cfg.seed + 1, temporal=spec.temporal, lam=spec.lam,
-                  spatial_multiplier=spec.spatial_multiplier),
-        grid, times, stream_id=i), eps, part) for i in range(M)]
+    mf_noises = mean_field_enhance(M, spec, eps, grid, times,
+                                   master_seed=cfg.seed + 1, part=part).noises
     ref_paths, _, _ = solve_mean_field(mf_noises, f_spec, g_spec, u0, scfg)
     ref = [p[-1] for p in ref_paths]
 
@@ -533,8 +538,7 @@ def _exp_picard_trace(cfg: ExperimentConfig):
     scfg = SolveConfig(picard_tol=cfg.get("params", "picard_tol", 1e-4, float),
                        picard_max_iters=cfg.get("params", "picard_max_iters",
                                                 60, int))
-    noises = [enhance(sample_noise(spec, grid, times, stream_id=i), eps, part)
-              for i in range(M)]
+    noises = mean_field_enhance(M, spec, eps, grid, times, part=part).noises
     _, iters, residuals = solve_mean_field(noises, f_spec, g_spec, u0, scfg)
     rows = [{"iteration": i, "residual": float(r)}
             for i, r in enumerate(residuals)]

@@ -8,11 +8,16 @@ noise) and c the temporal correlation.  The zero mode is always zero
 
 Sampling is keyed by (seed, stream_id) through a counter-based Philox
 generator: identical configurations give identical bits.
+
+Enhancement is lazy: ``enhance`` mollifies the noise and fixes c_eps,
+and the reference X and the renormalized product xi2 are built on
+first read, so a scheme that reads only xi and c_eps never builds them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -134,14 +139,25 @@ def sample_noise(spec: NoiseSpec, grid: TorusGrid, times: np.ndarray,
 
 
 def mollify(xi: PathField, eps: float) -> PathField:
-    """Heat-kernel mollifier at scale eps: multiplier e^{-eps |k|^2}."""
+    """Heat-kernel mollifier at scale eps: multiplier e^{-eps |k|^2}.
+
+    Each distinct slice object is transformed once, so a time-independent
+    path (one Field repeated) stays one Field repeated.
+    """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0:
         return xi
     g = xi.grid
     m = np.exp(-eps * g.k2)
-    out = xi.map(lambda f: Field.from_spectrum(g, f.spectrum * m, check=False))
+    done: dict = {}  # id -> mollified slice; xi keeps every key alive
+
+    def damp(f: Field) -> Field:
+        if id(f) not in done:
+            done[id(f)] = Field.from_spectrum(g, f.spectrum * m, check=False)
+        return done[id(f)]
+
+    out = xi.map(damp)
     out.meta.update(xi.meta)
     out.meta["eps"] = xi.meta.get("eps", 0.0) + eps
     return out
@@ -228,15 +244,32 @@ def renorm_constant(spec: NoiseSpec, eps: float, times: np.ndarray,
     return c_eps_mc
 
 
-@dataclass
 class EnhancedNoise:
-    """The pair (xi, X (.) xi - c_eps) plus the reference X."""
+    """The pair (xi, X (.) xi - c_eps) plus the reference X.
 
-    xi: PathField
-    X: PathField
-    xi2: PathField
-    c_eps: object  # callable of t
-    eps: float
+    ``X`` and ``xi2`` are built on first read and cached: the direct
+    scheme reads only ``xi`` and ``c_eps``, so it never pays for them.
+    """
+
+    def __init__(self, xi: PathField, c_eps, eps: float,
+                 part: DyadicPartition):
+        self.xi = xi
+        self.c_eps = c_eps  # callable of t
+        self.eps = eps
+        self.part = part
+
+    @cached_property
+    def X(self) -> PathField:
+        return duhamel(self.xi)
+
+    @cached_property
+    def xi2(self) -> PathField:
+        X, xi = self.X, self.xi
+        cs = np.atleast_1d(self.c_eps(xi.times))
+        return PathField(xi.times, [
+            resonant(X[i], xi[i], self.part).shift(-float(cs[i]))
+            for i in range(len(xi))
+        ], meta=dict(xi.meta))
 
     @property
     def times(self):
@@ -254,11 +287,12 @@ class EnhancedNoise:
 def enhance(xi_raw: PathField, eps: float,
             part: DyadicPartition | None = None, n_mc: int = 128,
             c_eps=None) -> EnhancedNoise:
-    """Mollify, solve for X and renormalize the resonant part.
+    """Mollify and fix the renormalization constant; X and xi2 are lazy.
 
     ``c_eps`` is a renormalization constant already computed for the
     noise class, eps, times and grid of xi_raw; by default it is
-    computed here.
+    computed here.  X = duhamel(xi) and the renormalized resonant part
+    xi2 are computed when first read (see ``EnhancedNoise``).
     """
     spec = xi_raw.meta.get("spec")
     if spec is None:
@@ -266,15 +300,9 @@ def enhance(xi_raw: PathField, eps: float,
     grid = xi_raw.grid
     part = part or dyadic_blocks(grid)
     xi = mollify(xi_raw, eps)
-    X = duhamel(xi)
     if c_eps is None:
         c_eps = renorm_constant(spec, eps, xi.times, grid, part, n_mc=n_mc)
-    cs = np.atleast_1d(c_eps(xi.times))
-    xi2 = PathField(xi.times, [
-        resonant(X[i], xi[i], part).shift(-float(cs[i]))
-        for i in range(len(xi))
-    ], meta=dict(xi.meta))
-    return EnhancedNoise(xi=xi, X=X, xi2=xi2, c_eps=c_eps, eps=eps)
+    return EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps, part=part)
 
 
 def cross_resonant(xi_i: PathField, X_j: PathField,

@@ -136,6 +136,22 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert main(["picard_trace", "--config", path]) == 2
 
 
+BAD_VALUES = {
+    "grid_not_power_of_two": SOLVE_CFG.replace("n = 16", "n = 12"),
+    "t_not_multiple_of_dt": SOLVE_CFG.replace("t = 0.1", "t = 0.1\ndt = 0.03"),
+    "kernel_without_name": SOLVE_CFG + "\n[kernel]\nwidth = 0.5\n",
+    "unknown_f_name": SOLVE_CFG.replace("tanh_bilinear", "warp_drive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_cli_bad_config_value_exit_two(tmp_path, capsys, case):
+    path = _write(tmp_path, BAD_VALUES[case])
+    code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_two(capsys):
     assert main([]) == 2
     assert main(["solve"]) == 2

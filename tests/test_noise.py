@@ -7,11 +7,13 @@ deterministic given the fixed seeds.
 import numpy as np
 import pytest
 
-from parafield import (NoiseSpec, cross_resonant, dyadic_blocks, duhamel,
-                       enhance, make_grid, make_times, mean_field_enhance,
-                       mollify, power_law_multiplier, renorm_constant,
-                       resolved_eps, sample_noise)
+import parafield.noise
+from parafield import (Field, NoiseSpec, cross_resonant, dyadic_blocks,
+                       duhamel, enhance, make_grid, make_times,
+                       mean_field_enhance, mollify, power_law_multiplier,
+                       renorm_constant, resolved_eps, sample_noise)
 from parafield.bony import resonant
+from parafield.experiments import parse_config, run_experiment
 
 
 TIMES3 = np.array([0.0, 0.25, 0.5])
@@ -96,6 +98,19 @@ def test_mollify_multiplier_and_meta(grid16):
         mollify(xi, -0.1)
 
 
+def test_mollify_transforms_each_distinct_slice_once(grid16):
+    m = np.exp(-0.1 * grid16.k2)
+    for temporal in ("white", "exp_correlated"):
+        raw = sample_noise(NoiseSpec(seed=2, temporal=temporal), grid16, TIMES3)
+        out = mollify(raw, 0.1)
+        for f, r in zip(out.fields, raw.fields):
+            want = Field.from_spectrum(grid16, r.spectrum * m, check=False)
+            assert np.array_equal(f.values, want.values)
+            assert np.array_equal(f.spectrum, want.spectrum)
+        # white noise is one Field repeated, and stays one Field repeated
+        assert (out[0] is out[-1]) == (temporal == "white")
+
+
 def test_resolved_eps_threshold():
     g = make_grid(64)
     # e^{-2 eps (N/2)^2} <= 1e-3 iff eps >= ln(1000) / (2 * 1024)
@@ -156,6 +171,90 @@ def test_enhance_centers_xi2(grid16):
     se = means.std(ddof=1) / np.sqrt(M)
     assert abs(means.mean()) <= 4.0 * se
     assert en.eps == 0.1 and en.stream_id == M - 1
+
+
+@pytest.mark.parametrize("temporal", ["white", "exp_correlated"])
+def test_enhance_builds_X_and_xi2_on_first_read(grid16, temporal):
+    spec = NoiseSpec(seed=13, temporal=temporal, lam=2.0)
+    part = dyadic_blocks(grid16)
+    times = make_times(0.5, 0.125)
+    raw = sample_noise(spec, grid16, times, stream_id=2)
+    en = enhance(raw, 0.1, part)
+    assert "X" not in vars(en) and "xi2" not in vars(en)
+    # oracle: the eager construction, slice by slice
+    xi = mollify(raw, 0.1)
+    X = duhamel(xi)
+    cs = np.atleast_1d(en.c_eps(times))
+    for i in range(times.size):
+        xi2 = resonant(X[i], xi[i], part).shift(-float(cs[i]))
+        assert np.array_equal(en.xi[i].values, xi[i].values)
+        assert np.array_equal(en.X[i].values, X[i].values)
+        assert np.array_equal(en.xi2[i].values, xi2.values)
+    assert en.X is en.X and en.xi2 is en.xi2  # cached after the first read
+
+
+SINGULAR_SOLVES = {
+    "solve": """\
+[experiment]
+name = solve
+seed = 3
+
+[grid]
+n = 16
+t = 0.05
+
+[noise]
+eps = 0.1
+
+[params]
+scheme = {scheme}
+""",
+    "chaos_singular": """\
+[experiment]
+name = chaos_singular
+seed = 3
+
+[grid]
+n = 16
+t = 0.05
+
+[ensemble]
+n_list = 2 4
+k = 2
+m = 4
+""",
+}
+
+
+def _count_enhancement_calls(monkeypatch, tmp_path, text):
+    calls = {"duhamel": 0, "resonant": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(parafield.noise, name,
+                            counting(name, getattr(parafield.noise, name)))
+    run_experiment(parse_config(text=text, out=str(tmp_path / "out")))
+    return calls
+
+
+@pytest.mark.parametrize("experiment", sorted(SINGULAR_SOLVES))
+def test_direct_scheme_builds_no_X_or_xi2(monkeypatch, tmp_path, experiment):
+    text = SINGULAR_SOLVES[experiment].format(scheme="direct_renormalized")
+    calls = _count_enhancement_calls(monkeypatch, tmp_path, text)
+    assert calls == {"duhamel": 0, "resonant": 0}
+
+
+def test_paracontrolled_scheme_builds_X_and_xi2_once(monkeypatch, tmp_path):
+    # the counters do see the reads: X once, one resonant product per slice
+    text = SINGULAR_SOLVES["solve"].format(scheme="paracontrolled")
+    calls = _count_enhancement_calls(monkeypatch, tmp_path, text)
+    rows = (tmp_path / "out" / "solution_norms.csv").read_text().splitlines()
+    assert calls == {"duhamel": 1, "resonant": len(rows) - 1}
 
 
 def test_cross_resonant_rejects_equal_streams(grid16):
