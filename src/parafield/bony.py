@@ -17,18 +17,13 @@ from .torus import Field, PathField, pointwise_product
 __all__ = ["para", "resonant", "corrector", "modified_para"]
 
 
-def _dealias(f: Field) -> Field:
-    g = f.grid
-    return Field.from_spectrum(g, f.spectrum * g.dealias, check=False)
-
-
 def para(a: Field, b: Field, part: DyadicPartition | None = None) -> Field:
     """Paraproduct a < b (low frequencies of a times high of b)."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     part = part or dyadic_blocks(a.grid)
-    ab = part.block_fields(_dealias(a))
-    bb = part.block_fields(_dealias(b))
+    ab = part.block_fields(a.spectrum * a.grid.dealias)
+    bb = part.block_fields(b.spectrum * b.grid.dealias)
     lows = np.cumsum(ab, axis=0)
     out = np.zeros_like(ab[0])
     # block index i corresponds to ell = i - 1; need ell' <= ell - 2
@@ -42,8 +37,8 @@ def resonant(a: Field, b: Field, part: DyadicPartition | None = None) -> Field:
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     part = part or dyadic_blocks(a.grid)
-    ab = part.block_fields(_dealias(a))
-    bb = part.block_fields(_dealias(b))
+    ab = part.block_fields(a.spectrum * a.grid.dealias)
+    bb = part.block_fields(b.spectrum * b.grid.dealias)
     n = len(part.ells)
     out = np.zeros_like(ab[0])
     for i in range(n):
@@ -79,10 +74,12 @@ def modified_para(a: PathField, b: PathField, mode: str = "heat_average",
         raise ValueError(f"unknown mode {mode!r}")
     n = len(part.ells)
     # lows[m][i] = sum_{l' <= ell_i} Delta_{l'} a at slice m (dealiased)
-    lows = [np.cumsum(part.block_fields(_dealias(f)), axis=0) for f in a.fields]
+    dealias = a.grid.dealias
+    lows = [np.cumsum(part.block_fields(f.spectrum * dealias), axis=0)
+            for f in a.fields]
     out = []
     for m, t in enumerate(a.times):
-        bb = part.block_fields(_dealias(b.fields[m]))
+        bb = part.block_fields(b.fields[m].spectrum * dealias)
         acc = np.zeros_like(bb[0])
         for i in range(2, n):
             ell = part.ells[i]

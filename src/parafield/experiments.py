@@ -23,8 +23,9 @@ from .heat import duhamel, semigroup
 from .interactions import make_interaction, make_kernel
 from .littlewood_paley import RegularityParams, besov_norm, dyadic_blocks
 from .measures import chaos_metric
-from .noise import (NoiseSpec, enhance, mean_field_enhance, mollify,
-                    power_law_multiplier, renorm_constant, sample_noise)
+from .noise import (NoiseSpec, enhance, low_damped_multiplier,
+                    mean_field_enhance, mollify, power_law_multiplier,
+                    renorm_constant, sample_noise)
 from .paracontrolled import decompose, reconstruct
 from .solver import (SolveConfig, default_dt, solve_additive_mckean,
                      solve_mean_field, solve_paracontrolled,
@@ -50,8 +51,6 @@ class ExperimentConfig:
     def get(self, section: str, key: str, default=None, cast=str):
         sec = self.sections.get(section, {})
         if key not in sec:
-            if default is None and cast is not str:
-                return None
             return default
         v = sec[key]
         if cast is bool:
@@ -409,7 +408,6 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     times = make_times(T, dt)
     frozen = [PathField.constant(times, u0)]
     D = {True: np.zeros(len(eps_ladder)), False: np.zeros(len(eps_ladder))}
-    from .noise import low_damped_multiplier
     k0 = cfg.get("params", "low_k0", 2.0, float)
     lfloor = cfg.get("params", "low_floor", 0.1, float)
     for s in range(n_seeds):

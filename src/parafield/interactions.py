@@ -48,6 +48,7 @@ class EmpiricalMeasure:
         for a in self.atoms:
             if a.grid != g:
                 raise ValueError("atoms must share a grid")
+        self._stack = None
 
     def __len__(self):
         return len(self.atoms)
@@ -57,7 +58,11 @@ class EmpiricalMeasure:
         return self.atoms[0].grid
 
     def values(self) -> np.ndarray:
-        return np.stack([a.values for a in self.atoms])
+        """The atoms stacked to shape (n, N, N), built on the first call."""
+        if self._stack is None:
+            self._stack = np.stack([a.values for a in self.atoms])
+            self._stack.flags.writeable = False
+        return self._stack
 
 
 @dataclass

@@ -1,10 +1,9 @@
 """Dyadic frequency decomposition and discrete Besov/Hoelder estimators.
 
-Sharp annular indicators are the default: block -1 holds the zero mode
+The blocks are sharp annular indicators: block -1 holds the zero mode
 only, block l >= 0 holds Euclidean wavenumbers in [2^l, 2^{l+1}).  This
 gives an exact partition of unity on the retained modes, hence exact
-reconstruction and an exact Bony identity downstream.  A smooth variant
-(cosine bumps, adjacent overlap only) is available behind a flag.
+reconstruction and an exact Bony identity downstream.
 
 The discrete Besov quantities are *estimators*: tests downstream use
 trends and ratios, never absolute constants.
@@ -30,19 +29,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegularityParams:
-    """Regularity exponents 2/3 < beta < alpha < 1 and run parameters."""
+    """Regularity exponents 2/3 < beta < alpha < 1 of the solution theory."""
 
     alpha: float = 0.75
     beta: float = 0.7
-    p: int = 2
-    T: float = 0.5
-    dt: float = 1.0 / 64
 
     def __post_init__(self):
         if not (2.0 / 3.0 < self.beta < self.alpha < 1.0):
             raise ValueError("need 2/3 < beta < alpha < 1")
-        if self.p < 1:
-            raise ValueError("p >= 1 required")
 
 
 class DyadicPartition:
@@ -52,39 +46,21 @@ class DyadicPartition:
     sum to one on every non-Nyquist mode.
     """
 
-    def __init__(self, grid: TorusGrid, variant: str = "sharp"):
-        if variant not in ("sharp", "smooth"):
-            raise ValueError(f"unknown variant {variant!r}")
+    def __init__(self, grid: TorusGrid):
         self.grid = grid
-        self.variant = variant
         N = grid.N
         self.L_max = int(np.ceil(np.log2(N / 2)))
         self.ells = list(range(-1, self.L_max + 1))
         absk = np.sqrt(grid.k2)
         keep = ~grid.nyquist
         ws = []
-        if variant == "sharp":
-            for ell in self.ells:
-                if ell == -1:
-                    w = (absk < 1.0).astype(np.float64)
-                else:
-                    w = ((absk >= 2.0 ** ell) & (absk < 2.0 ** (ell + 1)))
-                    w = w.astype(np.float64)
-                ws.append(w * keep)
-        else:
-            # chi(r) = 1 for r <= 1, cos^2 ramp on [1, 2], 0 beyond;
-            # telescoping rho_l = chi(2^-l r) - chi(2^-l+1 r) sums to one.
-            def chi(r):
-                t = np.clip(r - 1.0, 0.0, 1.0)
-                return np.cos(0.5 * np.pi * t) ** 2
-
-            prev = np.zeros_like(absk)
-            for ell in self.ells:
-                cur = chi(absk / 2.0 ** (ell + 0))  # chi(2^-l |k|)
-                ws.append((cur - prev) * keep)
-                prev = cur
-            # close the partition at the top so the sum is exactly one
-            ws[-1] = ws[-1] + (1.0 - prev) * keep
+        for ell in self.ells:
+            if ell == -1:
+                w = (absk < 1.0).astype(np.float64)
+            else:
+                w = ((absk >= 2.0 ** ell) & (absk < 2.0 ** (ell + 1)))
+                w = w.astype(np.float64)
+            ws.append(w * keep)
         self.weights = np.stack(ws)
         self.weights.flags.writeable = False
         # diagonal resonant weight sum_{|i-j|<=1} rho_i rho_j per mode
@@ -100,19 +76,19 @@ class DyadicPartition:
             raise ValueError(f"block {ell} out of range [-1, {self.L_max}]")
         return ell + 1
 
-    def block_fields(self, f: Field) -> np.ndarray:
-        """All block projections of f at once, shape (n_blocks, N, N)."""
-        return np.fft.ifft2(self.weights * f.spectrum[None, :, :]).real
+    def block_fields(self, spectrum: np.ndarray) -> np.ndarray:
+        """All block projections of a spectrum on the grid, as values of
+        shape (n_blocks, N, N)."""
+        return np.fft.ifft2(self.weights * spectrum[None, :, :]).real
 
 
 _partition_cache: dict = {}
 
 
-def dyadic_blocks(grid: TorusGrid, variant: str = "sharp") -> DyadicPartition:
-    key = (grid.N, variant)
-    if key not in _partition_cache:
-        _partition_cache[key] = DyadicPartition(grid, variant)
-    return _partition_cache[key]
+def dyadic_blocks(grid: TorusGrid) -> DyadicPartition:
+    if grid.N not in _partition_cache:
+        _partition_cache[grid.N] = DyadicPartition(grid)
+    return _partition_cache[grid.N]
 
 
 def lp_project(f: Field, ell: int, part: DyadicPartition | None = None) -> Field:
@@ -132,7 +108,7 @@ def besov_norm(f: Field, gamma: float, q_space=np.inf, q_sum=np.inf,
                part: DyadicPartition | None = None) -> float:
     """Discrete Besov estimator: l^{q_sum} over blocks of 2^{l*gamma} ||Delta_l f||_{L^{q_space}}."""
     part = part or dyadic_blocks(f.grid)
-    blocks = part.block_fields(f)
+    blocks = part.block_fields(f.spectrum)
     terms = np.array([
         2.0 ** (ell * gamma) * _lq_norm(blocks[i], q_space, f.grid.spacing)
         for i, ell in enumerate(part.ells)

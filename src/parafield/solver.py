@@ -3,8 +3,12 @@ mean-field equations.
 
 All schemes are exponential-Euler in mild form: the heat part is exact
 per Fourier mode and the nonlinearity enters through the phi_1 weight.
+The direct schemes share one loop, ``_step_fields``, which steps a list
+of fields together against a frozen measure path or against their own
+running measure; only the paracontrolled scheme has a loop of its own.
 An explosion guard monitors the sup norm and raises ExplosionError with
-the first crossing time instead of letting the run NaN out.
+the earliest crossing time over the fields stepped together instead of
+letting the run NaN out.
 """
 
 from __future__ import annotations
@@ -95,6 +99,56 @@ def _check_guard(u: Field, R: float, t: float):
         raise ExplosionError(t, m, R)
 
 
+def _renorm_rhs(f_spec, g_spec, u, mu, xi_slice, c_val):
+    """Forcing f(u, mu) xi - c (f d1f)(u, mu) + g(u, mu) of one step.
+
+    Without f the forcing is xi itself (the additive equation).
+    """
+    if f_spec is None:
+        rhs = xi_slice
+    else:
+        fval = eval_f(f_spec, u, mu)
+        rhs = pointwise_product(fval, xi_slice)
+        if c_val != 0.0:
+            dfval = eval_partial(f_spec, 1, u, mu)
+            rhs = rhs - c_val * pointwise_product(fval, dfval, dealias=False)
+    if g_spec is not None:
+        rhs = rhs + eval_g(g_spec, u, mu)
+    return rhs
+
+
+def _step_fields(u0s: list, xis: list, cs: list | None,
+                 f_spec: InteractionSpec | None,
+                 g_spec: InteractionSpec | None, frozen: list | None,
+                 cfg: SolveConfig) -> list:
+    """Exponential-Euler steps of every field, all fields together.
+
+    u^i_{n+1} = E u^i_n + I0 (f(u^i_n, mu_n) xi^i_n - c^i_n (f d1f)(u^i_n,
+    mu_n) + g(u^i_n, mu_n)), or with forcing xi^i_n + g when f_spec is
+    None.  mu_n is slice n of the ``frozen`` atoms, or the running
+    empirical measure of the fields themselves when ``frozen`` is None.
+    """
+    times = xis[0].times
+    dt = float(times[1] - times[0])
+    R = cfg.guard(max(u.linf() for u in u0s))
+    renormalize = cs is not None and cfg.renormalize
+    paths = [[u] for u in u0s]
+    atoms = paths if frozen is None else frozen
+    for n in range(times.size - 1):
+        mu = EmpiricalMeasure([p[n] for p in atoms])
+        for i, path in enumerate(paths):
+            c = float(cs[i][n]) if renormalize else 0.0
+            rhs = _renorm_rhs(f_spec, g_spec, path[n], mu, xis[i][n], c)
+            v = etd_step(path[n], rhs, dt)
+            _check_guard(v, R, float(times[n + 1]))
+            path.append(v)
+    return [PathField(times, p) for p in paths]
+
+
+def _counterterm(en: EnhancedNoise) -> np.ndarray:
+    return np.atleast_1d(en.c_eps(en.times))
+
+
 def solve_additive_mckean(g_spec: InteractionSpec | None, noises: list,
                           u0s: list, cfg: SolveConfig) -> list:
     """Coupled additive system: du^i = Lap u^i + zeta^i + g(u^i, mu^n).
@@ -106,25 +160,7 @@ def solve_additive_mckean(g_spec: InteractionSpec | None, noises: list,
     """
     if len(noises) != len(u0s) or not noises:
         raise ValueError("need aligned, nonempty noise/initial lists")
-    times = noises[0].times
-    dt = float(times[1] - times[0])
-    R = cfg.guard(max(u.linf() for u in u0s))
-    cur = list(u0s)
-    paths = [[u] for u in u0s]
-    for n in range(times.size - 1):
-        mu = EmpiricalMeasure(cur)
-        nxt = []
-        for i, u in enumerate(cur):
-            nonlin = noises[i][n]
-            if g_spec is not None:
-                nonlin = nonlin + eval_g(g_spec, u, mu)
-            v = etd_step(u, nonlin, dt)
-            _check_guard(v, R, float(times[n + 1]))
-            nxt.append(v)
-        cur = nxt
-        for i, v in enumerate(cur):
-            paths[i].append(v)
-    return [PathField(times, p) for p in paths]
+    return _step_fields(u0s, noises, None, None, g_spec, None, cfg)
 
 
 def solve_additive_frozen(g_spec: InteractionSpec | None, noise: PathField,
@@ -136,31 +172,7 @@ def solve_additive_frozen(g_spec: InteractionSpec | None, noise: PathField,
     so a particle re-solved against the recorded measure of a stacked
     run reproduces it bitwise.
     """
-    times = noise.times
-    dt = float(times[1] - times[0])
-    R = cfg.guard(u0.linf())
-    u = u0
-    out = [u]
-    for n in range(times.size - 1):
-        mu = EmpiricalMeasure([p[n] for p in frozen])
-        nonlin = noise[n]
-        if g_spec is not None:
-            nonlin = nonlin + eval_g(g_spec, u, mu)
-        u = etd_step(u, nonlin, dt)
-        _check_guard(u, R, float(times[n + 1]))
-        out.append(u)
-    return PathField(times, out)
-
-
-def _renorm_rhs(f_spec, g_spec, u, mu, xi_slice, c_val, renormalize):
-    fval = eval_f(f_spec, u, mu)
-    rhs = pointwise_product(fval, xi_slice)
-    if renormalize and c_val != 0.0:
-        dfval = eval_partial(f_spec, 1, u, mu)
-        rhs = rhs - c_val * pointwise_product(fval, dfval, dealias=False)
-    if g_spec is not None:
-        rhs = rhs + eval_g(g_spec, u, mu)
-    return rhs
+    return _step_fields([u0], [noise], None, None, g_spec, frozen, cfg)[0]
 
 
 def solve_renormalized(en: EnhancedNoise, frozen: list, f_spec: InteractionSpec,
@@ -171,20 +183,8 @@ def solve_renormalized(en: EnhancedNoise, frozen: list, f_spec: InteractionSpec,
     du = Lap u + f(u, v_t) xi_eps - c_eps(t) (f d1f)(u, v_t) + g(u, v_t)
     with v_t the slice-t empirical measure of the frozen atoms.
     """
-    times = en.times
-    dt = float(times[1] - times[0])
-    cs = np.atleast_1d(en.c_eps(times))
-    R = cfg.guard(u0.linf())
-    u = u0
-    out = [u]
-    for n in range(times.size - 1):
-        mu = EmpiricalMeasure([p[n] for p in frozen])
-        rhs = _renorm_rhs(f_spec, g_spec, u, mu, en.xi[n], float(cs[n]),
-                          cfg.renormalize)
-        u = etd_step(u, rhs, dt)
-        _check_guard(u, R, float(times[n + 1]))
-        out.append(u)
-    return PathField(times, out)
+    return _step_fields([u0], [en.xi], [_counterterm(en)], f_spec, g_spec,
+                        frozen, cfg)[0]
 
 
 def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
@@ -256,28 +256,11 @@ def solve_particle_system(mf: MeanFieldEnhancedNoise, f_spec: InteractionSpec,
                           g_spec: InteractionSpec | None, u0s: list,
                           cfg: SolveConfig) -> list:
     """Renormalized n-particle system with the running empirical measure."""
-    n_part = len(mf)
-    if len(u0s) != n_part:
+    if len(u0s) != len(mf):
         raise ValueError("need one initial condition per particle")
-    times = mf[0].times
-    dt = float(times[1] - times[0])
-    cs = np.atleast_1d(mf[0].c_eps(times))
-    R = cfg.guard(max(u.linf() for u in u0s))
-    cur = list(u0s)
-    paths = [[u] for u in u0s]
-    for n in range(times.size - 1):
-        mu = EmpiricalMeasure(cur)
-        nxt = []
-        for i, u in enumerate(cur):
-            rhs = _renorm_rhs(f_spec, g_spec, u, mu, mf[i].xi[n],
-                              float(cs[n]), cfg.renormalize)
-            v = etd_step(u, rhs, dt)
-            _check_guard(v, R, float(times[n + 1]))
-            nxt.append(v)
-        cur = nxt
-        for i, v in enumerate(cur):
-            paths[i].append(v)
-    return [PathField(times, p) for p in paths]
+    cs = [_counterterm(mf[0])] * len(mf)
+    return _step_fields(u0s, [en.xi for en in mf.noises], cs, f_spec, g_spec,
+                        None, cfg)
 
 
 def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
@@ -286,9 +269,10 @@ def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
     """Picard-on-law solver for the singular mean-field equation.
 
     ``enhanced`` is a list of M frozen enhanced noises (common random
-    numbers across iterations).  Iterates u^{k+1,i} = solve against the
-    empirical measure of {u^{k,j}} until the ensemble is a fixed point.
-    Returns (ensemble, iterations, residuals).
+    numbers across iterations).  Each sweep steps all M streams
+    together against the frozen empirical measure of the previous
+    ensemble {u^{k,j}}, until the ensemble is a fixed point.  Returns
+    (ensemble, iterations, residuals).
     """
     M = len(enhanced)
     if M < 2:
@@ -296,11 +280,11 @@ def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
     times = enhanced[0].times
     flow = [semigroup(u0, float(t)) for t in times]
     ensemble = [PathField(times, flow) for _ in range(M)]
+    xis = [en.xi for en in enhanced]
+    cs = [_counterterm(en) for en in enhanced]
     residuals = []
     for it in range(cfg.picard_max_iters):
-        frozen = list(ensemble)
-        new = [solve_renormalized(enhanced[i], frozen, f_spec, g_spec, u0, cfg)
-               for i in range(M)]
+        new = _step_fields([u0] * M, xis, cs, f_spec, g_spec, ensemble, cfg)
         res = max((new[i] - ensemble[i]).sup_linf() for i in range(M))
         residuals.append(res)
         ensemble = new

@@ -21,9 +21,6 @@ __all__ = [
     "PathField",
     "make_grid",
     "make_times",
-    "forward_spectrum",
-    "inverse_spectrum",
-    "apply_multiplier",
     "pointwise_product",
     "write_pfld",
     "read_pfld",
@@ -248,27 +245,6 @@ def make_times(T: float, dt: float) -> np.ndarray:
     if M < 1 or abs(M * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer multiple of dt")
     return np.linspace(0.0, T, M + 1)
-
-
-def forward_spectrum(f: Field) -> np.ndarray:
-    """Discrete Fourier transform of the field (unnormalized sum)."""
-    return np.array(f.spectrum)
-
-
-def inverse_spectrum(grid: TorusGrid, spec: np.ndarray) -> Field:
-    """Field from a Hermitian spectrum; rejects non-Hermitian input."""
-    return Field.from_spectrum(grid, spec, check=True)
-
-
-def apply_multiplier(f: Field, m) -> Field:
-    """Apply the Fourier multiplier ``m`` to the field.
-
-    ``m`` is either an (N, N) array aligned with the grid's mode layout
-    or a callable of the integer mode arrays (kx, ky).
-    """
-    g = f.grid
-    w = m(g.kx, g.ky) if callable(m) else np.asarray(m)
-    return Field.from_spectrum(g, f.spectrum * w, check=False)
 
 
 def pointwise_product(a: Field, b: Field, dealias: bool = True) -> Field:

@@ -12,10 +12,8 @@ from conftest import random_field
 def _double_sum_oracle(a, b, part):
     """Direct sum over block pairs split by the Bony index sets."""
     g = a.grid
-    ab = part.block_fields(Field.from_spectrum(g, a.spectrum * g.dealias,
-                                               check=False))
-    bb = part.block_fields(Field.from_spectrum(g, b.spectrum * g.dealias,
-                                               check=False))
+    ab = part.block_fields(a.spectrum * g.dealias)
+    bb = part.block_fields(b.spectrum * g.dealias)
     n = len(part.ells)
     lo_hi = np.zeros_like(ab[0])
     hi_lo = np.zeros_like(ab[0])

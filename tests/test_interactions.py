@@ -124,3 +124,12 @@ def test_kernel_and_registry_validation(grid16, rng):
 def test_measure_grid_consistency(grid16, grid32, rng):
     with pytest.raises(ValueError):
         EmpiricalMeasure([random_field(grid16, rng), random_field(grid32, rng)])
+
+
+def test_measure_stacks_atoms_once(grid16, rng):
+    atoms = [random_field(grid16, rng) for _ in range(3)]
+    mu = EmpiricalMeasure(atoms)
+    vals = mu.values()
+    assert mu.values() is vals
+    assert np.array_equal(vals, np.stack([a.values for a in atoms]))
+    assert not vals.flags.writeable

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from parafield import (DyadicPartition, Field, PathField, RegularityParams,
-                       besov_norm, dyadic_blocks, lp_project, make_grid,
-                       make_times, parabolic_holder_norm)
+from parafield import (Field, PathField, RegularityParams, besov_norm,
+                       dyadic_blocks, lp_project, make_grid, make_times,
+                       parabolic_holder_norm)
 from conftest import random_field
 
 
@@ -39,17 +39,10 @@ def test_sharp_weights_partition_unity(grid64):
     assert np.allclose(total[~keep], 0.0, atol=1e-14)
 
 
-def test_smooth_weights_partition_unity(grid64):
-    part = DyadicPartition(grid64, variant="smooth")
-    total = part.weights.sum(axis=0)
-    keep = ~grid64.nyquist
-    assert np.allclose(total[keep], 1.0, atol=1e-12)
-
-
 def test_reconstruction_from_blocks(grid64, rng):
     part = dyadic_blocks(grid64)
     f = random_field(grid64, rng)
-    recon = part.block_fields(f).sum(axis=0)
+    recon = part.block_fields(f.spectrum).sum(axis=0)
     assert np.max(np.abs(recon - f.values)) <= 1e-10 * max(1.0, f.linf())
 
 
@@ -59,8 +52,6 @@ def test_block_index_bounds(grid16):
         part.index(part.L_max + 1)
     with pytest.raises(ValueError):
         part.index(-2)
-    with pytest.raises(ValueError):
-        DyadicPartition(grid16, variant="boxcar")
 
 
 def test_besov_single_mode_values(grid64):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from parafield import (ExplosionError, Field, FixedPointError, NoiseSpec,
-                       PathField, PicardError, SolveConfig, decompose,
-                       default_dt, dyadic_blocks, enhance, make_interaction,
-                       make_times, sample_noise, semigroup,
+from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
+                       FixedPointError, NoiseSpec, PathField, PicardError,
+                       SolveConfig, decompose, default_dt, dyadic_blocks,
+                       enhance, make_interaction, make_times,
+                       mean_field_enhance, sample_noise, semigroup,
                        solve_additive_frozen, solve_additive_mckean,
                        solve_mean_field, solve_paracontrolled,
                        solve_particle_system, solve_renormalized)
@@ -67,9 +68,27 @@ def test_tanaka_frozen_replay_is_bitwise(grid16):
             assert np.array_equal(replay[m].values, stacked[i][m].values)
 
 
+def test_singular_tanaka_frozen_replay_is_bitwise(grid16):
+    # the renormalized analogue: each particle of the stacked system,
+    # re-solved against the recorded ensemble, reproduces its path
+    times = _times(T=0.125)
+    mf = mean_field_enhance(3, NoiseSpec(seed=11), 0.1, grid16, times)
+    assert np.any(mf[0].c_eps(times) != 0.0)
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    g_spec = make_interaction("tanh_revert", scale=0.7)
+    rng = np.random.default_rng(2)
+    u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(3)]
+    cfg = SolveConfig()
+    stacked = solve_particle_system(mf, f_spec, g_spec, u0s, cfg)
+    for i in range(3):
+        replay = solve_renormalized(mf[i], stacked, f_spec, g_spec, u0s[i],
+                                    cfg)
+        for m in range(len(times)):
+            assert np.array_equal(replay[m].values, stacked[i][m].values)
+
+
 def test_particle_system_permutation_symmetry(grid16):
     times = _times(T=0.125)
-    from parafield import mean_field_enhance
     spec = NoiseSpec(seed=5)
     mf = mean_field_enhance(3, spec, 0.1, grid16, times)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
@@ -164,6 +183,56 @@ def test_mean_field_fixed_point_residual(grid16):
                                 cfg) for i in range(3)]
     res = max((again[i] - ensemble[i]).sup_linf() for i in range(3))
     assert res < 1e-5
+
+
+def test_mean_field_builds_one_measure_per_step_and_sweep(grid16,
+                                                         monkeypatch):
+    # a sweep steps all streams against one shared frozen measure per step
+    built = []
+
+    class CountingMeasure(EmpiricalMeasure):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(len(self))
+
+    monkeypatch.setattr("parafield.solver.EmpiricalMeasure", CountingMeasure)
+    times = _times(T=0.125)
+    noises = mean_field_enhance(3, NoiseSpec(seed=8), 0.1, grid16,
+                                times).noises
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    u0 = Field(grid16, np.full((16, 16), 0.3))
+    _, iters, _ = solve_mean_field(noises, f_spec, None, u0,
+                                   SolveConfig(picard_tol=1e-6))
+    assert iters >= 2
+    assert built == [3] * (iters * (len(times) - 1))
+
+
+@pytest.mark.parametrize("amp0", [0.0, 3.0])
+def test_mean_field_explosion_reports_earliest_crossing(grid16, amp0):
+    # u = (1 - e^{-t}) A cos(x) for f = 1 and time-constant xi = A cos(x):
+    # with R = 2, stream 1 (A = 4) crosses at t = 0.75 and stream 0
+    # (A = 3) at t = 1.125, or never when A = 0
+    times = make_times(2.0, 1.0 / 16)
+    X, _ = grid16.coords()
+    part = dyadic_blocks(grid16)
+    enhanced = [EnhancedNoise(PathField.constant(
+        times, Field.from_values(grid16, amp * np.cos(X))),
+        lambda t: np.zeros_like(t), 0.1, part) for amp in (amp0, 4.0)]
+    f_spec = make_interaction("constant", c=1.0)
+    u0 = Field.zero(grid16)
+    cfg = SolveConfig(max_linf=2.0)
+    flow = [PathField.constant(times, u0)] * 2
+    with pytest.raises(ExplosionError) as alone:
+        solve_renormalized(enhanced[1], flow, f_spec, None, u0, cfg)
+    assert alone.value.time == pytest.approx(0.75)
+    if amp0 > 0.0:
+        with pytest.raises(ExplosionError) as later:
+            solve_renormalized(enhanced[0], flow, f_spec, None, u0, cfg)
+        assert later.value.time == pytest.approx(1.125)
+    with pytest.raises(ExplosionError) as exc:
+        solve_mean_field(enhanced, f_spec, None, u0, cfg)
+    assert exc.value.time == alone.value.time
+    assert exc.value.linf == alone.value.linf
 
 
 def test_input_validation(grid16, rng):

@@ -8,8 +8,7 @@ compared mode by mode on the retained band.
 import numpy as np
 import pytest
 
-from parafield import (Field, PathField, apply_multiplier, forward_spectrum,
-                       inverse_spectrum, make_grid, make_times,
+from parafield import (Field, PathField, make_grid, make_times,
                        pointwise_product, read_pfld, write_pfld)
 from conftest import random_field
 
@@ -46,7 +45,7 @@ def test_spectrum_convention_single_mode(grid16):
     # cos(2x) has coefficient 1/2 at modes (+-2, 0): spectrum = N^2/2 there
     X, _ = grid16.coords()
     f = Field.from_values(grid16, np.cos(2 * X))
-    s = forward_spectrum(f)
+    s = f.spectrum
     N = grid16.N
     assert s[2, 0] == pytest.approx(N ** 2 / 2, rel=1e-12)
     assert s[N - 2, 0] == pytest.approx(N ** 2 / 2, rel=1e-12)
@@ -58,7 +57,7 @@ def test_inverse_spectrum_rejects_non_hermitian(grid16):
     spec = np.zeros((16, 16), dtype=complex)
     spec[1, 0] = 1.0  # conjugate partner missing
     with pytest.raises(ValueError):
-        inverse_spectrum(grid16, spec)
+        Field.from_spectrum(grid16, spec)
 
 
 def test_parseval(grid16, rng):
@@ -117,13 +116,6 @@ def test_pointwise_product_no_dealias_is_grid_product(grid16, rng):
     b = random_field(grid16, rng)
     p = pointwise_product(a, b, dealias=False)
     assert np.allclose(p.values, a.values * b.values, atol=1e-14)
-
-
-def test_apply_multiplier_callable_and_array(grid16, rng):
-    f = random_field(grid16, rng)
-    g1 = apply_multiplier(f, lambda kx, ky: np.exp(-0.3 * (kx ** 2 + ky ** 2)))
-    g2 = apply_multiplier(f, np.exp(-0.3 * grid16.k2))
-    assert np.allclose(g1.values, g2.values, atol=1e-13)
 
 
 def test_make_times():
