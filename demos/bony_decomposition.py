@@ -9,21 +9,20 @@ of a smooth field with a rough one.
 
 import numpy as np
 
-from parafield import Field, dyadic_blocks, make_grid, pointwise_product, semigroup
+from parafield import Field, make_grid, pointwise_product, semigroup
 from parafield.bony import para, resonant
 
 N = 64
 grid = make_grid(N)
-part = dyadic_blocks(grid)
 rng = np.random.default_rng(7)
 
 rough = Field.from_spectrum(grid, np.fft.fft2(rng.standard_normal((N, N))),
                             check=False)
 smooth = semigroup(rough, 0.05)
 
-lo_hi = para(smooth, rough, part)      # smooth low frequencies modulate rough
-hi_lo = para(rough, smooth, part)      # and vice versa
-diag = resonant(smooth, rough, part)   # frequency-diagonal interaction
+lo_hi = para(smooth, rough)      # smooth low frequencies modulate rough
+hi_lo = para(rough, smooth)      # and vice versa
+diag = resonant(smooth, rough)   # frequency-diagonal interaction
 total = lo_hi + hi_lo + diag
 prod = pointwise_product(smooth, rough)
 

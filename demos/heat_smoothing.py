@@ -8,13 +8,11 @@ that exponent with the discrete Besov estimator and a least-squares fit.
 
 import numpy as np
 
-from parafield import (NoiseSpec, besov_norm, dyadic_blocks, make_grid,
-                       sample_noise, semigroup)
+from parafield import NoiseSpec, besov_norm, make_grid, sample_noise, semigroup
 
 N = 64
 N_SAMPLES = 8
 grid = make_grid(N)
-part = dyadic_blocks(grid)
 spec = NoiseSpec(seed=1)
 ts = 2.0 ** np.arange(-10, -2)
 
@@ -23,10 +21,9 @@ for delta in (0.5, 1.0):
     logs = np.zeros(ts.size)
     for s in range(N_SAMPLES):
         xi = sample_noise(spec, grid, np.array([0.0]), stream_id=s)[0]
-        denom = besov_norm(xi, -1.0, 2, np.inf, part)
+        denom = besov_norm(xi, -1.0, 2)
         for i, t in enumerate(ts):
-            num = besov_norm(semigroup(xi, float(t)), -1.0 + delta, 2,
-                             np.inf, part)
+            num = besov_norm(semigroup(xi, float(t)), -1.0 + delta, 2)
             logs[i] += np.log(num / denom) / N_SAMPLES
     slope = np.polyfit(np.log(ts), logs, 1)[0]
     print(f"  delta = {delta}: measured slope {slope:+.4f}, "

@@ -8,21 +8,20 @@ script prints the residual trace.
 
 import numpy as np
 
-from parafield import (Field, NoiseSpec, SolveConfig, dyadic_blocks, enhance,
-                       make_grid, make_interaction, make_times, sample_noise,
+from parafield import (Field, NoiseSpec, SolveConfig, enhance, make_grid,
+                       make_interaction, make_times, sample_noise,
                        solve_mean_field)
 
 N = 32
 M = 8
 EPS = 0.1
 grid = make_grid(N)
-part = dyadic_blocks(grid)
 spec = NoiseSpec(seed=3)
 f_spec = make_interaction("tanh_bilinear")
 times = make_times(0.25, 1.0 / 64)
 u0 = Field(grid, np.full((N, N), 0.4))
 
-noises = [enhance(sample_noise(spec, grid, times, stream_id=i), EPS, part)
+noises = [enhance(sample_noise(spec, grid, times, stream_id=i), EPS)
           for i in range(M)]
 ensemble, iters, residuals = solve_mean_field(
     noises, f_spec, None, u0, SolveConfig(picard_tol=1e-5))

@@ -8,18 +8,17 @@ small Monte Carlo estimate at one mollification level.
 
 import numpy as np
 
-from parafield import (NoiseSpec, duhamel, dyadic_blocks, make_grid, mollify,
-                       renorm_constant, sample_noise)
+from parafield import (NoiseSpec, duhamel, make_grid, mollify, renorm_constant,
+                       sample_noise)
 from parafield.bony import resonant
 
 N = 32
 grid = make_grid(N)
-part = dyadic_blocks(grid)
 spec = NoiseSpec(seed=7)
 times = np.array([0.0, 0.5, 1.0])
 ladder = [2.0 ** -k for k in range(2, 8)]
 
-cs = [float(renorm_constant(spec, e, times, grid, part)(1.0)) for e in ladder]
+cs = [float(renorm_constant(spec, e, times, grid)(1.0)) for e in ladder]
 xs = np.log(1.0 / np.asarray(ladder))
 kappa, b = np.polyfit(xs, cs, 1)
 print(f"c_eps(t = 1) on a {N} x {N} grid:")
@@ -32,7 +31,7 @@ vals = np.empty(n_mc)
 for s in range(n_mc):
     xi = mollify(sample_noise(spec, grid, times, stream_id=s), eps_mc)
     X = duhamel(xi)
-    vals[s] = resonant(X[-1], xi[-1], part).mean()
-c_ref = float(renorm_constant(spec, eps_mc, times, grid, part)(1.0))
+    vals[s] = resonant(X[-1], xi[-1]).mean()
+c_ref = float(renorm_constant(spec, eps_mc, times, grid)(1.0))
 print(f"  Monte Carlo at eps = {eps_mc}: {vals.mean():.4f} "
       f"+/- {vals.std(ddof=1) / np.sqrt(n_mc):.4f} (analytic {c_ref:.4f})")

@@ -10,13 +10,12 @@ the naive ones drift apart.
 import numpy as np
 
 from parafield import (Field, NoiseSpec, PathField, SolveConfig, default_dt,
-                       dyadic_blocks, enhance, make_grid, make_interaction,
-                       make_times, sample_noise, solve_renormalized)
+                       enhance, make_grid, make_interaction, make_times,
+                       sample_noise, solve_renormalized)
 
 N = 32
 T = 2.0
 grid = make_grid(N)
-part = dyadic_blocks(grid)
 spec = NoiseSpec(seed=5)
 f_spec = make_interaction("tanh_bilinear", scale=0.4)
 X, Y = grid.coords()
@@ -32,7 +31,7 @@ frozen = [PathField.constant(times, u0)]
 raw = sample_noise(spec, grid, times, stream_id=0)
 sols = {}
 for eps in all_eps:
-    en = enhance(raw, eps, part)
+    en = enhance(raw, eps)
     for renorm in (True, False):
         cfg = SolveConfig(renormalize=renorm)
         sols[(eps, renorm)] = solve_renormalized(en, frozen, f_spec, None,

@@ -7,10 +7,9 @@ from .littlewood_paley import (DyadicPartition, RegularityParams, besov_norm,
                                parabolic_holder_norm)
 from .bony import corrector, modified_para, para, resonant
 from .heat import duhamel, etd_step, semigroup
-from .noise import (EnhancedNoise, MeanFieldEnhancedNoise, NoiseSpec,
-                    cross_resonant, enhance, mean_field_enhance, mollify,
-                    power_law_multiplier, renorm_constant, resolved_eps,
-                    sample_noise)
+from .noise import (EnhancedNoise, NoiseSpec, cross_resonant, enhance,
+                    mean_field_enhance, mollify, power_law_multiplier,
+                    renorm_constant, resolved_eps, sample_noise)
 from .interactions import (EmpiricalMeasure, GridKernel, InteractionSpec,
                            eval_f, eval_f_longrange, eval_g, eval_partial,
                            make_interaction, make_kernel)

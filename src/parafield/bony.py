@@ -4,24 +4,25 @@ Block-pair conventions: the paraproduct a < b keeps pairs (l', l) with
 l' <= l - 2; the resonant product keeps |l - l'| <= 1.  Together with
 the reversed paraproduct these partition all block pairs exactly, so
 the Bony reconstruction a<b + b<a + a(.)b = a*b holds to rounding.
-All grid products are dealiased.
+All grid products are dealiased, and the blocks are those of
+``dyadic_blocks`` on the grid of the operands.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .littlewood_paley import DyadicPartition, dyadic_blocks
+from .littlewood_paley import dyadic_blocks
 from .torus import Field, PathField, pointwise_product
 
 __all__ = ["para", "resonant", "corrector", "modified_para"]
 
 
-def para(a: Field, b: Field, part: DyadicPartition | None = None) -> Field:
+def para(a: Field, b: Field) -> Field:
     """Paraproduct a < b (low frequencies of a times high of b)."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
-    part = part or dyadic_blocks(a.grid)
+    part = dyadic_blocks(a.grid)
     ab = part.block_fields(a.spectrum * a.grid.dealias)
     bb = part.block_fields(b.spectrum * b.grid.dealias)
     lows = np.cumsum(ab, axis=0)
@@ -32,11 +33,11 @@ def para(a: Field, b: Field, part: DyadicPartition | None = None) -> Field:
     return Field(a.grid, out)
 
 
-def resonant(a: Field, b: Field, part: DyadicPartition | None = None) -> Field:
+def resonant(a: Field, b: Field) -> Field:
     """Resonant product a (.) b, the |l - l'| <= 1 block diagonal."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
-    part = part or dyadic_blocks(a.grid)
+    part = dyadic_blocks(a.grid)
     ab = part.block_fields(a.spectrum * a.grid.dealias)
     bb = part.block_fields(b.spectrum * b.grid.dealias)
     n = len(part.ells)
@@ -47,17 +48,15 @@ def resonant(a: Field, b: Field, part: DyadicPartition | None = None) -> Field:
     return Field(a.grid, out)
 
 
-def corrector(a: Field, b: Field, c: Field,
-              part: DyadicPartition | None = None) -> Field:
+def corrector(a: Field, b: Field, c: Field) -> Field:
     """Corrector C(a, b, c) = (a<b) (.) c - a * (b (.) c)."""
-    part = part or dyadic_blocks(a.grid)
-    left = resonant(para(a, b, part), c, part)
-    right = pointwise_product(a, resonant(b, c, part))
+    left = resonant(para(a, b), c)
+    right = pointwise_product(a, resonant(b, c))
     return left - right
 
 
-def modified_para(a: PathField, b: PathField, mode: str = "heat_average",
-                  part: DyadicPartition | None = None) -> PathField:
+def modified_para(a: PathField, b: PathField,
+                  mode: str = "heat_average") -> PathField:
     """Time-modified paraproduct on paths.
 
     With ``mode="heat_average"`` the low-frequency factor feeding block
@@ -67,11 +66,11 @@ def modified_para(a: PathField, b: PathField, mode: str = "heat_average",
     """
     if not np.array_equal(a.times, b.times):
         raise ValueError("mismatched time grids")
-    part = part or dyadic_blocks(a.grid)
     if mode == "naive":
-        return a.zip_with(b, lambda fa, fb: para(fa, fb, part))
+        return a.zip_with(b, para)
     if mode != "heat_average":
         raise ValueError(f"unknown mode {mode!r}")
+    part = dyadic_blocks(a.grid)
     n = len(part.ells)
     # lows[m][i] = sum_{l' <= ell_i} Delta_{l'} a at slice m (dealiased)
     dealias = a.grid.dealias

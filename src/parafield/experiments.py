@@ -21,7 +21,7 @@ import numpy as np
 from .bony import resonant
 from .heat import duhamel, semigroup
 from .interactions import make_interaction, make_kernel
-from .littlewood_paley import RegularityParams, besov_norm, dyadic_blocks
+from .littlewood_paley import RegularityParams, besov_norm
 from .measures import chaos_metric
 from .noise import (NoiseSpec, enhance, low_damped_multiplier,
                     mean_field_enhance, mollify, power_law_multiplier,
@@ -53,8 +53,6 @@ class ExperimentConfig:
         if key not in sec:
             return default
         v = sec[key]
-        if cast is bool:
-            return str(v).strip().lower() in ("1", "true", "yes", "on")
         try:
             return cast(v)
         except (TypeError, ValueError) as e:
@@ -64,7 +62,11 @@ class ExperimentConfig:
         sec = self.sections.get(section, {})
         if key not in sec:
             return list(default)
-        return [float(x) for x in str(sec[key]).replace(",", " ").split()]
+        v = sec[key]
+        try:
+            return [float(x) for x in str(v).replace(",", " ").split()]
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
 
     def get_ints(self, section: str, key: str, default=()):
         return [int(x) for x in self.get_floats(section, key, default)]
@@ -99,7 +101,11 @@ def parse_config(path: str | None = None, text: str | None = None,
     if seed is None:
         if "seed" not in exp:
             raise ConfigError("[experiment] seed is mandatory")
-        seed = int(exp["seed"])
+        try:
+            seed = int(exp["seed"])
+        except ValueError as e:
+            raise ConfigError(f"[experiment] seed = {exp['seed']!r}: "
+                              f"{e}") from None
     out = out or exp.get("out", "results")
     raw = (text + f"\n# seed={seed} out={out}\n").encode()
     return ExperimentConfig(experiment=name, seed=seed, out=out,
@@ -129,7 +135,18 @@ def _noise_spec(cfg: ExperimentConfig, seed: int) -> NoiseSpec:
     lam = cfg.get("noise", "lambda", 1.0, float)
     eta = cfg.get("noise", "eta_multiplier", None, float)
     mult = power_law_multiplier(eta) if eta is not None else None
-    return NoiseSpec(seed=seed, temporal=kind, lam=lam, spatial_multiplier=mult)
+    try:
+        return NoiseSpec(seed=seed, temporal=kind, lam=lam,
+                         spatial_multiplier=mult)
+    except ValueError as e:
+        raise ConfigError(f"[noise] {e}") from None
+
+
+def _noise_eps(cfg: ExperimentConfig, default: float) -> float:
+    eps = cfg.get("noise", "eps", default, float)
+    if eps < 0:
+        raise ConfigError(f"[noise] eps = {eps} must be nonnegative")
+    return eps
 
 
 def _interaction(cfg: ExperimentConfig, section: str, default_name=None):
@@ -197,7 +214,6 @@ def _fit_line(x, y):
 def _exp_renorm_constant(cfg: ExperimentConfig):
     grid, times = _grid_times(cfg, default_T=1.0)
     spec = _noise_spec(cfg, cfg.seed)
-    part = dyadic_blocks(grid)
     eps_ladder = cfg.get_floats("params", "eps_ladder",
                                 [2.0 ** -k for k in range(2, 8)])
     t_eval = cfg.get("params", "t_eval", 1.0, float)
@@ -207,7 +223,7 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
 
     rows = []
     for eps in eps_ladder:
-        c = float(renorm_constant(spec, eps, times, grid, part)(t_eval))
+        c = float(renorm_constant(spec, eps, times, grid)(t_eval))
         rows.append({"eps": eps, "c_analytic": c})
 
     # Monte Carlo oracle at one ladder point
@@ -216,18 +232,17 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
     for s in range(mc_samples):
         xi = mollify(sample_noise(spec, grid, tg, stream_id=s), mc_eps)
         X = duhamel(xi)
-        vals[s] = resonant(X[-1], xi[-1], part).mean()
+        vals[s] = resonant(X[-1], xi[-1]).mean()
     mc_mean = float(vals.mean())
     mc_se = float(vals.std(ddof=1) / np.sqrt(mc_samples))
-    c_ref = float(renorm_constant(spec, mc_eps, times, grid, part)(t_eval))
+    c_ref = float(renorm_constant(spec, mc_eps, times, grid)(t_eval))
 
     xs = [np.log(1.0 / r["eps"]) for r in rows]
     ys = [r["c_analytic"] for r in rows]
     kappa, b, r2 = _fit_line(xs, ys)
 
     grid2 = make_grid(n2)
-    part2 = dyadic_blocks(grid2)
-    ys2 = [float(renorm_constant(spec, e, times, grid2, part2)(t_eval))
+    ys2 = [float(renorm_constant(spec, e, times, grid2)(t_eval))
            for e in eps_ladder]
     kappa2, b2, r2_2 = _fit_line(xs, ys2)
 
@@ -253,7 +268,6 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
     T = cfg.get("grid", "t", 0.5, float)
     times = np.array([0.0, T / 2, T])
     spec = _noise_spec(cfg, cfg.seed)
-    part = dyadic_blocks(grid)
     reg = _reg(cfg)
     gamma = 2.0 * reg.alpha - 2.0 - 0.1
     eps_ladder = cfg.get_floats("params", "eps_ladder",
@@ -266,14 +280,13 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
         raw = sample_noise(spec, grid, times, stream_id=s)
         xi2s, naives = [], []
         for eps in eps_ladder:
-            en = enhance(raw, eps, part)
+            en = enhance(raw, eps)
             xi2s.append(en.xi2[-1])
             cs = float(en.c_eps(times[-1]))
             naives.append(en.xi2[-1].mean() + cs)  # naive = resonant mean
         naive_means[s] = naives
         for j in range(len(eps_ladder) - 1):
-            diffs[s, j] = besov_norm(xi2s[j + 1] - xi2s[j], gamma,
-                                     2, np.inf, part)
+            diffs[s, j] = besov_norm(xi2s[j + 1] - xi2s[j], gamma, 2)
     mean_diffs = diffs.mean(axis=0)
     mean_naive = naive_means.mean(axis=0)
     rows = [{"eps": eps_ladder[j + 1], "cauchy_norm": float(mean_diffs[j])}
@@ -294,7 +307,6 @@ def _exp_cross_variance(cfg: ExperimentConfig):
     t_eval = cfg.get("params", "t_eval", 0.5, float)
     tg = np.array([0.0, t_eval / 2, t_eval])
     spec = _noise_spec(cfg, cfg.seed)
-    part = dyadic_blocks(grid)
     eps_pair = cfg.get_floats("params", "eps_pair", [0.2, 0.0125])
     n_pairs = cfg.get("params", "n_pairs", 512, int)
 
@@ -307,11 +319,11 @@ def _exp_cross_variance(cfg: ExperimentConfig):
             xi = mollify(sample_noise(spec, grid, tg, stream_id=2 * s), eps)
             xib = mollify(sample_noise(spec, grid, tg, stream_id=2 * s + 1), eps)
             Xb = duhamel(xib)
-            cv = resonant(Xb[-1], xi[-1], part).values
+            cv = resonant(Xb[-1], xi[-1]).values
             acc += cv
             acc2 += cv * cv
         var = (acc2 / n_pairs - (acc / n_pairs) ** 2).mean()
-        c_diag = float(renorm_constant(spec, eps, tg, grid, part)(t_eval))
+        c_diag = float(renorm_constant(spec, eps, tg, grid)(t_eval))
         rows.append({"eps": eps, "cross_variance": float(var),
                      "diagonal_naive_mean": c_diag})
     v0, v1 = rows[0]["cross_variance"], rows[-1]["cross_variance"]
@@ -328,7 +340,7 @@ def _exp_cross_variance(cfg: ExperimentConfig):
 
 
 def _exp_solve(cfg: ExperimentConfig, outdir: str):
-    eps = cfg.get("noise", "eps", 0.1, float)
+    eps = _noise_eps(cfg, 0.1)
     grid, times = _grid_times(cfg, eps=eps)
     spec = _noise_spec(cfg, cfg.seed)
     f_spec = _interaction(cfg, "f", "tanh_bilinear")
@@ -363,7 +375,7 @@ def _exp_solve(cfg: ExperimentConfig, outdir: str):
 
 
 def _exp_maxprinciple(cfg: ExperimentConfig):
-    eps = cfg.get("noise", "eps", 0.05, float)
+    eps = _noise_eps(cfg, 0.05)
     grid, times = _grid_times(cfg, default_T=0.5, eps=eps)
     C0 = cfg.get("params", "c0", 1.0, float)
     n_seeds = cfg.get("params", "n_seeds", 16, int)
@@ -373,12 +385,11 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
     base = _initial_field(cfg, grid)
     u0 = base * (0.9 * C0 / base.linf())
     scfg = SolveConfig()
-    part = dyadic_blocks(grid)
     rows = []
     for s in range(n_seeds):
         spec = _noise_spec(cfg, cfg.seed + s)
         raw = sample_noise(spec, grid, times, stream_id=0)
-        en = enhance(raw, eps, part)
+        en = enhance(raw, eps)
         frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
         u = solve_renormalized(en, frozen, f_spec, g_spec, u0, scfg)
         rows.append({"seed": cfg.seed + s, "sup_linf": u.sup_linf(),
@@ -400,7 +411,6 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     g_spec = _interaction(cfg, "g")
     base = _initial_field(cfg, grid)
     u0 = Field(grid, 0.5 + 0.6 * base.values)
-    part = dyadic_blocks(grid)
     all_eps = sorted(set(eps_ladder) | {e / 2 for e in eps_ladder}, reverse=True)
     # the noise is constant in time, so four heat scales per step suffice
     dt = 4.0 * default_dt(min(all_eps), grid.N)
@@ -419,7 +429,7 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
         raw = sample_noise(spec, grid, times, stream_id=0)
         sols = {}
         for eps in all_eps:
-            en = enhance(raw, eps, part)
+            en = enhance(raw, eps)
             for renorm in (True, False):
                 scfg = SolveConfig(renormalize=renorm)
                 sols[(eps, renorm)] = solve_renormalized(
@@ -486,7 +496,7 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
 
 
 def _exp_chaos_singular(cfg: ExperimentConfig):
-    eps = cfg.get("noise", "eps", 0.05, float)
+    eps = _noise_eps(cfg, 0.05)
     grid, times = _grid_times(cfg, default_N=32, default_T=0.2, eps=eps)
     n_list = cfg.get_ints("ensemble", "n_list", [8, 32])
     K = cfg.get("ensemble", "k", 16, int)
@@ -496,11 +506,10 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
     spec = _noise_spec(cfg, cfg.seed)
     u0 = _initial_field(cfg, grid)
     scfg = SolveConfig()
-    part = dyadic_blocks(grid)
 
-    mf_noises = mean_field_enhance(M, spec, eps, grid, times,
-                                   master_seed=cfg.seed + 1, part=part).noises
-    ref_paths, _, _ = solve_mean_field(mf_noises, f_spec, g_spec, u0, scfg)
+    ref_noises = mean_field_enhance(M, spec, eps, grid, times,
+                                    master_seed=cfg.seed + 1)
+    ref_paths, _, _ = solve_mean_field(ref_noises, f_spec, g_spec, u0, scfg)
     ref = [p[-1] for p in ref_paths]
 
     # common random numbers across n: run k reuses one master seed, so
@@ -509,10 +518,9 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
     for n in n_list:
         runs_n = []
         for k in range(K):
-            mf = mean_field_enhance(n, spec, eps, grid, times,
-                                    master_seed=cfg.seed + 100 + k,
-                                    part=part)
-            sols = solve_particle_system(mf, f_spec, g_spec,
+            noises = mean_field_enhance(n, spec, eps, grid, times,
+                                        master_seed=cfg.seed + 100 + k)
+            sols = solve_particle_system(noises, f_spec, g_spec,
                                          [u0] * n, scfg)
             runs_n.append([p[-1] for p in sols])
         runs[n] = runs_n
@@ -525,18 +533,17 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
 
 
 def _exp_picard_trace(cfg: ExperimentConfig):
-    eps = cfg.get("noise", "eps", 0.1, float)
+    eps = _noise_eps(cfg, 0.1)
     grid, times = _grid_times(cfg, default_T=0.25, eps=eps)
     M = cfg.get("ensemble", "m", 16, int)
     f_spec = _interaction(cfg, "f", "tanh_bilinear")
     g_spec = _interaction(cfg, "g")
     spec = _noise_spec(cfg, cfg.seed)
     u0 = _initial_field(cfg, grid)
-    part = dyadic_blocks(grid)
     scfg = SolveConfig(picard_tol=cfg.get("params", "picard_tol", 1e-4, float),
                        picard_max_iters=cfg.get("params", "picard_max_iters",
                                                 60, int))
-    noises = mean_field_enhance(M, spec, eps, grid, times, part=part).noises
+    noises = mean_field_enhance(M, spec, eps, grid, times)
     _, iters, residuals = solve_mean_field(noises, f_spec, g_spec, u0, scfg)
     rows = [{"iteration": i, "residual": float(r)}
             for i, r in enumerate(residuals)]

@@ -298,6 +298,8 @@ def make_interaction(name: str, **params) -> InteractionSpec:
     else:
         raise ValueError(f"unknown interaction {name!r}")
 
+    if kernel is not None and m != 1:
+        raise ValueError("long-range interactions require m = 1")
     if m != 1 and name in ("bilinear", "tanh_bilinear"):
         spec = _lift_to_m(spec, m, s, name)
     elif m != 1:

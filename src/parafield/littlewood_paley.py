@@ -3,7 +3,10 @@
 The blocks are sharp annular indicators: block -1 holds the zero mode
 only, block l >= 0 holds Euclidean wavenumbers in [2^l, 2^{l+1}).  This
 gives an exact partition of unity on the retained modes, hence exact
-reconstruction and an exact Bony identity downstream.
+reconstruction and an exact Bony identity downstream.  The partition
+is a function of the grid alone: ``dyadic_blocks`` builds it once per
+grid size, and every operator that needs blocks looks it up from the
+grid of its input, so no caller chooses or passes one.
 
 The discrete Besov quantities are *estimators*: tests downstream use
 trends and ratios, never absolute constants.
@@ -86,14 +89,15 @@ _partition_cache: dict = {}
 
 
 def dyadic_blocks(grid: TorusGrid) -> DyadicPartition:
+    """The partition of the grid, built on the first call for its size."""
     if grid.N not in _partition_cache:
         _partition_cache[grid.N] = DyadicPartition(grid)
     return _partition_cache[grid.N]
 
 
-def lp_project(f: Field, ell: int, part: DyadicPartition | None = None) -> Field:
+def lp_project(f: Field, ell: int) -> Field:
     """Littlewood-Paley projection Delta_l f."""
-    part = part or dyadic_blocks(f.grid)
+    part = dyadic_blocks(f.grid)
     w = part.weights[part.index(ell)]
     return Field.from_spectrum(f.grid, f.spectrum * w, check=False)
 
@@ -104,10 +108,10 @@ def _lq_norm(vals: np.ndarray, q, spacing: float) -> float:
     return float((np.sum(np.abs(vals) ** q) * spacing ** 2) ** (1.0 / q))
 
 
-def besov_norm(f: Field, gamma: float, q_space=np.inf, q_sum=np.inf,
-               part: DyadicPartition | None = None) -> float:
+def besov_norm(f: Field, gamma: float, q_space=np.inf,
+               q_sum=np.inf) -> float:
     """Discrete Besov estimator: l^{q_sum} over blocks of 2^{l*gamma} ||Delta_l f||_{L^{q_space}}."""
-    part = part or dyadic_blocks(f.grid)
+    part = dyadic_blocks(f.grid)
     blocks = part.block_fields(f.spectrum)
     terms = np.array([
         2.0 ** (ell * gamma) * _lq_norm(blocks[i], q_space, f.grid.spacing)
@@ -118,8 +122,7 @@ def besov_norm(f: Field, gamma: float, q_space=np.inf, q_sum=np.inf,
     return float(np.sum(terms ** q_sum) ** (1.0 / q_sum))
 
 
-def parabolic_holder_norm(u: PathField, alpha: float,
-                          part: DyadicPartition | None = None) -> float:
+def parabolic_holder_norm(u: PathField, alpha: float) -> float:
     """Parabolic alpha-Hoelder estimator of a path.
 
     Max of the C^{alpha/2}-in-time L^inf modulus over slice pairs, the
@@ -128,7 +131,6 @@ def parabolic_holder_norm(u: PathField, alpha: float,
     """
     if len(u) < 2:
         raise ValueError("need at least two time slices")
-    part = part or dyadic_blocks(u.grid)
     vals = np.stack([f.values for f in u.fields])
     temporal = 0.0
     M = len(u)
@@ -136,6 +138,6 @@ def parabolic_holder_norm(u: PathField, alpha: float,
         for j in range(i + 1, M):
             d = float(np.max(np.abs(vals[j] - vals[i])))
             temporal = max(temporal, d / abs(u.times[j] - u.times[i]) ** (alpha / 2))
-    spatial = max(besov_norm(f, alpha, np.inf, np.inf, part) for f in u.fields)
+    spatial = max(besov_norm(f, alpha) for f in u.fields)
     sup = max(float(np.max(np.abs(v))) for v in vals)
     return max(temporal, spatial, sup)

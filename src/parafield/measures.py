@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .littlewood_paley import besov_norm, dyadic_blocks
+from .littlewood_paley import besov_norm
 from .torus import Field
 
 __all__ = ["linear_sum_assignment", "ground_distance_matrix", "wasserstein",
@@ -108,11 +108,10 @@ def ground_distance_matrix(xs: list, ys: list, ground="L2") -> np.ndarray:
         return out
     if isinstance(ground, tuple) and ground[0] == "besov":
         alpha = float(ground[1])
-        part = dyadic_blocks(g)
         out = np.empty((len(xs), len(ys)))
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                out[i, j] = besov_norm(x - y, alpha, np.inf, np.inf, part)
+                out[i, j] = besov_norm(x - y, alpha)
         return out
     raise ValueError(f"unknown ground metric {ground!r}")
 

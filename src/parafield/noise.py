@@ -12,6 +12,8 @@ generator: identical configurations give identical bits.
 Enhancement is lazy: ``enhance`` mollifies the noise and fixes c_eps,
 and the reference X and the renormalized product xi2 are built on
 first read, so a scheme that reads only xi and c_eps never builds them.
+``mean_field_enhance`` returns a list of independently enhanced
+streams; the cross term between two of them is ``cross_resonant``.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ import numpy as np
 
 from .bony import resonant
 from .heat import duhamel
-from .littlewood_paley import DyadicPartition, dyadic_blocks
+from .littlewood_paley import dyadic_blocks
 from .torus import Field, PathField, TorusGrid
 
 __all__ = [
     "NoiseSpec",
     "EnhancedNoise",
-    "MeanFieldEnhancedNoise",
     "power_law_multiplier",
     "sample_noise",
     "mollify",
@@ -174,25 +175,23 @@ def _retained(grid: TorusGrid) -> np.ndarray:
 
 
 def renorm_constant(spec: NoiseSpec, eps: float, times: np.ndarray,
-                    grid: TorusGrid, part: DyadicPartition | None = None,
-                    n_mc: int = 128):
+                    grid: TorusGrid):
     """Renormalization constant c_eps(t) = E[(X_eps (.) xi_eps)(t, x)].
 
     Analytic for the time-independent class:
     c_eps(t) = sum_{k != 0} w_res(k) Chat(k) e^{-2 eps |k|^2}
                (1 - e^{-t |k|^2}) / |k|^2
     over the dealias-retained modes (matching the dealiased resonant
-    product).  Other temporal classes fall back to a Monte Carlo
-    estimate on the time grid.  Returns a callable of t.
+    product).  For the exp-correlated class it is the exact expectation
+    of the discrete scheme on the time grid.  Returns a callable of t.
     """
-    part = part or dyadic_blocks(grid)
     times = np.asarray(times, dtype=np.float64)
+    keep = _retained(grid)
+    chat = spec.chat(grid)[keep]
+    wres = dyadic_blocks(grid).resonant_weight[keep]
+    q = grid.k2[keep]
+    moll = np.exp(-2.0 * eps * q)
     if spec.temporal == TIME_INDEPENDENT:
-        keep = _retained(grid)
-        chat = spec.chat(grid)[keep]
-        wres = part.resonant_weight[keep]
-        q = grid.k2[keep]
-        moll = np.exp(-2.0 * eps * q)
 
         def c_eps(t):
             t = np.asarray(t, dtype=np.float64)
@@ -201,47 +200,27 @@ def renorm_constant(spec: NoiseSpec, eps: float, times: np.ndarray,
 
         return c_eps
 
-    if spec.temporal == EXP_CORRELATED and times.size > 1:
-        # exact expectation of the discrete scheme: the AR(1) mode update
-        # paired with the piecewise-linear exponential integrator gives
-        # m_{n+1} = e^{-q dt} a m_n + (I0 - I1/dt) a + I1/dt per mode,
-        # with a = e^{-lam dt}, m_n = E[z_n wbar_n], z_0 = 0
-        keep = _retained(grid)
-        chat = spec.chat(grid)[keep]
-        wres = part.resonant_weight[keep]
-        q = grid.k2[keep]
-        moll = np.exp(-2.0 * eps * q)
-        dt = float(times[1] - times[0])
-        a = np.exp(-spec.lam * dt)
-        E = np.exp(-q * dt)
-        I0 = (1.0 - E) / q
-        I1 = dt / q - I0 / q
-        weight = wres * chat * moll
-        m = np.zeros_like(q)
-        vals = np.zeros(times.size)
-        for n in range(times.size - 1):
-            m = E * a * m + (I0 - I1 / dt) * a + I1 / dt
-            vals[n + 1] = float(np.dot(weight, m))
+    # exact expectation of the discrete scheme: the AR(1) mode update
+    # paired with the piecewise-linear exponential integrator gives
+    # m_{n+1} = e^{-q dt} a m_n + (I0 - I1/dt) a + I1/dt per mode,
+    # with a = e^{-lam dt}, m_n = E[z_n wbar_n], z_0 = 0; on a one-point
+    # time grid X = 0, so the constant is 0
+    dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+    a = np.exp(-spec.lam * dt)
+    E = np.exp(-q * dt)
+    I0 = (1.0 - E) / q
+    I1 = dt / q - I0 / q
+    weight = wres * chat * moll
+    m = np.zeros_like(q)
+    vals = np.zeros(times.size)
+    for n in range(times.size - 1):
+        m = E * a * m + (I0 - I1 / dt) * a + I1 / dt
+        vals[n + 1] = float(np.dot(weight, m))
 
-        def c_eps_ou(t):
-            return np.interp(t, times, vals)
+    def c_eps_ou(t):
+        return np.interp(t, times, vals)
 
-        return c_eps_ou
-
-    # Monte Carlo fallback: average grid-mean of X (.) xi over draws
-    acc = np.zeros(times.size)
-    mc_spec = replace(spec, seed=spec.seed + 0x9E3779B97F4A7C15)
-    for s in range(n_mc):
-        xi = mollify(sample_noise(mc_spec, grid, times, stream_id=s), eps)
-        X = duhamel(xi)
-        acc += np.array([resonant(X[i], xi[i], part).mean()
-                         for i in range(times.size)])
-    acc /= n_mc
-
-    def c_eps_mc(t):
-        return np.interp(t, times, acc)
-
-    return c_eps_mc
+    return c_eps_ou
 
 
 class EnhancedNoise:
@@ -251,12 +230,10 @@ class EnhancedNoise:
     scheme reads only ``xi`` and ``c_eps``, so it never pays for them.
     """
 
-    def __init__(self, xi: PathField, c_eps, eps: float,
-                 part: DyadicPartition):
+    def __init__(self, xi: PathField, c_eps, eps: float):
         self.xi = xi
         self.c_eps = c_eps  # callable of t
         self.eps = eps
-        self.part = part
 
     @cached_property
     def X(self) -> PathField:
@@ -267,7 +244,7 @@ class EnhancedNoise:
         X, xi = self.X, self.xi
         cs = np.atleast_1d(self.c_eps(xi.times))
         return PathField(xi.times, [
-            resonant(X[i], xi[i], self.part).shift(-float(cs[i]))
+            resonant(X[i], xi[i]).shift(-float(cs[i]))
             for i in range(len(xi))
         ], meta=dict(xi.meta))
 
@@ -276,17 +253,11 @@ class EnhancedNoise:
         return self.xi.times
 
     @property
-    def grid(self):
-        return self.xi.grid
-
-    @property
     def stream_id(self):
         return self.xi.meta.get("stream_id")
 
 
-def enhance(xi_raw: PathField, eps: float,
-            part: DyadicPartition | None = None, n_mc: int = 128,
-            c_eps=None) -> EnhancedNoise:
+def enhance(xi_raw: PathField, eps: float, c_eps=None) -> EnhancedNoise:
     """Mollify and fix the renormalization constant; X and xi2 are lazy.
 
     ``c_eps`` is a renormalization constant already computed for the
@@ -297,65 +268,32 @@ def enhance(xi_raw: PathField, eps: float,
     spec = xi_raw.meta.get("spec")
     if spec is None:
         raise ValueError("xi_raw must come from sample_noise")
-    grid = xi_raw.grid
-    part = part or dyadic_blocks(grid)
     xi = mollify(xi_raw, eps)
     if c_eps is None:
-        c_eps = renorm_constant(spec, eps, xi.times, grid, part, n_mc=n_mc)
-    return EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps, part=part)
+        c_eps = renorm_constant(spec, eps, xi.times, xi.grid)
+    return EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps)
 
 
-def cross_resonant(xi_i: PathField, X_j: PathField,
-                   part: DyadicPartition | None = None) -> PathField:
+def cross_resonant(xi_i: PathField, X_j: PathField) -> PathField:
     """Cross term xi^i (.) X^j between independent streams, no counterterm."""
     si = xi_i.meta.get("stream_id")
     sj = X_j.meta.get("stream_id")
     if si is not None and sj is not None and si == sj:
         raise ValueError("cross_resonant needs independent streams "
                          "(equal stream ids would require renormalization)")
-    part = part or dyadic_blocks(xi_i.grid)
-    return xi_i.zip_with(X_j, lambda a, b: resonant(b, a, part))
-
-
-class MeanFieldEnhancedNoise:
-    """n independent enhanced noises plus lazily computed cross terms.
-
-    Diagonal entries are the renormalized xi2; off-diagonal pairs
-    (i, j) give xi^i (.) X^j without counterterm.
-    """
-
-    def __init__(self, noises: list[EnhancedNoise],
-                 part: DyadicPartition | None = None):
-        if not noises:
-            raise ValueError("need n >= 1 streams")
-        self.noises = noises
-        self.part = part or dyadic_blocks(noises[0].grid)
-        self._cross: dict = {}
-
-    def __len__(self):
-        return len(self.noises)
-
-    def __getitem__(self, i) -> EnhancedNoise:
-        return self.noises[i]
-
-    def cross(self, i: int, j: int) -> PathField:
-        """xi^i (.) X^j for i != j; cached after first computation."""
-        if i == j:
-            raise ValueError("diagonal entries live in xi2, not cross")
-        key = (i, j)
-        if key not in self._cross:
-            self._cross[key] = cross_resonant(self.noises[i].xi,
-                                              self.noises[j].X, self.part)
-        return self._cross[key]
+    return xi_i.zip_with(X_j, lambda a, b: resonant(b, a))
 
 
 def mean_field_enhance(n: int, spec: NoiseSpec, eps: float, grid: TorusGrid,
-                       times: np.ndarray, master_seed: int | None = None,
-                       part: DyadicPartition | None = None) -> MeanFieldEnhancedNoise:
-    """Sample n independent streams and enhance each one."""
+                       times: np.ndarray,
+                       master_seed: int | None = None) -> list[EnhancedNoise]:
+    """Sample n independent streams and enhance each one.
+
+    Stream i has stream id i.  The cross terms xi^i (.) X^j between two
+    streams come from ``cross_resonant``.
+    """
     if n < 1:
         raise ValueError("n >= 1 required")
-    part = part or dyadic_blocks(grid)
     seed = spec.seed if master_seed is None else master_seed
     base = replace(spec, seed=seed)
     noises = []
@@ -363,5 +301,5 @@ def mean_field_enhance(n: int, spec: NoiseSpec, eps: float, grid: TorusGrid,
         xi_raw = sample_noise(base, grid, times, stream_id=i)
         # c_eps is a function of (base, eps, times, grid) alone
         c_eps = noises[0].c_eps if noises else None
-        noises.append(enhance(xi_raw, eps, part, c_eps=c_eps))
-    return MeanFieldEnhancedNoise(noises, part)
+        noises.append(enhance(xi_raw, eps, c_eps=c_eps))
+    return noises

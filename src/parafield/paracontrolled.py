@@ -6,18 +6,19 @@ functions, whose Paracontrolled entries are Fields); the path versions
 apply it to every slice and collect the results into PathFields.  The
 remainder ``sharp`` is always the exact residual, so
 decompose-then-reconstruct is the identity and the regularity of sharp
-is checked as a property, not imposed.
+is checked as a property, not imposed.  The Bony products take the
+dyadic blocks of the grid their operands live on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bony import corrector, para, resonant
 from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_partial
-from .littlewood_paley import DyadicPartition, dyadic_blocks
 from .noise import EnhancedNoise
 from .torus import Field, PathField, pointwise_product
 
@@ -53,8 +54,8 @@ class Paracontrolled:
                               [r[n] for r in self.dmu_refs])
 
 
-def _mean_para(dmu: list, dmu_refs: list, part: DyadicPartition) -> Field:
-    terms = [para(d, r, part) for d, r in zip(dmu, dmu_refs)]
+def _mean_para(dmu: list, dmu_refs: list) -> Field:
+    terms = [para(d, r) for d, r in zip(dmu, dmu_refs)]
     out = terms[0]
     for t in terms[1:]:
         out = out + t
@@ -62,45 +63,43 @@ def _mean_para(dmu: list, dmu_refs: list, part: DyadicPartition) -> Field:
 
 
 def decompose_slice(u: Field, reference: Field, dz: Field, dmu: list,
-                    dmu_refs: list, part: DyadicPartition) -> Paracontrolled:
+                    dmu_refs: list) -> Paracontrolled:
     """Store the slice u with the given derivatives; sharp is the exact residual."""
-    sharp = u - para(dz, reference, part)
+    sharp = u - para(dz, reference)
     if dmu:
-        sharp = sharp - _mean_para(dmu, dmu_refs, part)
+        sharp = sharp - _mean_para(dmu, dmu_refs)
     return Paracontrolled(reference, dz, sharp, list(dmu), list(dmu_refs))
 
 
 def decompose(u: PathField, reference: PathField, dz: PathField,
-              dmu: list | None = None, dmu_refs: list | None = None,
-              part: DyadicPartition | None = None) -> Paracontrolled:
+              dmu: list | None = None,
+              dmu_refs: list | None = None) -> Paracontrolled:
     """Store u with the given derivatives; sharp is the exact residual."""
-    part = part or dyadic_blocks(u.grid)
     dmu = list(dmu or [])
     dmu_refs = list(dmu_refs or [])
     sharp = [decompose_slice(u[i], reference[i], dz[i], [d[i] for d in dmu],
-                             [r[i] for r in dmu_refs], part).sharp
+                             [r[i] for r in dmu_refs]).sharp
              for i in range(len(u))]
     return Paracontrolled(reference, dz, PathField(u.times, sharp), dmu,
                           dmu_refs)
 
 
-def reconstruct_slice(pc: Paracontrolled, part: DyadicPartition) -> Field:
+def reconstruct_slice(pc: Paracontrolled) -> Field:
     """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp on one slice."""
-    out = para(pc.dz, pc.reference, part) + pc.sharp
+    out = para(pc.dz, pc.reference) + pc.sharp
     if pc.dmu:
-        out = out + _mean_para(pc.dmu, pc.dmu_refs, part)
+        out = out + _mean_para(pc.dmu, pc.dmu_refs)
     return out
 
 
-def reconstruct(pc: Paracontrolled, part: DyadicPartition | None = None) -> PathField:
+def reconstruct(pc: Paracontrolled) -> PathField:
     """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp."""
-    part = part or dyadic_blocks(pc.reference.grid)
     return PathField(pc.reference.times, [
-        reconstruct_slice(pc[i], part) for i in range(len(pc.reference))])
+        reconstruct_slice(pc[i]) for i in range(len(pc.reference))])
 
 
 def pc_product_slice(pc: Paracontrolled, xi: Field, X: Field, xi2: Field,
-                     cross: list, part: DyadicPartition) -> Field:
+                     cross: list) -> Field:
     """One slice of the singular product (u xi).
 
     Sum of u < xi, xi < u, sharp (.) xi, the correctors of dz and each
@@ -110,31 +109,30 @@ def pc_product_slice(pc: Paracontrolled, xi: Field, X: Field, xi2: Field,
     """
     if len(cross) != len(pc.dmu):
         raise ValueError("need one cross term per dmu entry")
-    u = reconstruct_slice(pc, part)
-    acc = para(u, xi, part) + para(xi, u, part)
-    acc = acc + resonant(pc.sharp, xi, part)
-    acc = acc + corrector(pc.dz, X, xi, part)
+    u = reconstruct_slice(pc)
+    acc = para(u, xi) + para(xi, u)
+    acc = acc + resonant(pc.sharp, xi)
+    acc = acc + corrector(pc.dz, X, xi)
     acc = acc + pointwise_product(pc.dz, xi2)
     n = len(pc.dmu)
     for j in range(n):
-        acc = acc + (1.0 / n) * corrector(pc.dmu[j], pc.dmu_refs[j], xi, part)
+        acc = acc + (1.0 / n) * corrector(pc.dmu[j], pc.dmu_refs[j], xi)
         acc = acc + (1.0 / n) * pointwise_product(pc.dmu[j], cross[j])
     return acc
 
 
-def pc_product(pc: Paracontrolled, en: EnhancedNoise, cross: list | None = None,
-               part: DyadicPartition | None = None) -> PathField:
+def pc_product(pc: Paracontrolled, en: EnhancedNoise,
+               cross: list | None = None) -> PathField:
     """The singular product (u xi) of a paracontrolled path with the noise."""
     cross = cross or []
-    part = part or dyadic_blocks(en.grid)
     return PathField(pc.reference.times, [
         pc_product_slice(pc[i], en.xi[i], en.X[i], en.xi2[i],
-                         [c[i] for c in cross], part)
+                         [c[i] for c in cross])
         for i in range(len(pc.reference))])
 
 
 def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
-                        sample_pcs: list, part: DyadicPartition,
+                        sample_pcs: list,
                         mu: EmpiricalMeasure | None = None) -> Paracontrolled:
     """Paracontrolled structure of f(u, mu) on one slice.
 
@@ -145,27 +143,23 @@ def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
     """
     if not sample_pcs:
         raise ValueError("need at least one measure sample")
-    u = reconstruct_slice(u_pc, part)
+    u = reconstruct_slice(u_pc)
     if mu is None:
-        mu = EmpiricalMeasure([reconstruct_slice(s, part)
-                               for s in sample_pcs])
+        mu = EmpiricalMeasure([reconstruct_slice(s) for s in sample_pcs])
     p1 = eval_partial(spec, 1, u, mu)
     dz = pointwise_product(p1, u_pc.dz, dealias=False)
     dmu = [pointwise_product(_slot_partial_sum(spec, u, mu, j), s.dz,
                              dealias=False)
            for j, s in enumerate(sample_pcs)]
     return decompose_slice(eval_f(spec, u, mu), u_pc.reference, dz, dmu,
-                           [s.reference for s in sample_pcs], part)
+                           [s.reference for s in sample_pcs])
 
 
 def paralinearize_f(spec: InteractionSpec, u_pc: Paracontrolled,
-                    sample_pcs: list | None = None,
-                    part: DyadicPartition | None = None) -> Paracontrolled:
+                    sample_pcs: list | None = None) -> Paracontrolled:
     """Paracontrolled structure of f(u, mu) for mu the samples' measure."""
     sample_pcs = sample_pcs or []
-    part = part or dyadic_blocks(u_pc.reference.grid)
-    slices = [paralinearize_slice(spec, u_pc[i], [s[i] for s in sample_pcs],
-                                  part)
+    slices = [paralinearize_slice(spec, u_pc[i], [s[i] for s in sample_pcs])
               for i in range(len(u_pc.reference))]
     times = u_pc.reference.times
     return Paracontrolled(
@@ -178,8 +172,6 @@ def paralinearize_f(spec: InteractionSpec, u_pc: Paracontrolled,
 def _slot_partial_sum(spec: InteractionSpec, u: Field, mu: EmpiricalMeasure,
                       j: int) -> Field:
     """Sum over measure slots s of the average of d_{s+1}F with atom j in slot s."""
-    import itertools
-
     n = len(mu)
     vals = mu.values()
     if spec.m == 1:

@@ -21,8 +21,7 @@ from .bony import para
 from .heat import etd_step, semigroup
 from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
     eval_partial
-from .littlewood_paley import DyadicPartition, dyadic_blocks
-from .noise import EnhancedNoise, MeanFieldEnhancedNoise, cross_resonant
+from .noise import EnhancedNoise, cross_resonant
 from .paracontrolled import Paracontrolled, paralinearize_slice, \
     pc_product_slice, reconstruct
 from .torus import Field, PathField, pointwise_product
@@ -190,8 +189,7 @@ def solve_renormalized(en: EnhancedNoise, frozen: list, f_spec: InteractionSpec,
 def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
                          f_spec: InteractionSpec,
                          g_spec: InteractionSpec | None, u0: Field,
-                         cfg: SolveConfig,
-                         part: DyadicPartition | None = None) -> Paracontrolled:
+                         cfg: SolveConfig) -> Paracontrolled:
     """Frozen-measure equation via the remainder formulation.
 
     Steps sharp with (d_t - Lap) sharp = Phi_sharp where Phi_sharp is
@@ -204,13 +202,12 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
     for s in frozen_pcs:
         if s.dz is None or s.sharp is None:
             raise ValueError("frozen samples must carry paracontrolled data")
-    part = part or dyadic_blocks(en.grid)
     times = en.times
     dt = float(times[1] - times[0])
     R = cfg.guard(u0.linf())
-    sample_paths = [reconstruct(s, part) for s in frozen_pcs]
+    sample_paths = [reconstruct(s) for s in frozen_pcs]
     # cross terms xi (.) Xbar_j for the dmu channel of the f structure
-    cross = [cross_resonant(en.xi, s.reference, part)
+    cross = [cross_resonant(en.xi, s.reference)
              if s.reference.meta.get("stream_id") != en.stream_id
              else en.xi2  # same stream: renormalized diagonal
              for s in frozen_pcs]
@@ -220,7 +217,7 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
         # solve u = (f(u, mu) < X) + sharp to high accuracy
         u = u_guess
         for _ in range(FIXED_POINT_MAX_ITERS):
-            u_new = para(eval_f(f_spec, u, mu), X_f, part) + sharp_f
+            u_new = para(eval_f(f_spec, u, mu), X_f) + sharp_f
             defect = (u_new - u).linf()
             converged = defect <= 1e-14 * max(1.0, u.linf())
             u = u_new
@@ -235,16 +232,16 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
     for n in range(times.size - 1):
         mu = EmpiricalMeasure([p[n] for p in sample_paths])
         f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
-                                   [s[n] for s in frozen_pcs], part, mu)
+                                   [s[n] for s in frozen_pcs], mu)
         phi = pc_product_slice(f_pc, en.xi[n], en.X[n], en.xi2[n],
-                               [c[n] for c in cross], part)
-        phi = phi - para(dz, en.xi[n], part)
+                               [c[n] for c in cross])
+        phi = phi - para(dz, en.xi[n])
         if g_spec is not None:
             phi = phi + eval_g(g_spec, u, mu)
         sharp = etd_step(sharp, phi, dt)
         mu_next = EmpiricalMeasure([p[n + 1] for p in sample_paths])
         u, dz = fix_dz(sharp, en.X[n + 1], mu_next, u, float(times[n + 1]))
-        sharp = u - para(dz, en.X[n + 1], part)  # exact residual storage
+        sharp = u - para(dz, en.X[n + 1])  # exact residual storage
         _check_guard(u, R, float(times[n + 1]))
         dzs.append(dz)
         sharps.append(sharp)
@@ -252,14 +249,18 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
                           sharp=PathField(times, sharps))
 
 
-def solve_particle_system(mf: MeanFieldEnhancedNoise, f_spec: InteractionSpec,
+def solve_particle_system(enhanced: list, f_spec: InteractionSpec,
                           g_spec: InteractionSpec | None, u0s: list,
                           cfg: SolveConfig) -> list:
-    """Renormalized n-particle system with the running empirical measure."""
-    if len(u0s) != len(mf):
-        raise ValueError("need one initial condition per particle")
-    cs = [_counterterm(mf[0])] * len(mf)
-    return _step_fields(u0s, [en.xi for en in mf.noises], cs, f_spec, g_spec,
+    """Renormalized n-particle system with the running empirical measure.
+
+    ``enhanced`` holds the n particles' enhanced noises, as
+    ``mean_field_enhance`` returns them.
+    """
+    if not enhanced or len(u0s) != len(enhanced):
+        raise ValueError("need particles, one initial condition each")
+    cs = [_counterterm(enhanced[0])] * len(enhanced)
+    return _step_fields(u0s, [en.xi for en in enhanced], cs, f_spec, g_spec,
                         None, cfg)
 
 

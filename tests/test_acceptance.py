@@ -47,14 +47,13 @@ def _metric(record, name):
 
 def test_criterion_01_bony_identity():
     grid = make_grid(64)
-    part = dyadic_blocks(grid)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(200):
         a = random_field(grid, rng, dealiased=True)
         b = random_field(grid, rng, dealiased=True)
         prod = pointwise_product(a, b)
-        total = para(a, b, part) + para(b, a, part) + resonant(a, b, part)
+        total = para(a, b) + para(b, a) + resonant(a, b)
         defect = (total - prod).linf() / max(1.0, prod.linf())
         worst = max(worst, defect)
     ok = worst <= 1e-10
@@ -82,7 +81,6 @@ def test_criterion_02_lp_reconstruction_and_parseval():
 
 def test_criterion_03_heat_smoothing_exponent():
     grid = make_grid(64)
-    part = dyadic_blocks(grid)
     spec = NoiseSpec(seed=303)
     ts = 2.0 ** np.arange(-10, -2)
     n_samples = 20
@@ -92,10 +90,10 @@ def test_criterion_03_heat_smoothing_exponent():
         logs = np.zeros(ts.size)
         for s in range(n_samples):
             xi = sample_noise(spec, grid, np.array([0.0]), stream_id=s)[0]
-            denom = besov_norm(xi, -1.0, 2, np.inf, part)
+            denom = besov_norm(xi, -1.0, 2, np.inf)
             for i, t in enumerate(ts):
                 num = besov_norm(semigroup(xi, float(t)), -1.0 + delta, 2,
-                                 np.inf, part)
+                                 np.inf)
                 logs[i] += np.log(num / denom) / n_samples
         slope = np.polyfit(np.log(ts), logs, 1)[0]
         ok = ok and abs(slope + delta / 2) <= 0.1 * (delta / 2)
@@ -215,7 +213,6 @@ def test_criterion_12_tanaka_consistency():
 
 def test_criterion_13_two_scheme_consistency():
     grid = make_grid(64)
-    part = dyadic_blocks(grid)
     spec = NoiseSpec(seed=2024)
     f_spec = make_interaction("tanh_bilinear", scale=1.0)
     X, Y = grid.coords()
@@ -228,18 +225,17 @@ def test_criterion_13_two_scheme_consistency():
         dt = default_dt(eps, grid.N)
         dt = T / int(np.ceil(T / dt))
         times = make_times(T, dt)
-        en = enhance(sample_noise(spec, grid, times, stream_id=0), eps, part)
+        en = enhance(sample_noise(spec, grid, times, stream_id=0), eps)
         frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
         direct = solve_renormalized(en, frozen, f_spec, None, u0, SolveConfig())
         zero = PathField.zero(times, grid)
-        pcs = [decompose(fr, en.X, zero, part=part) for fr in frozen]
-        pc = solve_paracontrolled(en, pcs, f_spec, None, u0, SolveConfig(),
-                                  part=part)
-        u2 = reconstruct(pc, part)
+        pcs = [decompose(fr, en.X, zero) for fr in frozen]
+        pc = solve_paracontrolled(en, pcs, f_spec, None, u0, SolveConfig())
+        u2 = reconstruct(pc)
         rels[eps] = (direct - u2).sup_linf() / max(direct.sup_linf(), 1e-12)
-        sharps.append(besov_norm(pc.sharp[-1], idx, np.inf, np.inf, part))
-        paras.append(besov_norm(para(pc.dz[-1], en.X[-1], part), idx,
-                                np.inf, np.inf, part))
+        sharps.append(besov_norm(pc.sharp[-1], idx, np.inf, np.inf))
+        paras.append(besov_norm(para(pc.dz[-1], en.X[-1]), idx,
+                                np.inf, np.inf))
     agree = all(rels[e] <= 0.05 for e in (0.1, 0.05))
     bounded = max(sharps) <= 1.25 * min(sharps)
     growing = all(np.diff(paras) > 0) and paras[-1] >= 1.5 * paras[0]

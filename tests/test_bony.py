@@ -9,9 +9,10 @@ from parafield.bony import corrector, modified_para, para, resonant
 from conftest import random_field
 
 
-def _double_sum_oracle(a, b, part):
+def _double_sum_oracle(a, b):
     """Direct sum over block pairs split by the Bony index sets."""
     g = a.grid
+    part = dyadic_blocks(g)
     ab = part.block_fields(a.spectrum * g.dealias)
     bb = part.block_fields(b.spectrum * g.dealias)
     n = len(part.ells)
@@ -31,21 +32,19 @@ def _double_sum_oracle(a, b, part):
 
 
 def test_para_resonant_match_double_sum(grid32, rng):
-    part = dyadic_blocks(grid32)
     a = random_field(grid32, rng)
     b = random_field(grid32, rng)
-    lo_hi, hi_lo, diag = _double_sum_oracle(a, b, part)
-    assert (para(a, b, part) - lo_hi).linf() < 1e-10
-    assert (para(b, a, part) - hi_lo).linf() < 1e-10
-    assert (resonant(a, b, part) - diag).linf() < 1e-10
+    lo_hi, hi_lo, diag = _double_sum_oracle(a, b)
+    assert (para(a, b) - lo_hi).linf() < 1e-10
+    assert (para(b, a) - hi_lo).linf() < 1e-10
+    assert (resonant(a, b) - diag).linf() < 1e-10
 
 
 def test_bony_reconstruction_exact(grid32, rng):
-    part = dyadic_blocks(grid32)
     for _ in range(20):
         a = random_field(grid32, rng)
         b = random_field(grid32, rng)
-        total = para(a, b, part) + para(b, a, part) + resonant(a, b, part)
+        total = para(a, b) + para(b, a) + resonant(a, b)
         prod = pointwise_product(a, b)
         defect = (total - prod).linf()
         assert defect <= 1e-10 * max(1.0, prod.linf())
@@ -58,36 +57,33 @@ def test_resonant_symmetric(grid32, rng):
 
 
 def test_corrector_definition(grid32, rng):
-    part = dyadic_blocks(grid32)
     a = random_field(grid32, rng, smooth=0.05)
     b = random_field(grid32, rng)
     c = random_field(grid32, rng)
-    want = resonant(para(a, b, part), c, part) - \
-        pointwise_product(a, resonant(b, c, part))
-    assert (corrector(a, b, c, part) - want).linf() < 1e-12
+    want = resonant(para(a, b), c) - \
+        pointwise_product(a, resonant(b, c))
+    assert (corrector(a, b, c) - want).linf() < 1e-12
 
 
 def test_corrector_trilinear(grid32, rng):
-    part = dyadic_blocks(grid32)
     a = random_field(grid32, rng, smooth=0.1)
     a2 = random_field(grid32, rng, smooth=0.1)
     b = random_field(grid32, rng)
     c = random_field(grid32, rng)
-    scaled = corrector(2.0 * a, b, c, part)
-    assert (scaled - 2.0 * corrector(a, b, c, part)).linf() < 1e-10
-    summed = corrector(a + a2, b, c, part)
-    split = corrector(a, b, c, part) + corrector(a2, b, c, part)
+    scaled = corrector(2.0 * a, b, c)
+    assert (scaled - 2.0 * corrector(a, b, c)).linf() < 1e-10
+    summed = corrector(a + a2, b, c)
+    split = corrector(a, b, c) + corrector(a2, b, c)
     assert (summed - split).linf() < 1e-10
 
 
 def test_modified_para_naive_matches_slicewise(grid16, rng):
-    part = dyadic_blocks(grid16)
     times = make_times(0.5, 0.25)
     a = PathField(times, [random_field(grid16, rng) for _ in times])
     b = PathField(times, [random_field(grid16, rng) for _ in times])
-    naive = modified_para(a, b, mode="naive", part=part)
+    naive = modified_para(a, b, mode="naive")
     for i in range(len(times)):
-        assert (naive[i] - para(a[i], b[i], part)).linf() < 1e-12
+        assert (naive[i] - para(a[i], b[i])).linf() < 1e-12
     with pytest.raises(ValueError):
         modified_para(a, b, mode="windowed")
 
@@ -95,12 +91,11 @@ def test_modified_para_naive_matches_slicewise(grid16, rng):
 def test_modified_para_constant_input_reduces_to_naive(grid16, rng):
     # a constant-in-time low-frequency factor makes every window
     # average trivial, so the heat-average variant equals the naive one
-    part = dyadic_blocks(grid16)
     times = make_times(0.5, 0.125)
     f = random_field(grid16, rng)
     a = PathField.constant(times, f)
     b = PathField(times, [random_field(grid16, rng) for _ in times])
-    avg = modified_para(a, b, mode="heat_average", part=part)
-    naive = modified_para(a, b, mode="naive", part=part)
+    avg = modified_para(a, b, mode="heat_average")
+    naive = modified_para(a, b, mode="naive")
     for i in range(len(times)):
         assert (avg[i] - naive[i]).linf() < 1e-12

@@ -83,9 +83,14 @@ def test_parse_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(text="not a config at [all")
     cfg = parse_config(text="[experiment]\nname = solve\nseed = 1\n"
-                            "[grid]\nn = tiny\n")
+                            "[grid]\nn = tiny\n"
+                            "[params]\neps_ladder = 0.1 abc\n")
     with pytest.raises(ConfigError):
         cfg.get("grid", "n", 64, int)
+    with pytest.raises(ConfigError):
+        cfg.get_floats("params", "eps_ladder")
+    with pytest.raises(ConfigError):
+        cfg.get_ints("params", "eps_ladder")
 
 
 def test_run_experiment_writes_outputs(tmp_path):
@@ -141,6 +146,12 @@ BAD_VALUES = {
     "t_not_multiple_of_dt": SOLVE_CFG.replace("t = 0.1", "t = 0.1\ndt = 0.03"),
     "kernel_without_name": SOLVE_CFG + "\n[kernel]\nwidth = 0.5\n",
     "unknown_f_name": SOLVE_CFG.replace("tanh_bilinear", "warp_drive"),
+    "seed_not_an_integer": SOLVE_CFG.replace("seed = 11", "seed = eleven"),
+    "unknown_noise_kind": SOLVE_CFG.replace("eps = 0.1",
+                                            "eps = 0.1\nkind = pink"),
+    "negative_eps": SOLVE_CFG.replace("eps = 0.1", "eps = -0.1"),
+    "kernel_with_m_two": SOLVE_CFG.replace("scale = 0.5", "scale = 0.5\nm = 2")
+    + "\n[kernel]\nname = gaussian\n",
 }
 
 

@@ -114,6 +114,8 @@ def test_kernel_and_registry_validation(grid16, rng):
     with pytest.raises(ValueError):
         make_kernel("delta")
     with pytest.raises(ValueError):
+        make_interaction("tanh_bilinear", m=2, kernel=make_kernel("constant"))
+    with pytest.raises(ValueError):
         EmpiricalMeasure([])
     spec = make_interaction("bilinear")
     u = random_field(grid16, rng)

@@ -24,11 +24,11 @@ def test_block_membership(grid64, mode, block):
         f = Field(grid64, np.ones((64, 64)))
     else:
         f = single_mode(grid64, *mode)
-    proj = lp_project(f, block, part)
+    proj = lp_project(f, block)
     assert np.allclose(proj.values, f.values, atol=1e-12)
     for ell in part.ells:
         if ell != block:
-            assert lp_project(f, ell, part).linf() < 1e-12
+            assert lp_project(f, ell).linf() < 1e-12
 
 
 def test_sharp_weights_partition_unity(grid64):
@@ -65,14 +65,13 @@ def test_besov_single_mode_values(grid64):
 
 
 def test_besov_homogeneity_and_sum(grid32, rng):
-    part = dyadic_blocks(grid32)
     f = random_field(grid32, rng)
     for q_sum in (1, 2, np.inf):
-        n1 = besov_norm(f, 0.3, 2, q_sum, part)
-        n2 = besov_norm(3.0 * f, 0.3, 2, q_sum, part)
+        n1 = besov_norm(f, 0.3, 2, q_sum)
+        n2 = besov_norm(3.0 * f, 0.3, 2, q_sum)
         assert n2 == pytest.approx(3.0 * n1, rel=1e-12)
     # l^1 over blocks dominates l^inf
-    assert besov_norm(f, 0.3, 2, 1, part) >= besov_norm(f, 0.3, 2, np.inf, part)
+    assert besov_norm(f, 0.3, 2, 1) >= besov_norm(f, 0.3, 2, np.inf)
 
 
 def test_regularity_params_validation():
@@ -87,15 +86,14 @@ def test_parabolic_holder_norm(grid16, rng):
     times = make_times(0.5, 0.25)
     f = random_field(grid16, rng, smooth=0.1)
     const = PathField.constant(times, f)
-    part = dyadic_blocks(grid16)
     alpha = 0.75
-    n_const = parabolic_holder_norm(const, alpha, part)
+    n_const = parabolic_holder_norm(const, alpha)
     # no time variation: the norm is the max of spatial and sup parts
-    spatial = besov_norm(f, alpha, np.inf, np.inf, part)
+    spatial = besov_norm(f, alpha, np.inf, np.inf)
     assert n_const == pytest.approx(max(spatial, f.linf()), rel=1e-12)
     # adding time variation can only increase the estimator
     wiggly = PathField(times, [f, 2.0 * f, f])
-    assert parabolic_holder_norm(wiggly, alpha, part) >= n_const
+    assert parabolic_holder_norm(wiggly, alpha) >= n_const
     with pytest.raises(ValueError):
         parabolic_holder_norm(PathField(np.array([0.0]), [f]), alpha)
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import parafield.noise
-from parafield import (Field, NoiseSpec, cross_resonant, dyadic_blocks,
-                       duhamel, enhance, make_grid, make_times,
-                       mean_field_enhance, mollify, power_law_multiplier,
-                       renorm_constant, resolved_eps, sample_noise)
+from parafield import (Field, NoiseSpec, cross_resonant, duhamel, enhance,
+                       make_grid, make_times, mean_field_enhance, mollify,
+                       power_law_multiplier, renorm_constant, resolved_eps,
+                       sample_noise)
 from parafield.bony import resonant
 from parafield.experiments import parse_config, run_experiment
 
@@ -121,39 +121,40 @@ def test_resolved_eps_threshold():
 
 def test_renorm_constant_white_against_monte_carlo(grid16):
     spec = NoiseSpec(seed=21)
-    part = dyadic_blocks(grid16)
     eps, t_eval = 0.1, 0.5
-    c = float(renorm_constant(spec, eps, TIMES3, grid16, part)(t_eval))
+    c = float(renorm_constant(spec, eps, TIMES3, grid16)(t_eval))
     M = 300
     vals = np.empty(M)
     for s in range(M):
         xi = mollify(sample_noise(spec, grid16, TIMES3, stream_id=s), eps)
         X = duhamel(xi)
-        vals[s] = resonant(X[-1], xi[-1], part).mean()
+        vals[s] = resonant(X[-1], xi[-1]).mean()
     se = vals.std(ddof=1) / np.sqrt(M)
     assert abs(vals.mean() - c) <= 4.0 * se
 
 
 def test_renorm_constant_exp_correlated_against_monte_carlo(grid16):
     spec = NoiseSpec(seed=22, temporal="exp_correlated", lam=1.0)
-    part = dyadic_blocks(grid16)
     times = make_times(0.5, 0.0625)
     eps = 0.1
-    c = float(renorm_constant(spec, eps, times, grid16, part)(times[-1]))
+    c = float(renorm_constant(spec, eps, times, grid16)(times[-1]))
     M = 300
     vals = np.empty(M)
     for s in range(M):
         xi = mollify(sample_noise(spec, grid16, times, stream_id=s), eps)
         X = duhamel(xi)
-        vals[s] = resonant(X[-1], xi[-1], part).mean()
+        vals[s] = resonant(X[-1], xi[-1]).mean()
     se = vals.std(ddof=1) / np.sqrt(M)
     assert abs(vals.mean() - c) <= 4.0 * se
+    # on a one-point time grid X = 0, so the constant is 0
+    for t in (0.0, 0.25):
+        one = np.array([t])
+        assert renorm_constant(spec, eps, one, grid16)(one) == 0.0
 
 
 def test_renorm_constant_grows_as_eps_shrinks(grid32):
     spec = NoiseSpec(seed=1)
-    part = dyadic_blocks(grid32)
-    cs = [float(renorm_constant(spec, e, TIMES3, grid32, part)(0.5))
+    cs = [float(renorm_constant(spec, e, TIMES3, grid32)(0.5))
           for e in (0.2, 0.1, 0.05, 0.025)]
     assert np.all(np.diff(cs) > 0)
 
@@ -161,12 +162,11 @@ def test_renorm_constant_grows_as_eps_shrinks(grid32):
 def test_enhance_centers_xi2(grid16):
     # the renormalized diagonal has (near) zero spatial-mean expectation
     spec = NoiseSpec(seed=31)
-    part = dyadic_blocks(grid16)
     M = 64
     means = np.empty(M)
     for s in range(M):
         raw = sample_noise(spec, grid16, TIMES3, stream_id=s)
-        en = enhance(raw, 0.1, part)
+        en = enhance(raw, 0.1)
         means[s] = en.xi2[-1].mean()
     se = means.std(ddof=1) / np.sqrt(M)
     assert abs(means.mean()) <= 4.0 * se
@@ -176,17 +176,16 @@ def test_enhance_centers_xi2(grid16):
 @pytest.mark.parametrize("temporal", ["white", "exp_correlated"])
 def test_enhance_builds_X_and_xi2_on_first_read(grid16, temporal):
     spec = NoiseSpec(seed=13, temporal=temporal, lam=2.0)
-    part = dyadic_blocks(grid16)
     times = make_times(0.5, 0.125)
     raw = sample_noise(spec, grid16, times, stream_id=2)
-    en = enhance(raw, 0.1, part)
+    en = enhance(raw, 0.1)
     assert "X" not in vars(en) and "xi2" not in vars(en)
     # oracle: the eager construction, slice by slice
     xi = mollify(raw, 0.1)
     X = duhamel(xi)
     cs = np.atleast_1d(en.c_eps(times))
     for i in range(times.size):
-        xi2 = resonant(X[i], xi[i], part).shift(-float(cs[i]))
+        xi2 = resonant(X[i], xi[i]).shift(-float(cs[i]))
         assert np.array_equal(en.xi[i].values, xi[i].values)
         assert np.array_equal(en.X[i].values, X[i].values)
         assert np.array_equal(en.xi2[i].values, xi2.values)
@@ -275,10 +274,6 @@ def test_mean_field_enhance_streams(grid16):
     assert not np.array_equal(mf[0].xi[0].values, mf[1].xi[0].values)
     # the analytic constant is shared across streams for white noise
     assert mf[0].c_eps is mf[1].c_eps
-    x = mf.cross(0, 1)
-    assert mf.cross(0, 1) is x  # cached
-    with pytest.raises(ValueError):
-        mf.cross(1, 1)
     # master_seed reproducibility, overriding the NoiseSpec seed
     mf2 = mean_field_enhance(3, NoiseSpec(seed=77), 0.1, grid16, TIMES3,
                              master_seed=9)

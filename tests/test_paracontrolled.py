@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from parafield import (EmpiricalMeasure, NoiseSpec, PathField, decompose,
-                       dyadic_blocks, enhance, eval_f, eval_partial,
-                       make_interaction, paralinearize_f, pc_product,
-                       pointwise_product, reconstruct, sample_noise)
+                       enhance, eval_f, eval_partial, make_interaction,
+                       paralinearize_f, pc_product, pointwise_product,
+                       reconstruct, sample_noise)
 from parafield.paracontrolled import paralinearize_slice, pc_product_slice
 from conftest import random_field
 
@@ -19,27 +19,25 @@ def _random_path(grid, rng, smooth=0.0):
 
 
 def test_decompose_reconstruct_identity(grid32, rng):
-    part = dyadic_blocks(grid32)
     u = _random_path(grid32, rng)
     ref = _random_path(grid32, rng)
     dz = _random_path(grid32, rng, smooth=0.2)
-    pc = decompose(u, ref, dz, part=part)
-    back = reconstruct(pc, part)
+    pc = decompose(u, ref, dz)
+    back = reconstruct(pc)
     assert (back - u).sup_linf() < 1e-11 * max(1.0, u.sup_linf())
 
 
 def test_decompose_reconstruct_with_measure_terms(grid32, rng):
-    part = dyadic_blocks(grid32)
     u = _random_path(grid32, rng)
     ref = _random_path(grid32, rng)
     dz = _random_path(grid32, rng, smooth=0.2)
     dmu = [_random_path(grid32, rng, smooth=0.2) for _ in range(2)]
     refs = [_random_path(grid32, rng) for _ in range(2)]
-    pc = decompose(u, ref, dz, dmu=dmu, dmu_refs=refs, part=part)
-    back = reconstruct(pc, part)
+    pc = decompose(u, ref, dz, dmu=dmu, dmu_refs=refs)
+    back = reconstruct(pc)
     assert (back - u).sup_linf() < 1e-11 * max(1.0, u.sup_linf())
     with pytest.raises(ValueError):
-        decompose(u, ref, dz, dmu=dmu, dmu_refs=refs[:1], part=part)
+        decompose(u, ref, dz, dmu=dmu, dmu_refs=refs[:1])
 
 
 def test_pc_product_smooth_regime(grid32):
@@ -48,16 +46,15 @@ def test_pc_product_smooth_regime(grid32):
     # + sharp the seven-term sum telescopes to u * xi - c_eps * dz plus
     # dealiasing corrections that vanish in the smooth regime
     rng = np.random.default_rng(42)
-    part = dyadic_blocks(grid32)
     spec = NoiseSpec(seed=100)
     raw = sample_noise(spec, grid32, TIMES, stream_id=0)
-    en = enhance(raw, 0.5, part)
+    en = enhance(raw, 0.5)
     u = PathField(TIMES, [random_field(grid32, rng, smooth=0.3)
                           for _ in TIMES])
     dz = PathField(TIMES, [random_field(grid32, rng, smooth=0.5)
                            for _ in TIMES])
-    pc = decompose(u, en.X, dz, part=part)
-    got = pc_product(pc, en, part=part)
+    pc = decompose(u, en.X, dz)
+    got = pc_product(pc, en)
     cs = np.atleast_1d(en.c_eps(TIMES))
     worst = 0.0
     for i in range(len(TIMES)):
@@ -68,30 +65,28 @@ def test_pc_product_smooth_regime(grid32):
 
 
 def test_pc_product_needs_aligned_cross_terms(grid32, rng):
-    part = dyadic_blocks(grid32)
     spec = NoiseSpec(seed=101)
-    en = enhance(sample_noise(spec, grid32, TIMES, stream_id=0), 0.3, part)
+    en = enhance(sample_noise(spec, grid32, TIMES, stream_id=0), 0.3)
     u = _random_path(grid32, rng)
     dmu = [_random_path(grid32, rng, smooth=0.2)]
     refs = [_random_path(grid32, rng)]
     pc = decompose(u, en.X, _random_path(grid32, rng, smooth=0.2),
-                   dmu=dmu, dmu_refs=refs, part=part)
+                   dmu=dmu, dmu_refs=refs)
     with pytest.raises(ValueError):
-        pc_product(pc, en, cross=[], part=part)
+        pc_product(pc, en, cross=[])
 
 
 def test_paralinearize_f_reconstructs_f_exactly(grid32, rng):
-    part = dyadic_blocks(grid32)
     f_spec = make_interaction("tanh_bilinear", scale=0.8)
     ref = _random_path(grid32, rng)
     u_pc = decompose(_random_path(grid32, rng, smooth=0.1), ref,
-                     _random_path(grid32, rng, smooth=0.3), part=part)
+                     _random_path(grid32, rng, smooth=0.3))
     s_pc = decompose(_random_path(grid32, rng, smooth=0.1), ref,
-                     _random_path(grid32, rng, smooth=0.3), part=part)
-    f_pc = paralinearize_f(f_spec, u_pc, [s_pc], part=part)
-    u = reconstruct(u_pc, part)
-    s = reconstruct(s_pc, part)
-    f_path = reconstruct(f_pc, part)
+                     _random_path(grid32, rng, smooth=0.3))
+    f_pc = paralinearize_f(f_spec, u_pc, [s_pc])
+    u = reconstruct(u_pc)
+    s = reconstruct(s_pc)
+    f_path = reconstruct(f_pc)
     for i in range(len(TIMES)):
         mu = EmpiricalMeasure([s[i]])
         want = eval_f(f_spec, u[i], mu)
@@ -101,27 +96,26 @@ def test_paralinearize_f_reconstructs_f_exactly(grid32, rng):
         want_dz = pointwise_product(p1, u_pc.dz[i], dealias=False)
         assert (f_pc.dz[i] - want_dz).linf() < 1e-12
     with pytest.raises(ValueError):
-        paralinearize_f(f_spec, u_pc, [], part=part)
+        paralinearize_f(f_spec, u_pc, [])
 
 
 def test_path_operators_map_slice_operators(grid32, rng):
-    part = dyadic_blocks(grid32)
     f_spec = make_interaction("tanh_bilinear", scale=0.8)
     en = enhance(sample_noise(NoiseSpec(seed=102), grid32, TIMES, stream_id=0),
-                 0.3, part)
+                 0.3)
     u_pc = decompose(_random_path(grid32, rng, smooth=0.1), en.X,
-                     _random_path(grid32, rng, smooth=0.3), part=part)
+                     _random_path(grid32, rng, smooth=0.3))
     s_pc = decompose(_random_path(grid32, rng, smooth=0.1),
                      _random_path(grid32, rng),
-                     _random_path(grid32, rng, smooth=0.3), part=part)
+                     _random_path(grid32, rng, smooth=0.3))
     cross = [_random_path(grid32, rng)]
-    f_pc = paralinearize_f(f_spec, u_pc, [s_pc], part=part)
-    prod = pc_product(f_pc, en, cross, part=part)
-    s_path = reconstruct(s_pc, part)
+    f_pc = paralinearize_f(f_spec, u_pc, [s_pc])
+    prod = pc_product(f_pc, en, cross)
+    s_path = reconstruct(s_pc)
     for i in range(len(TIMES)):
-        f_i = paralinearize_slice(f_spec, u_pc[i], [s_pc[i]], part)
+        f_i = paralinearize_slice(f_spec, u_pc[i], [s_pc[i]])
         # a measure built by the caller from the reconstructed samples
-        f_mu = paralinearize_slice(f_spec, u_pc[i], [s_pc[i]], part,
+        f_mu = paralinearize_slice(f_spec, u_pc[i], [s_pc[i]],
                                    EmpiricalMeasure([s_path[i]]))
         for path, one, given in [(f_pc.dz, f_i.dz, f_mu.dz),
                                  (f_pc.sharp, f_i.sharp, f_mu.sharp),
@@ -129,5 +123,5 @@ def test_path_operators_map_slice_operators(grid32, rng):
             assert np.array_equal(path[i].values, one.values)
             assert np.array_equal(one.values, given.values)
         want = pc_product_slice(f_pc[i], en.xi[i], en.X[i], en.xi2[i],
-                                [cross[0][i]], part)
+                                [cross[0][i]])
         assert np.array_equal(prod[i].values, want.values)

@@ -5,8 +5,8 @@ import pytest
 
 from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        FixedPointError, NoiseSpec, PathField, PicardError,
-                       SolveConfig, decompose, default_dt, dyadic_blocks,
-                       enhance, make_interaction, make_times,
+                       SolveConfig, decompose, default_dt, enhance,
+                       make_interaction, make_times,
                        mean_field_enhance, sample_noise, semigroup,
                        solve_additive_frozen, solve_additive_mckean,
                        solve_mean_field, solve_paracontrolled,
@@ -99,7 +99,7 @@ def test_particle_system_permutation_symmetry(grid16):
     # permute particles: the i-th output only depends on the measure,
     # which is permutation invariant, and on its own noise/initial data
     perm = [2, 0, 1]
-    mf_p = type(mf)([mf[i] for i in perm], mf.part)
+    mf_p = [mf[i] for i in perm]
     sols_p = solve_particle_system(mf_p, f_spec, None,
                                    [u0s[i] for i in perm], cfg)
     # exact up to the summation order inside the measure average
@@ -136,9 +136,8 @@ def test_explosion_guard_raises_with_time(grid16):
 def test_picard_error_on_tight_budget(grid16):
     times = _times(T=0.125)
     spec = NoiseSpec(seed=7)
-    part = dyadic_blocks(grid16)
-    noises = [enhance(sample_noise(spec, grid16, times, stream_id=i), 0.1,
-                      part) for i in range(2)]
+    noises = [enhance(sample_noise(spec, grid16, times, stream_id=i), 0.1)
+              for i in range(2)]
     f_spec = make_interaction("tanh_bilinear")
     u0 = Field(grid16, np.full((16, 16), 0.3))
     cfg = SolveConfig(picard_tol=1e-14, picard_max_iters=1)
@@ -151,18 +150,16 @@ def test_picard_error_on_tight_budget(grid16):
 
 def test_fixed_point_error_when_cap_is_reached(grid16, monkeypatch):
     times = _times(T=0.125)
-    part = dyadic_blocks(grid16)
     en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
-                 0.05, part)
+                 0.05)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
     frozen = [decompose(PathField.constant(times, u0), en.X,
-                        PathField.zero(times, grid16), part=part)]
+                        PathField.zero(times, grid16))]
     # X_0 = 0 pins the first slice in one iteration; X_1 != 0 needs more
     monkeypatch.setattr("parafield.solver.FIXED_POINT_MAX_ITERS", 1)
     with pytest.raises(FixedPointError) as exc:
-        solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig(),
-                             part=part)
+        solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
     assert exc.value.time == pytest.approx(times[1])
     assert exc.value.defect > 0.0
 
@@ -170,9 +167,8 @@ def test_fixed_point_error_when_cap_is_reached(grid16, monkeypatch):
 def test_mean_field_fixed_point_residual(grid16):
     times = _times(T=0.125)
     spec = NoiseSpec(seed=8)
-    part = dyadic_blocks(grid16)
-    noises = [enhance(sample_noise(spec, grid16, times, stream_id=i), 0.1,
-                      part) for i in range(3)]
+    noises = [enhance(sample_noise(spec, grid16, times, stream_id=i), 0.1)
+              for i in range(3)]
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.3))
     cfg = SolveConfig(picard_tol=1e-6)
@@ -197,8 +193,7 @@ def test_mean_field_builds_one_measure_per_step_and_sweep(grid16,
 
     monkeypatch.setattr("parafield.solver.EmpiricalMeasure", CountingMeasure)
     times = _times(T=0.125)
-    noises = mean_field_enhance(3, NoiseSpec(seed=8), 0.1, grid16,
-                                times).noises
+    noises = mean_field_enhance(3, NoiseSpec(seed=8), 0.1, grid16, times)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.3))
     _, iters, _ = solve_mean_field(noises, f_spec, None, u0,
@@ -214,10 +209,9 @@ def test_mean_field_explosion_reports_earliest_crossing(grid16, amp0):
     # (A = 3) at t = 1.125, or never when A = 0
     times = make_times(2.0, 1.0 / 16)
     X, _ = grid16.coords()
-    part = dyadic_blocks(grid16)
     enhanced = [EnhancedNoise(PathField.constant(
         times, Field.from_values(grid16, amp * np.cos(X))),
-        lambda t: np.zeros_like(t), 0.1, part) for amp in (amp0, 4.0)]
+        lambda t: np.zeros_like(t), 0.1) for amp in (amp0, 4.0)]
     f_spec = make_interaction("constant", c=1.0)
     u0 = Field.zero(grid16)
     cfg = SolveConfig(max_linf=2.0)
