@@ -58,18 +58,18 @@ class ExperimentConfig:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
 
-    def get_floats(self, section: str, key: str, default=()):
+    def get_floats(self, section: str, key: str, default=(), cast=float):
         sec = self.sections.get(section, {})
         if key not in sec:
             return list(default)
         v = sec[key]
         try:
-            return [float(x) for x in str(v).replace(",", " ").split()]
+            return [cast(x) for x in str(v).replace(",", " ").split()]
         except ValueError as e:
             raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
 
     def get_ints(self, section: str, key: str, default=()):
-        return [int(x) for x in self.get_floats(section, key, default)]
+        return self.get_floats(section, key, default, cast=int)
 
     @property
     def config_hash(self) -> str:

@@ -5,6 +5,13 @@ averaged over m-tuples of measure atoms:
 
     f(u, mu)(z) = mean over atom tuples of F(u(z), v_1(z), ..., v_m(z)).
 
+Most families are products F = s g(a) h(b_1) ... h(b_m).  Their tuple
+average is exactly s g(u) H^m with H = mean_j h(v_j), and a measure
+computes H once for every field evaluated against it, so the cost is
+linear in the number of atoms for any m (Bossy-Talay).  The two
+pointwise families, mean_revert and tanh_revert, do not factor; they
+take m = 1 and are averaged atom by atom.
+
 Long-range interactions (m = 1, with a kernel) integrate the second
 argument against k(z, z') over the torus instead of evaluating it at z.
 Bounded-confinement variants vanishing at +-C0 realize the comparison
@@ -13,7 +20,6 @@ principle assumption.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +35,8 @@ __all__ = [
     "eval_f_longrange",
     "eval_partial",
     "eval_g",
+    "eval_slot_partial",
 ]
-
-TUPLE_CAP = 4096
-_SUBSAMPLE_SEED = 0x7A57EED  # fixed seed for tuple subsampling
 
 
 @dataclass
@@ -49,6 +53,7 @@ class EmpiricalMeasure:
             if a.grid != g:
                 raise ValueError("atoms must share a grid")
         self._stack = None
+        self._means = {}
 
     def __len__(self):
         return len(self.atoms)
@@ -64,14 +69,25 @@ class EmpiricalMeasure:
             self._stack.flags.writeable = False
         return self._stack
 
+    def mean(self, fn) -> np.ndarray:
+        """The atom average mean_j fn(v_j), built on the first call per fn."""
+        if fn not in self._means:
+            avg = fn(self.values()).mean(axis=0)
+            avg.flags.writeable = False
+            self._means[fn] = avg
+        return self._means[fn]
+
 
 @dataclass
 class InteractionSpec:
     """Pointwise interaction F with its partial derivatives.
 
-    ``F`` takes (m+1) arrays; ``partials[i]`` is dF/d(arg i+1).  When
-    ``kernel`` is set the interaction is long-range and m must be 1.
-    ``C0`` marks the vanishing threshold of Assumption-B variants.
+    ``F`` takes (m+1) arrays; ``partials[i]`` is dF/d(arg i+1).  A
+    product family also carries ``factors`` = (s, g, g', h, h') with
+    F = s g(a) h(b_1) ... h(b_m); F and its partials are derived from
+    them, and the measure averages read them directly.  When ``kernel``
+    is set the interaction is long-range and m must be 1.  ``C0`` marks
+    the vanishing threshold of Assumption-B variants.
     """
 
     name: str
@@ -80,37 +96,30 @@ class InteractionSpec:
     m: int = 1
     kernel: object = None
     C0: float | None = None
+    factors: tuple | None = None
 
 
-def _tuples(n: int, m: int):
-    """All ordered atom tuples, or a seeded subsample above the cap."""
-    total = n ** m
-    if total <= TUPLE_CAP:
-        return list(itertools.product(range(n), repeat=m))
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [_SUBSAMPLE_SEED, total], dtype=np.uint64)))
-    return [tuple(rng.integers(0, n, size=m)) for _ in range(TUPLE_CAP)]
-
-
-def _tuple_average(fn, u: Field, mu: EmpiricalMeasure, m: int) -> Field:
-    vals = mu.values()
-    if m == 1:
-        out = fn(u.values[None, :, :], vals).mean(axis=0)
-        return Field(u.grid, out)
-    acc = np.zeros_like(u.values)
-    tups = _tuples(len(mu), m)
-    for tup in tups:
-        acc += fn(u.values, *[vals[i] for i in tup])
-    return Field(u.grid, acc / len(tups))
+def _average(spec: InteractionSpec, index: int, u: Field,
+             mu: EmpiricalMeasure) -> Field:
+    """Tuple average of F (index 0) or of dF/d(arg index)."""
+    if spec.factors is None:
+        fn = spec.F if index == 0 else spec.partials[index - 1]
+        return Field(u.grid, fn(u.values[None, :, :], mu.values()).mean(axis=0))
+    s, g, dg, h, dh = spec.factors
+    m = spec.m
+    H = mu.mean(h)
+    if index == 0:
+        return Field(u.grid, s * g(u.values) * H ** m)
+    if index == 1:
+        return Field(u.grid, s * dg(u.values) * H ** m)
+    return Field(u.grid, s * g(u.values) * mu.mean(dh) * H ** (m - 1))
 
 
 def eval_f(spec: InteractionSpec, u: Field, mu: EmpiricalMeasure) -> Field:
     """Tuple-averaged interaction f(u, mu)."""
     if spec.kernel is not None:
         return eval_f_longrange(spec, u, mu)
-    if len(mu) == 0:
-        raise ValueError("empty measure")
-    return _tuple_average(spec.F, u, mu, spec.m)
+    return _average(spec, 0, u, mu)
 
 
 def eval_partial(spec: InteractionSpec, index: int, u: Field,
@@ -118,15 +127,30 @@ def eval_partial(spec: InteractionSpec, index: int, u: Field,
     """Tuple-averaged partial derivative; index 1 is d/d(first argument)."""
     if not 1 <= index <= spec.m + 1:
         raise ValueError(f"index must be in 1..{spec.m + 1}")
-    dF = spec.partials[index - 1]
     if spec.kernel is not None:
-        return _longrange(dF, u, mu, spec.kernel)
-    return _tuple_average(dF, u, mu, spec.m)
+        return _longrange(spec.partials[index - 1], u, mu, spec.kernel)
+    return _average(spec, index, u, mu)
 
 
 def eval_g(spec_g: InteractionSpec, u: Field, mu: EmpiricalMeasure) -> Field:
     """The drift g, sharing the evaluation machinery of f."""
     return eval_f(spec_g, u, mu)
+
+
+def eval_slot_partial(spec: InteractionSpec, j: int, u: Field,
+                      mu: EmpiricalMeasure) -> Field:
+    """Derivative of f(u, mu) along atom j of mu.
+
+    The sum over the m measure slots of the tuple average of that
+    slot's partial with atom j held in it: m s g(u) h'(v_j) H^(m-1)
+    for a product family.
+    """
+    v = mu.values()[j]
+    if spec.factors is None:
+        return Field(u.grid, spec.partials[1](u.values, v))
+    s, g, _, h, dh = spec.factors
+    m = spec.m
+    return Field(u.grid, m * s * g(u.values) * dh(v) * mu.mean(h) ** (m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +236,39 @@ def eval_f_longrange(spec: InteractionSpec, u: Field,
 # built-in interaction library
 
 
+def _ident(x):
+    return x
+
+
+def _sech2(x):
+    return 1.0 / np.cosh(x) ** 2
+
+
+def _lorentz(b):
+    return 1.0 / (1.0 + b ** 2)
+
+
+def _dlorentz(b):
+    return -2.0 * b / (1.0 + b ** 2) ** 2
+
+
+def _product_spec(name: str, m: int, factors: tuple) -> InteractionSpec:
+    """F = s g(a) h(b_1) ... h(b_m) and its m + 1 partials."""
+    s, g, dg, h, dh = factors
+
+    def term(i):
+        # the product with factor i differentiated (0 is g); -1 gives F
+        def fn(a, *bs):
+            out = s * (dg(a) if i == 0 else g(a))
+            for k, b in enumerate(bs, 1):
+                out = out * (dh(b) if k == i else h(b))
+            return out
+        return fn
+
+    return InteractionSpec(name, term(-1), tuple(term(i) for i in range(m + 1)),
+                           m=m, factors=factors)
+
+
 def make_interaction(name: str, **params) -> InteractionSpec:
     """Registered interaction family.
 
@@ -224,115 +281,64 @@ def make_interaction(name: str, **params) -> InteractionSpec:
     mean_revert       scale * (b - a)                      (drift toward mean)
     tanh_revert       scale * tanh(b - a)                  (bounded drift)
     zero              0
+
+    bilinear and tanh_bilinear take m measure slots, F = scale * g(a)
+    * g(b_1) ... g(b_m); every other family takes m = 1.
     """
     s = params.get("scale", 1.0)
     m = int(params.get("m", 1))
     C0 = params.get("C0")
+    c0 = 1.0 if C0 is None else float(C0)
     kernel = params.get("kernel")
+    w = np.pi / (2.0 * c0)
 
-    if name == "bilinear":
-        spec = InteractionSpec(
-            name, lambda a, b: s * a * b,
-            (lambda a, b: s * b, lambda a, b: s * a),
-            m=1)
-    elif name == "tanh_bilinear":
-        spec = InteractionSpec(
-            name, lambda a, b: s * np.tanh(a) * np.tanh(b),
-            (lambda a, b: s * np.tanh(b) / np.cosh(a) ** 2,
-             lambda a, b: s * np.tanh(a) / np.cosh(b) ** 2),
-            m=1)
-    elif name == "cos_bump":
-        c0 = 1.0 if C0 is None else float(C0)
-        w = np.pi / (2.0 * c0)
-        spec = InteractionSpec(
-            name, lambda a, b: s * np.cos(np.clip(w * a, -np.pi, np.pi)) / (1.0 + b ** 2),
-            (lambda a, b: -s * w * np.sin(np.clip(w * a, -np.pi, np.pi)) / (1.0 + b ** 2),
-             lambda a, b: -2.0 * s * b * np.cos(np.clip(w * a, -np.pi, np.pi))
-             / (1.0 + b ** 2) ** 2),
-            m=1, C0=c0)
-    elif name == "quadratic_cap":
-        c0 = 1.0 if C0 is None else float(C0)
+    def bump(a):
+        return np.cos(np.clip(w * a, -np.pi, np.pi))
 
-        def env(a):
-            return np.exp(-a ** 2 / (2.0 * c0 ** 2))
+    def dbump(a):
+        return -w * np.sin(np.clip(w * a, -np.pi, np.pi))
 
-        spec = InteractionSpec(
-            name,
-            lambda a, b: s * (c0 ** 2 - a ** 2) * env(a) / (1.0 + b ** 2),
-            (lambda a, b: s * env(a) * (-2.0 * a - (c0 ** 2 - a ** 2) * a / c0 ** 2)
-             / (1.0 + b ** 2),
-             lambda a, b: -2.0 * s * b * (c0 ** 2 - a ** 2) * env(a)
-             / (1.0 + b ** 2) ** 2),
-            m=1, C0=c0)
-    elif name == "identity":
-        spec = InteractionSpec(
-            name, lambda a, b: a + 0.0 * b,
-            (lambda a, b: np.ones_like(a + 0.0 * b),
-             lambda a, b: np.zeros_like(a + 0.0 * b)),
-            m=1)
-    elif name == "constant":
-        c = params.get("c", 1.0)
-        spec = InteractionSpec(
-            name, lambda a, b: np.full_like(a + 0.0 * b, c),
-            (lambda a, b: np.zeros_like(a + 0.0 * b),
-             lambda a, b: np.zeros_like(a + 0.0 * b)),
-            m=1)
-    elif name == "mean_revert":
-        spec = InteractionSpec(
-            name, lambda a, b: s * (b - a),
-            (lambda a, b: np.full_like(a + 0.0 * b, -s),
-             lambda a, b: np.full_like(a + 0.0 * b, s)),
-            m=1)
-    elif name == "tanh_revert":
-        spec = InteractionSpec(
-            name, lambda a, b: s * np.tanh(b - a),
-            (lambda a, b: -s / np.cosh(b - a) ** 2,
-             lambda a, b: s / np.cosh(b - a) ** 2),
-            m=1)
-    elif name == "zero":
-        spec = InteractionSpec(
-            name, lambda a, b: np.zeros_like(a + 0.0 * b),
-            (lambda a, b: np.zeros_like(a + 0.0 * b),
-             lambda a, b: np.zeros_like(a + 0.0 * b)),
-            m=1)
-    else:
+    def cap(a):
+        return (c0 ** 2 - a ** 2) * np.exp(-a ** 2 / (2.0 * c0 ** 2))
+
+    def dcap(a):
+        return (np.exp(-a ** 2 / (2.0 * c0 ** 2))
+                * (-2.0 * a - (c0 ** 2 - a ** 2) * a / c0 ** 2))
+
+    # F = s g(a) h(b_1) ... h(b_m), stored as (s, g, g', h, h')
+    products = {
+        "bilinear": (s, _ident, np.ones_like, _ident, np.ones_like),
+        "tanh_bilinear": (s, np.tanh, _sech2, np.tanh, _sech2),
+        "cos_bump": (s, bump, dbump, _lorentz, _dlorentz),
+        "quadratic_cap": (s, cap, dcap, _lorentz, _dlorentz),
+        "identity": (1.0, _ident, np.ones_like, np.ones_like, np.zeros_like),
+        "constant": (params.get("c", 1.0), np.ones_like, np.zeros_like,
+                     np.ones_like, np.zeros_like),
+        "zero": (0.0, np.ones_like, np.zeros_like, np.ones_like,
+                 np.zeros_like),
+    }
+    # F(a, b) that does not factor, stored as (F, dF/da, dF/db)
+    pointwise = {
+        "mean_revert": (lambda a, b: s * (b - a),
+                        lambda a, b: np.full_like(a + 0.0 * b, -s),
+                        lambda a, b: np.full_like(a + 0.0 * b, s)),
+        "tanh_revert": (lambda a, b: s * np.tanh(b - a),
+                        lambda a, b: -s / np.cosh(b - a) ** 2,
+                        lambda a, b: s / np.cosh(b - a) ** 2),
+    }
+
+    if name not in products and name not in pointwise:
         raise ValueError(f"unknown interaction {name!r}")
-
     if kernel is not None and m != 1:
         raise ValueError("long-range interactions require m = 1")
-    if m != 1 and name in ("bilinear", "tanh_bilinear"):
-        spec = _lift_to_m(spec, m, s, name)
-    elif m != 1:
+    if m != 1 and name not in ("bilinear", "tanh_bilinear"):
         raise ValueError(f"{name} only supports m = 1")
-    if kernel is not None:
-        spec.kernel = kernel
-    return spec
-
-
-def _lift_to_m(base: InteractionSpec, m: int, s: float, name: str) -> InteractionSpec:
-    """Product lift of a bilinear family to m measure slots."""
-    if name == "bilinear":
-        g = lambda x: x
-        dg = lambda x: np.ones_like(x)
+    if name in products:
+        spec = _product_spec(name, m, products[name])
     else:
-        g = np.tanh
-        dg = lambda x: 1.0 / np.cosh(x) ** 2
-
-    def F(a, *bs):
-        out = s * g(a)
-        for b in bs:
-            out = out * g(b)
-        return out
-
-    def partial(i):
-        def dF(a, *bs):
-            args = (a,) + bs
-            out = np.full_like(a, s)
-            for j, x in enumerate(args):
-                out = out * (dg(x) if j == i else g(x))
-            return out
-        return dF
-
-    return InteractionSpec(name + f"_m{m}", F,
-                           tuple(partial(i) for i in range(m + 1)),
-                           m=m)
+        F, dFa, dFb = pointwise[name]
+        spec = InteractionSpec(name, F, (dFa, dFb))
+    if name in ("cos_bump", "quadratic_cap"):
+        spec.C0 = c0
+    spec.kernel = kernel
+    return spec

@@ -12,13 +12,11 @@ dyadic blocks of the grid their operands live on.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bony import corrector, para, resonant
-from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_partial
+from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, \
+    eval_partial, eval_slot_partial
 from .noise import EnhancedNoise
 from .torus import Field, PathField, pointwise_product
 
@@ -148,7 +146,7 @@ def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
         mu = EmpiricalMeasure([reconstruct_slice(s) for s in sample_pcs])
     p1 = eval_partial(spec, 1, u, mu)
     dz = pointwise_product(p1, u_pc.dz, dealias=False)
-    dmu = [pointwise_product(_slot_partial_sum(spec, u, mu, j), s.dz,
+    dmu = [pointwise_product(eval_slot_partial(spec, j, u, mu), s.dz,
                              dealias=False)
            for j, s in enumerate(sample_pcs)]
     return decompose_slice(eval_f(spec, u, mu), u_pc.reference, dz, dmu,
@@ -168,21 +166,3 @@ def paralinearize_f(spec: InteractionSpec, u_pc: Paracontrolled,
         [PathField(times, list(d)) for d in zip(*(s.dmu for s in slices))],
         [s.reference for s in sample_pcs])
 
-
-def _slot_partial_sum(spec: InteractionSpec, u: Field, mu: EmpiricalMeasure,
-                      j: int) -> Field:
-    """Sum over measure slots s of the average of d_{s+1}F with atom j in slot s."""
-    n = len(mu)
-    vals = mu.values()
-    if spec.m == 1:
-        dF = spec.partials[1]
-        return Field(u.grid, np.asarray(dF(u.values, vals[j])))
-    acc = np.zeros_like(u.values)
-    for s in range(spec.m):
-        dF = spec.partials[s + 1]
-        others = [list(range(n))] * (spec.m - 1)
-        for rest in itertools.product(*others):
-            tup = list(rest[:s]) + [j] + list(rest[s:])
-            acc += dF(u.values, *[vals[i] for i in tup])
-    total = n ** (spec.m - 1)
-    return Field(u.grid, acc / total)

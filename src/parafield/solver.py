@@ -225,12 +225,11 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
                 return u, eval_f(f_spec, u, mu)
         raise FixedPointError(t, defect)
 
-    mu0 = EmpiricalMeasure([p[0] for p in sample_paths])
+    mu = EmpiricalMeasure([p[0] for p in sample_paths])
     sharp = u0  # X_0 = 0, so u_0 = sharp_0
-    u, dz = fix_dz(sharp, en.X[0], mu0, u0, float(times[0]))
+    u, dz = fix_dz(sharp, en.X[0], mu, u0, float(times[0]))
     dzs, sharps = [dz], [sharp]
     for n in range(times.size - 1):
-        mu = EmpiricalMeasure([p[n] for p in sample_paths])
         f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
                                    [s[n] for s in frozen_pcs], mu)
         phi = pc_product_slice(f_pc, en.xi[n], en.X[n], en.xi2[n],
@@ -239,8 +238,8 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
         if g_spec is not None:
             phi = phi + eval_g(g_spec, u, mu)
         sharp = etd_step(sharp, phi, dt)
-        mu_next = EmpiricalMeasure([p[n + 1] for p in sample_paths])
-        u, dz = fix_dz(sharp, en.X[n + 1], mu_next, u, float(times[n + 1]))
+        mu = EmpiricalMeasure([p[n + 1] for p in sample_paths])
+        u, dz = fix_dz(sharp, en.X[n + 1], mu, u, float(times[n + 1]))
         sharp = u - para(dz, en.X[n + 1])  # exact residual storage
         _check_guard(u, R, float(times[n + 1]))
         dzs.append(dz)

@@ -48,6 +48,20 @@ n_pairs = 8
 """
 
 
+PICARD_CFG = """\
+[experiment]
+name = picard_trace
+seed = 5
+
+[grid]
+n = 16
+t = 0.05
+
+[ensemble]
+m = 4
+"""
+
+
 def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -104,13 +118,18 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert N == 16 and len(slices) >= 2
 
 
-def test_rerun_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("text,files", [
+    pytest.param(SOLVE_CFG, ("solution_norms.csv", "solution.pfld"),
+                 id="solve"),
+    # Picard sweeps step every stream against a many-atom measure
+    pytest.param(PICARD_CFG, ("picard_trace.csv",), id="picard_trace")])
+def test_rerun_is_byte_identical(tmp_path, text, files):
     outs = []
     for name in ("a", "b"):
-        cfg = parse_config(text=SOLVE_CFG, out=str(tmp_path / name))
+        cfg = parse_config(text=text, out=str(tmp_path / name))
         run_experiment(cfg)
         outs.append(tmp_path / name)
-    for fname in ("solution_norms.csv", "solution.pfld"):
+    for fname in files:
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
@@ -159,6 +178,17 @@ BAD_VALUES = {
 def test_cli_bad_config_value_exit_two(tmp_path, capsys, case):
     path = _write(tmp_path, BAD_VALUES[case])
     code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_fractional_list_entry_exit_two(tmp_path, capsys):
+    # n_list is read before any solve, so this exits at once
+    path = _write(tmp_path, "[experiment]\nname = chaos_additive\nseed = 1\n"
+                            "\n[grid]\nn = 16\n\n[ensemble]\nk = 1\n"
+                            "m_ref = 2\nn_list = 2.7 16\n")
+    code = main(["chaos_additive", "--config", path,
+                 "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
 

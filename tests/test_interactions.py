@@ -1,5 +1,7 @@
 """Interaction registry: derivative oracles, averaging and kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,20 @@ FAMILIES = ["bilinear", "tanh_bilinear", "cos_bump", "quadratic_cap",
             "identity", "constant", "mean_revert", "tanh_revert", "zero"]
 
 
-@pytest.mark.parametrize("name", FAMILIES)
-def test_partials_match_central_differences(name):
-    spec = make_interaction(name, scale=0.7, C0=1.3)
+@pytest.mark.parametrize("name,m", [pytest.param(n, 1, id=n) for n in FAMILIES]
+                         + [pytest.param("bilinear", 2, id="bilinear_m2"),
+                            pytest.param("tanh_bilinear", 3,
+                                         id="tanh_bilinear_m3")])
+def test_partials_match_central_differences(name, m):
+    spec = make_interaction(name, scale=0.7, C0=1.3, m=m)
     rng = np.random.default_rng(5)
-    a = rng.uniform(-1.0, 1.0, size=50)
-    b = rng.uniform(-1.0, 1.0, size=50)
+    args = list(rng.uniform(-1.0, 1.0, size=(m + 1, 50)))
     h = 1e-5
-    for i, shift in enumerate([(h, 0.0), (0.0, h)]):
-        da, db = shift
-        fd = (spec.F(a + da, b + db) - spec.F(a - da, b - db)) / (2 * h)
-        got = spec.partials[i](a, b)
+    for i in range(m + 1):
+        up, down = list(args), list(args)
+        up[i], down[i] = args[i] + h, args[i] - h
+        fd = (spec.F(*up) - spec.F(*down)) / (2 * h)
+        got = spec.partials[i](*args)
         assert np.max(np.abs(got - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
 
 
@@ -72,15 +77,21 @@ def test_m2_lift_double_average(grid16, rng):
         make_interaction("cos_bump", m=2)
 
 
-def test_tuple_subsampling_deterministic(grid16, rng):
-    # n^m above the cap forces the seeded subsample path
-    spec = make_interaction("tanh_bilinear", m=3)
+def test_product_average_is_exact_over_all_tuples(grid16, rng):
+    # all 17^3 = 4913 ordered atom tuples enter the average
+    spec = make_interaction("tanh_bilinear", scale=0.9, m=3)
     u = random_field(grid16, rng, smooth=0.5)
     atoms = [random_field(grid16, rng, smooth=0.5) for _ in range(17)]
-    mu = EmpiricalMeasure(atoms)  # 17^3 = 4913 > cap
-    a = eval_f(spec, u, mu)
-    b = eval_f(spec, u, mu)
-    assert np.array_equal(a.values, b.values)
+    mu = EmpiricalMeasure(atoms)
+    fns = [spec.F, *spec.partials]
+    want = [np.zeros_like(u.values) for _ in fns]
+    for tup in itertools.product([a.values for a in atoms], repeat=3):
+        for acc, fn in zip(want, fns):
+            acc += fn(u.values, *tup)
+    got = [eval_f(spec, u, mu)] + [eval_partial(spec, i, u, mu)
+                                   for i in range(1, 5)]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.values - w / 17 ** 3)) < 1e-12
 
 
 def test_longrange_constant_kernel_oracle(grid16, rng):
@@ -135,3 +146,21 @@ def test_measure_stacks_atoms_once(grid16, rng):
     assert mu.values() is vals
     assert np.array_equal(vals, np.stack([a.values for a in atoms]))
     assert not vals.flags.writeable
+
+
+def test_measure_mean_calls_its_function_once(grid16, rng):
+    atoms = [random_field(grid16, rng) for _ in range(3)]
+    calls = []
+
+    def h(v):
+        calls.append(v.shape)
+        return np.tanh(v)
+
+    mu = EmpiricalMeasure(atoms)
+    H = mu.mean(h)
+    assert mu.mean(h) is H and calls == [(3, 16, 16)]
+    want = np.mean([np.tanh(a.values) for a in atoms], axis=0)
+    assert np.max(np.abs(H - want)) < 1e-15
+    assert not H.flags.writeable
+    EmpiricalMeasure(atoms).mean(h)
+    assert len(calls) == 2

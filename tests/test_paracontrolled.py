@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from parafield import (EmpiricalMeasure, NoiseSpec, PathField, decompose,
-                       enhance, eval_f, eval_partial, make_interaction,
-                       paralinearize_f, pc_product, pointwise_product,
-                       reconstruct, sample_noise)
-from parafield.paracontrolled import paralinearize_slice, pc_product_slice
+from parafield import (EmpiricalMeasure, Field, NoiseSpec, PathField,
+                       decompose, enhance, eval_f, eval_partial,
+                       make_interaction, paralinearize_f, pc_product,
+                       pointwise_product, reconstruct, sample_noise)
+from parafield.paracontrolled import (decompose_slice, paralinearize_slice,
+                                      pc_product_slice, reconstruct_slice)
 from conftest import random_field
 
 TIMES = np.array([0.0, 0.25, 0.5])
@@ -97,6 +98,28 @@ def test_paralinearize_f_reconstructs_f_exactly(grid32, rng):
         assert (f_pc.dz[i] - want_dz).linf() < 1e-12
     with pytest.raises(ValueError):
         paralinearize_f(f_spec, u_pc, [])
+
+
+def test_paralinearize_m2_measure_derivative(grid32, rng):
+    # dmu_j = (sum over both slots of the slot partial averaged over
+    # the other atom, with atom j in that slot) * v_j'
+    f_spec = make_interaction("tanh_bilinear", scale=0.8, m=2)
+    ref = random_field(grid32, rng)
+
+    def slice_pc():
+        return decompose_slice(random_field(grid32, rng, smooth=0.1), ref,
+                               random_field(grid32, rng, smooth=0.3), [], [])
+
+    u_pc = slice_pc()
+    samples = [slice_pc() for _ in range(3)]
+    f_pc = paralinearize_slice(f_spec, u_pc, samples)
+    u = reconstruct_slice(u_pc).values
+    vs = [reconstruct_slice(s).values for s in samples]
+    d1, d2 = f_spec.partials[1], f_spec.partials[2]
+    for j, s in enumerate(samples):
+        slot = np.mean([d1(u, vs[j], w) + d2(u, w, vs[j]) for w in vs], axis=0)
+        want = pointwise_product(Field(grid32, slot), s.dz, dealias=False)
+        assert (f_pc.dmu[j] - want).linf() < 1e-12 * max(1.0, want.linf())
 
 
 def test_path_operators_map_slice_operators(grid32, rng):
