@@ -10,9 +10,8 @@ from .heat import duhamel, etd_step, semigroup
 from .noise import (EnhancedNoise, NoiseSpec, cross_resonant, enhance,
                     mean_field_enhance, mollify, power_law_multiplier,
                     renorm_constant, resolved_eps, sample_noise)
-from .interactions import (EmpiricalMeasure, GridKernel, InteractionSpec,
-                           eval_f, eval_f_longrange, eval_g, eval_partial,
-                           make_interaction, make_kernel)
+from .interactions import (EmpiricalMeasure, InteractionSpec, eval_f, eval_g,
+                           eval_partial, make_interaction, make_kernel)
 from .paracontrolled import (Paracontrolled, decompose, paralinearize_f,
                              pc_product, reconstruct)
 from .solver import (ExplosionError, FixedPointError, PicardError,

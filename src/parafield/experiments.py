@@ -23,7 +23,7 @@ from .heat import duhamel, semigroup
 from .interactions import make_interaction, make_kernel
 from .littlewood_paley import RegularityParams, besov_norm
 from .measures import chaos_metric
-from .noise import (NoiseSpec, enhance, low_damped_multiplier,
+from .noise import (EnhancedNoise, NoiseSpec, enhance, low_damped_multiplier,
                     mean_field_enhance, mollify, power_law_multiplier,
                     renorm_constant, sample_noise)
 from .paracontrolled import decompose, reconstruct
@@ -347,6 +347,8 @@ def _exp_solve(cfg: ExperimentConfig, outdir: str):
     g_spec = _interaction(cfg, "g")
     u0 = _initial_field(cfg, grid)
     scheme = cfg.get("params", "scheme", "direct_renormalized")
+    if scheme == "paracontrolled" and "kernel" in cfg.sections:
+        raise ConfigError("[kernel] needs scheme = direct_renormalized")
     scfg = SolveConfig()
     raw = sample_noise(spec, grid, times, stream_id=0)
     en = enhance(raw, eps)
@@ -418,6 +420,7 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     times = make_times(T, dt)
     frozen = [PathField.constant(times, u0)]
     D = {True: np.zeros(len(eps_ladder)), False: np.zeros(len(eps_ladder))}
+    scfg = SolveConfig()
     k0 = cfg.get("params", "low_k0", 2.0, float)
     lfloor = cfg.get("params", "low_floor", 0.1, float)
     for s in range(n_seeds):
@@ -430,10 +433,11 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
         sols = {}
         for eps in all_eps:
             en = enhance(raw, eps)
-            for renorm in (True, False):
-                scfg = SolveConfig(renormalize=renorm)
+            # the naive run is the same solve with a zero counterterm
+            naive = EnhancedNoise(en.xi, c_eps=np.zeros_like, eps=eps)
+            for renorm, noise in ((True, en), (False, naive)):
                 sols[(eps, renorm)] = solve_renormalized(
-                    en, frozen, f_spec, g_spec, u0, scfg)
+                    noise, frozen, f_spec, g_spec, u0, scfg)
         for j, eps in enumerate(eps_ladder):
             for renorm in (True, False):
                 d = (sols[(eps, renorm)] - sols[(eps / 2, renorm)]).sup_linf()

@@ -12,8 +12,11 @@ linear in the number of atoms for any m (Bossy-Talay).  The two
 pointwise families, mean_revert and tanh_revert, do not factor; they
 take m = 1 and are averaged atom by atom.
 
-Long-range interactions (m = 1, with a kernel) integrate the second
-argument against k(z, z') over the torus instead of evaluating it at z.
+A long-range interaction averages the measure argument against a
+kernel k(z - z') over the torus, which turns H into k * H: one
+per-mode multiplier on its spectrum.  It takes product families with
+m = 1, and direct schemes only (its derivative along an atom is a
+convolution, not the pointwise factor the paracontrolled scheme needs).
 Bounded-confinement variants vanishing at +-C0 realize the comparison
 principle assumption.
 """
@@ -21,6 +24,7 @@ principle assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +36,6 @@ __all__ = [
     "make_interaction",
     "make_kernel",
     "eval_f",
-    "eval_f_longrange",
     "eval_partial",
     "eval_g",
     "eval_slot_partial",
@@ -69,13 +72,21 @@ class EmpiricalMeasure:
             self._stack.flags.writeable = False
         return self._stack
 
-    def mean(self, fn) -> np.ndarray:
-        """The atom average mean_j fn(v_j), built on the first call per fn."""
-        if fn not in self._means:
-            avg = fn(self.values()).mean(axis=0)
+    def mean(self, fn, kernel=None) -> np.ndarray:
+        """The atom average mean_j fn(v_j), built once per (fn, kernel).
+
+        With a kernel it is convolved over the torus: k * mean_j fn(v_j).
+        """
+        key = (fn, kernel)
+        if key not in self._means:
+            if kernel is None:
+                avg = fn(self.values()).mean(axis=0)
+            else:
+                avg = np.fft.ifft2(_multiplier(kernel, self.grid)
+                                   * np.fft.fft2(self.mean(fn))).real
             avg.flags.writeable = False
-            self._means[fn] = avg
-        return self._means[fn]
+            self._means[key] = avg
+        return self._means[key]
 
 
 @dataclass
@@ -86,8 +97,10 @@ class InteractionSpec:
     product family also carries ``factors`` = (s, g, g', h, h') with
     F = s g(a) h(b_1) ... h(b_m); F and its partials are derived from
     them, and the measure averages read them directly.  When ``kernel``
-    is set the interaction is long-range and m must be 1.  ``C0`` marks
-    the vanishing threshold of Assumption-B variants.
+    is set the interaction is long-range: the measure factor's spectrum
+    is multiplied by the kernel's, which needs a product family, m = 1
+    and a direct scheme.  ``C0`` marks the vanishing threshold of
+    Assumption-B variants.
     """
 
     name: str
@@ -107,18 +120,17 @@ def _average(spec: InteractionSpec, index: int, u: Field,
         return Field(u.grid, fn(u.values[None, :, :], mu.values()).mean(axis=0))
     s, g, dg, h, dh = spec.factors
     m = spec.m
-    H = mu.mean(h)
+    H = mu.mean(h, spec.kernel)
     if index == 0:
         return Field(u.grid, s * g(u.values) * H ** m)
     if index == 1:
         return Field(u.grid, s * dg(u.values) * H ** m)
-    return Field(u.grid, s * g(u.values) * mu.mean(dh) * H ** (m - 1))
+    return Field(u.grid,
+                 s * g(u.values) * mu.mean(dh, spec.kernel) * H ** (m - 1))
 
 
 def eval_f(spec: InteractionSpec, u: Field, mu: EmpiricalMeasure) -> Field:
     """Tuple-averaged interaction f(u, mu)."""
-    if spec.kernel is not None:
-        return eval_f_longrange(spec, u, mu)
     return _average(spec, 0, u, mu)
 
 
@@ -127,8 +139,6 @@ def eval_partial(spec: InteractionSpec, index: int, u: Field,
     """Tuple-averaged partial derivative; index 1 is d/d(first argument)."""
     if not 1 <= index <= spec.m + 1:
         raise ValueError(f"index must be in 1..{spec.m + 1}")
-    if spec.kernel is not None:
-        return _longrange(spec.partials[index - 1], u, mu, spec.kernel)
     return _average(spec, index, u, mu)
 
 
@@ -143,8 +153,12 @@ def eval_slot_partial(spec: InteractionSpec, j: int, u: Field,
 
     The sum over the m measure slots of the tuple average of that
     slot's partial with atom j held in it: m s g(u) h'(v_j) H^(m-1)
-    for a product family.
+    for a product family.  A long-range f has no such pointwise
+    derivative (it is a convolution), so a kernel is rejected.
     """
+    if spec.kernel is not None:
+        raise ValueError("long-range interactions have no pointwise "
+                         "derivative along an atom")
     v = mu.values()[j]
     if spec.factors is None:
         return Field(u.grid, spec.partials[1](u.values, v))
@@ -156,80 +170,54 @@ def eval_slot_partial(spec: InteractionSpec, j: int, u: Field,
 # ---------------------------------------------------------------------------
 # long-range kernels
 
-
-class GridKernel:
-    """Smooth kernel k(z, z') sampled on the grid (dense matrix)."""
-
-    def __init__(self, fn, name: str = "kernel"):
-        self.fn = fn
-        self.name = name
-        self._cache: dict = {}
-
-    def matrix(self, grid: TorusGrid) -> np.ndarray:
-        if grid.N not in self._cache:
-            X, Y = grid.coords()
-            z = np.stack([X.ravel(), Y.ravel()], axis=1)
-            self._cache[grid.N] = self.fn(z[:, None, :], z[None, :, :])
-        return self._cache[grid.N]
+_KERNEL_PARAMS = {"constant": ("c",), "gaussian": ("width", "amp"),
+                  "cosine": ("a",)}
 
 
-def _torus_dist2(z, zp):
-    d = np.abs(z - zp)
-    d = np.minimum(d, 2.0 * np.pi - d)
-    return (d ** 2).sum(axis=-1)
+def make_kernel(name: str, **params):
+    """Registered long-range kernel, a function k(dx, dy) of z - z'.
 
-
-def make_kernel(name: str, **params) -> GridKernel:
-    """Registered long-range kernels."""
+    constant   c                                    (c = 1/(2 pi)^2)
+    gaussian   amp exp(-|z - z'|^2 / (2 width^2))   (minimum image;
+               width = 1, amp = 1/(2 pi width^2))
+    cosine     (1 + a cos(dx) cos(dy)) / (2 pi)^2   (a = 0.5)
+    """
+    if name not in _KERNEL_PARAMS:
+        raise ValueError(f"unknown kernel {name!r}")
+    unknown = sorted(set(params) - set(_KERNEL_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"kernel {name} has no parameter {unknown[0]!r} "
+                         f"(allowed: {', '.join(_KERNEL_PARAMS[name])})")
     if name == "constant":
         c = params.get("c", 1.0 / (2.0 * np.pi) ** 2)
-        return GridKernel(lambda z, zp: np.full(np.broadcast_shapes(
-            z.shape[:-1], zp.shape[:-1]), c), name)
+        return lambda dx, dy: np.full(np.broadcast(dx, dy).shape, c)
     if name == "gaussian":
         w = params.get("width", 1.0)
+        if not w > 0:
+            raise ValueError(f"gaussian width = {w} must be positive")
         amp = params.get("amp", 1.0 / (2.0 * np.pi * w ** 2))
 
-        def fn(z, zp):
-            return amp * np.exp(-_torus_dist2(z, zp) / (2.0 * w ** 2))
+        def k(dx, dy):
+            r2 = sum(np.minimum(d % (2.0 * np.pi), -d % (2.0 * np.pi)) ** 2
+                     for d in (dx, dy))
+            return amp * np.exp(-r2 / (2.0 * w ** 2))
 
-        return GridKernel(fn, name)
-    if name == "cosine":
-        # separable smooth kernel 1 + a cos(z1 - z1')cos-type coupling
-        a = params.get("a", 0.5)
-
-        def fn(z, zp):
-            return (1.0 + a * np.cos(z[..., 0] - zp[..., 0])
-                    * np.cos(z[..., 1] - zp[..., 1])) / (2.0 * np.pi) ** 2
-
-        return GridKernel(fn, name)
-    raise ValueError(f"unknown kernel {name!r}")
+        return k
+    a = params.get("a", 0.5)
+    return lambda dx, dy: (1.0 + a * np.cos(dx) * np.cos(dy)) / (2.0 * np.pi) ** 2
 
 
-def _longrange(fn, u: Field, mu: EmpiricalMeasure, kernel: GridKernel) -> Field:
-    grid = u.grid
-    K = kernel.matrix(grid)
-    uf = u.values.ravel()
-    h2 = grid.spacing ** 2
-    acc = np.zeros_like(uf)
-    for atom in mu.atoms:
-        bf = atom.values.ravel()
-        # chunk over target points to bound memory at larger N
-        step = max(1, 2 ** 22 // max(1, bf.size))
-        for lo in range(0, uf.size, step):
-            hi = min(uf.size, lo + step)
-            Fm = fn(uf[lo:hi, None], bf[None, :])
-            acc[lo:hi] += (Fm * K[lo:hi]).sum(axis=1) * h2
-    return Field(grid, (acc / len(mu)).reshape(grid.N, grid.N))
+@lru_cache(maxsize=8)
+def _multiplier(kernel, grid: TorusGrid) -> np.ndarray:
+    """Per-mode multiplier h^2 fft2(k(z - 0)) of convolution with k.
 
-
-def eval_f_longrange(spec: InteractionSpec, u: Field,
-                     mu: EmpiricalMeasure) -> Field:
-    """Long-range interaction: integrate F(u(z), b(z')) k(z, z') dz'."""
-    if spec.kernel is None:
-        raise ValueError("spec has no kernel")
-    if spec.m != 1:
-        raise ValueError("long-range interactions require m = 1")
-    return _longrange(spec.F, u, mu, spec.kernel)
+    Nyquist modes are kept, so ifft2(multiplier * fft2(H)) is the grid
+    sum h^2 sum_z' k(z - z') H(z') up to rounding.
+    """
+    X, Y = grid.coords()
+    k_hat = grid.spacing ** 2 * np.fft.fft2(kernel(X, Y))
+    k_hat.flags.writeable = False
+    return k_hat
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +271,18 @@ def make_interaction(name: str, **params) -> InteractionSpec:
     zero              0
 
     bilinear and tanh_bilinear take m measure slots, F = scale * g(a)
-    * g(b_1) ... g(b_m); every other family takes m = 1.
+    * g(b_1) ... g(b_m); every other family takes m = 1.  A ``kernel``
+    (see ``make_kernel``) needs a product family and m = 1.
     """
     s = params.get("scale", 1.0)
     m = int(params.get("m", 1))
     C0 = params.get("C0")
     c0 = 1.0 if C0 is None else float(C0)
     kernel = params.get("kernel")
+    if m < 1:
+        raise ValueError(f"m = {m} must be at least 1")
+    if not c0 > 0:
+        raise ValueError(f"C0 = {C0} must be positive")
     w = np.pi / (2.0 * c0)
 
     def bump(a):
@@ -331,6 +324,8 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         raise ValueError(f"unknown interaction {name!r}")
     if kernel is not None and m != 1:
         raise ValueError("long-range interactions require m = 1")
+    if kernel is not None and name in pointwise:
+        raise ValueError(f"{name} does not factor, so it takes no kernel")
     if m != 1 and name not in ("bilinear", "tanh_bilinear"):
         raise ValueError(f"{name} only supports m = 1")
     if name in products:

@@ -79,7 +79,6 @@ class SolveConfig:
     picard_tol: float = 1e-4
     picard_max_iters: int = 40
     max_linf: float | None = None  # None: 10 * (1 + |u0|_inf)
-    renormalize: bool = True  # counterterm switch, used by dichotomy runs
 
     def guard(self, u0_linf: float) -> float:
         if self.max_linf is not None:
@@ -130,13 +129,12 @@ def _step_fields(u0s: list, xis: list, cs: list | None,
     times = xis[0].times
     dt = float(times[1] - times[0])
     R = cfg.guard(max(u.linf() for u in u0s))
-    renormalize = cs is not None and cfg.renormalize
     paths = [[u] for u in u0s]
     atoms = paths if frozen is None else frozen
     for n in range(times.size - 1):
         mu = EmpiricalMeasure([p[n] for p in atoms])
         for i, path in enumerate(paths):
-            c = float(cs[i][n]) if renormalize else 0.0
+            c = float(cs[i][n]) if cs is not None else 0.0
             rhs = _renorm_rhs(f_spec, g_spec, path[n], mu, xis[i][n], c)
             v = etd_step(path[n], rhs, dt)
             _check_guard(v, R, float(times[n + 1]))

@@ -171,6 +171,16 @@ BAD_VALUES = {
     "negative_eps": SOLVE_CFG.replace("eps = 0.1", "eps = -0.1"),
     "kernel_with_m_two": SOLVE_CFG.replace("scale = 0.5", "scale = 0.5\nm = 2")
     + "\n[kernel]\nname = gaussian\n",
+    "kernel_unknown_param": SOLVE_CFG
+    + "\n[kernel]\nname = gaussian\nwidht = 0.5\n",
+    "kernel_zero_width": SOLVE_CFG + "\n[kernel]\nname = gaussian\nwidth = 0\n",
+    "f_c0_zero": SOLVE_CFG.replace("scale = 0.5", "scale = 0.5\nc0 = 0"),
+    "f_m_negative": SOLVE_CFG.replace("scale = 0.5", "scale = 0.5\nm = -1"),
+    "kernel_with_paracontrolled": SOLVE_CFG.replace(
+        "snapshot_every = 2", "snapshot_every = 2\nscheme = paracontrolled")
+    + "\n[kernel]\nname = gaussian\n",
+    "kernel_with_tanh_revert": SOLVE_CFG.replace("tanh_bilinear", "tanh_revert")
+    + "\n[kernel]\nname = gaussian\n",
 }
 
 

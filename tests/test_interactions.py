@@ -1,12 +1,17 @@
 """Interaction registry: derivative oracles, averaging and kernels."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from parafield import (EmpiricalMeasure, Field, eval_f, eval_f_longrange,
-                       eval_g, eval_partial, make_interaction, make_kernel)
+import parafield
+from parafield import (EmpiricalMeasure, Field, eval_f, eval_g, eval_partial,
+                       make_interaction, make_kernel)
+from parafield.interactions import eval_slot_partial
 from conftest import random_field
 
 FAMILIES = ["bilinear", "tanh_bilinear", "cos_bump", "quadratic_cap",
@@ -106,7 +111,85 @@ def test_longrange_constant_kernel_oracle(grid16, rng):
     mass = np.mean([a.values.sum() * h2 for a in atoms])
     want = u.values * c * mass
     assert np.max(np.abs(got.values - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
-    assert np.max(np.abs(eval_f_longrange(spec, u, mu).values - want)) < 1e-10
+
+
+def _torus_dist2(dx, dy):
+    d = [np.minimum(np.abs(c), 2.0 * np.pi - np.abs(c)) for c in (dx, dy)]
+    return d[0] ** 2 + d[1] ** 2
+
+
+# k(z, z') of each registered kernel, written out on the displacement
+DENSE_KERNELS = {
+    "constant": ({"c": 0.03}, lambda dx, dy: np.full(dx.shape, 0.03)),
+    "gaussian": ({"width": 0.6, "amp": 0.4},
+                 lambda dx, dy: 0.4 * np.exp(-_torus_dist2(dx, dy) / 0.72)),
+    "cosine": ({"a": 0.7}, lambda dx, dy: (1.0 + 0.7 * np.cos(dx) * np.cos(dy))
+               / (2.0 * np.pi) ** 2),
+}
+
+
+@pytest.mark.parametrize("family", ["bilinear", "tanh_bilinear", "cos_bump"])
+@pytest.mark.parametrize("kname", sorted(DENSE_KERNELS))
+def test_longrange_matches_dense_sum(grid16, rng, kname, family):
+    # mean_j h^2 sum_z' F(u(z), v_j(z')) k(z, z') as a dense N^2 x N^2 sum
+    params, k = DENSE_KERNELS[kname]
+    spec = make_interaction(family, scale=0.7, C0=1.3,
+                            kernel=make_kernel(kname, **params))
+    u = random_field(grid16, rng, smooth=0.1)
+    atoms = [random_field(grid16, rng, smooth=0.1) for _ in range(3)]
+    mu = EmpiricalMeasure(atoms)
+    X, Y = grid16.coords()
+    x, y = X.ravel(), Y.ravel()
+    K = k(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    a = u.values.ravel()[:, None]
+    for fn, got in [(spec.F, eval_f(spec, u, mu)),
+                    (spec.partials[0], eval_partial(spec, 1, u, mu)),
+                    (spec.partials[1], eval_partial(spec, 2, u, mu))]:
+        want = np.mean([(fn(a, v.values.ravel()[None, :]) * K).sum(axis=1)
+                        for v in atoms], axis=0) * grid16.spacing ** 2
+        assert np.max(np.abs(got.values.ravel() - want)) < 1e-12
+
+
+LONGRANGE_CFG = """\
+[experiment]
+name = solve
+seed = 3
+
+[grid]
+n = 128
+t = 0.05
+
+[f]
+name = tanh_bilinear
+
+[kernel]
+name = gaussian
+width = 0.5
+"""
+
+# VmHWM is the peak RSS of this process image; ru_maxrss would carry
+# over the peak of the forking test process through fork and exec
+PEAK_RSS_RUN = """\
+import sys
+from parafield.experiments import parse_config, run_experiment
+assert run_experiment(parse_config(sys.argv[1], out=sys.argv[2]))["ok"]
+with open("/proc/self/status") as fh:
+    print([ln.split()[1] for ln in fh if ln.startswith("VmHWM:")][0])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+def test_longrange_solve_memory_is_bounded(tmp_path):
+    # a dense N^2 x N^2 kernel matrix alone would take 2.1 GB at N = 128
+    cfg = tmp_path / "longrange.cfg"
+    cfg.write_text(LONGRANGE_CFG)
+    src = os.path.dirname(os.path.dirname(parafield.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_RUN, str(cfg), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True, timeout=300).stdout
+    assert int(out) < 400 * 1024
 
 
 def test_longrange_gaussian_kernel_smooths(grid16, rng):
@@ -127,11 +210,22 @@ def test_kernel_and_registry_validation(grid16, rng):
     with pytest.raises(ValueError):
         make_interaction("tanh_bilinear", m=2, kernel=make_kernel("constant"))
     with pytest.raises(ValueError):
+        make_interaction("tanh_revert", kernel=make_kernel("constant"))
+    for bad in ({"widht": 0.5}, {"width": 0.0}, {"width": -1.0}, {"a": 1.0}):
+        with pytest.raises(ValueError):
+            make_kernel("gaussian", **bad)
+    with pytest.raises(ValueError):
+        make_kernel("constant", width=1.0)
+    with pytest.raises(ValueError):
+        make_interaction("tanh_bilinear", C0=0.0)
+    with pytest.raises(ValueError):
+        make_interaction("bilinear", m=0)
+    with pytest.raises(ValueError):
         EmpiricalMeasure([])
-    spec = make_interaction("bilinear")
+    spec = make_interaction("bilinear", kernel=make_kernel("cosine"))
     u = random_field(grid16, rng)
     with pytest.raises(ValueError):
-        eval_f_longrange(spec, u, EmpiricalMeasure([u]))
+        eval_slot_partial(spec, 0, u, EmpiricalMeasure([u]))
 
 
 def test_measure_grid_consistency(grid16, grid32, rng):
