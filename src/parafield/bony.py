@@ -5,7 +5,8 @@ l' <= l - 2; the resonant product keeps |l - l'| <= 1.  Together with
 the reversed paraproduct these partition all block pairs exactly, so
 the Bony reconstruction a<b + b<a + a(.)b = a*b holds to rounding.
 All grid products are dealiased, and the blocks are those of
-``dyadic_blocks`` on the grid of the operands.
+``dyadic_blocks`` on the grid of the operands, read through its bounded
+cache, so an operand used in consecutive products is blocked once.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ def para(a: Field, b: Field) -> Field:
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     part = dyadic_blocks(a.grid)
-    ab = part.block_fields(a.spectrum * a.grid.dealias)
-    bb = part.block_fields(b.spectrum * b.grid.dealias)
-    lows = np.cumsum(ab, axis=0)
+    ab = part.dealiased_blocks(a)
+    bb = part.dealiased_blocks(b)
+    # block index i corresponds to ell = i - 1; need ell' <= ell - 2,
+    # so block i meets low = ab[0] + ... + ab[i - 2]
+    low = ab[0]
     out = np.zeros_like(ab[0])
-    # block index i corresponds to ell = i - 1; need ell' <= ell - 2
     for i in range(2, len(part.ells)):
-        out += lows[i - 2] * bb[i]
+        out += low * bb[i]
+        low = low + ab[i - 1]
     return Field(a.grid, out)
 
 
@@ -38,8 +41,8 @@ def resonant(a: Field, b: Field) -> Field:
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     part = dyadic_blocks(a.grid)
-    ab = part.block_fields(a.spectrum * a.grid.dealias)
-    bb = part.block_fields(b.spectrum * b.grid.dealias)
+    ab = part.dealiased_blocks(a)
+    bb = part.dealiased_blocks(b)
     n = len(part.ells)
     out = np.zeros_like(ab[0])
     for i in range(n):
@@ -73,12 +76,10 @@ def modified_para(a: PathField, b: PathField,
     part = dyadic_blocks(a.grid)
     n = len(part.ells)
     # lows[m][i] = sum_{l' <= ell_i} Delta_{l'} a at slice m (dealiased)
-    dealias = a.grid.dealias
-    lows = [np.cumsum(part.block_fields(f.spectrum * dealias), axis=0)
-            for f in a.fields]
+    lows = [np.cumsum(part.dealiased_blocks(f), axis=0) for f in a.fields]
     out = []
     for m, t in enumerate(a.times):
-        bb = part.block_fields(b.fields[m].spectrum * dealias)
+        bb = part.dealiased_blocks(b.fields[m])
         acc = np.zeros_like(bb[0])
         for i in range(2, n):
             ell = part.ells[i]

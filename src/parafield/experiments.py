@@ -349,6 +349,8 @@ def _exp_solve(cfg: ExperimentConfig, outdir: str):
     scheme = cfg.get("params", "scheme", "direct_renormalized")
     if scheme == "paracontrolled" and "kernel" in cfg.sections:
         raise ConfigError("[kernel] needs scheme = direct_renormalized")
+    if scheme == "paracontrolled" and f_spec is None:
+        raise ConfigError("scheme = paracontrolled needs an [f]")
     scfg = SolveConfig()
     raw = sample_noise(spec, grid, times, stream_id=0)
     en = enhance(raw, eps)
@@ -380,6 +382,8 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
     eps = _noise_eps(cfg, 0.05)
     grid, times = _grid_times(cfg, default_T=0.5, eps=eps)
     C0 = cfg.get("params", "c0", 1.0, float)
+    if not C0 > 0:
+        raise ConfigError(f"[params] c0 = {C0} must be positive")
     n_seeds = cfg.get("params", "n_seeds", 16, int)
     f_spec = _interaction(cfg, "f") or make_interaction(
         "cos_bump", C0=C0, scale=cfg.get("params", "f_scale", 1.0, float))

@@ -6,7 +6,10 @@ gives an exact partition of unity on the retained modes, hence exact
 reconstruction and an exact Bony identity downstream.  The partition
 is a function of the grid alone: ``dyadic_blocks`` builds it once per
 grid size, and every operator that needs blocks looks it up from the
-grid of its input, so no caller chooses or passes one.
+grid of its input, so no caller chooses or passes one.  The partition
+also keeps the dealiased block stacks of the last few fields it
+blocked (``DyadicPartition.dealiased_blocks``), so an operand that
+enters several Bony products in a row is transformed once.
 
 The discrete Besov quantities are *estimators*: tests downstream use
 trends and ratios, never absolute constants.
@@ -14,6 +17,7 @@ trends and ratios, never absolute constants.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,12 @@ __all__ = [
     "besov_norm",
     "parabolic_holder_norm",
 ]
+
+# fields whose dealiased block stacks each partition keeps; bounded,
+# because a paracontrolled solve holds every noise slice and derivative
+# for the whole run, and a stack kept per live field (229 kB at N=64)
+# raised its peak memory by almost half
+BLOCK_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,9 @@ class DyadicPartition:
                 wr += ws[i] * ws[j]
         wr.flags.writeable = False
         self.resonant_weight = wr
+        # id(field) -> (field, blocks), least recently used first; the
+        # entry holds its field, so the id cannot be reused while cached
+        self._recent: OrderedDict = OrderedDict()
 
     def index(self, ell: int) -> int:
         if ell < -1 or ell > self.L_max:
@@ -83,6 +96,25 @@ class DyadicPartition:
         """All block projections of a spectrum on the grid, as values of
         shape (n_blocks, N, N)."""
         return np.fft.ifft2(self.weights * spectrum[None, :, :]).real
+
+    def dealiased_blocks(self, f: Field) -> np.ndarray:
+        """``block_fields(f.spectrum * f.grid.dealias)``, read-only.
+
+        The stacks of the last ``BLOCK_CACHE_SIZE`` fields are kept and
+        matched by identity; a Field is immutable, so a kept stack stays
+        valid.
+        """
+        key = id(f)
+        hit = self._recent.get(key)
+        if hit is not None:
+            self._recent.move_to_end(key)
+            return hit[1]
+        blocks = self.block_fields(f.spectrum * f.grid.dealias)
+        blocks.flags.writeable = False
+        self._recent[key] = (f, blocks)
+        if len(self._recent) > BLOCK_CACHE_SIZE:
+            self._recent.popitem(last=False)
+        return blocks
 
 
 _partition_cache: dict = {}

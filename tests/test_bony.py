@@ -6,16 +6,20 @@ import pytest
 from parafield import (Field, PathField, dyadic_blocks, make_times,
                        pointwise_product)
 from parafield.bony import corrector, modified_para, para, resonant
+from parafield.littlewood_paley import BLOCK_CACHE_SIZE
 from conftest import random_field
+
+
+def _fresh_blocks(f):
+    """The dealiased block stack, transformed anew on every call."""
+    return dyadic_blocks(f.grid).block_fields(f.spectrum * f.grid.dealias)
 
 
 def _double_sum_oracle(a, b):
     """Direct sum over block pairs split by the Bony index sets."""
     g = a.grid
-    part = dyadic_blocks(g)
-    ab = part.block_fields(a.spectrum * g.dealias)
-    bb = part.block_fields(b.spectrum * g.dealias)
-    n = len(part.ells)
+    ab, bb = _fresh_blocks(a), _fresh_blocks(b)
+    n = len(ab)
     lo_hi = np.zeros_like(ab[0])
     hi_lo = np.zeros_like(ab[0])
     diag = np.zeros_like(ab[0])
@@ -99,3 +103,51 @@ def test_modified_para_constant_input_reduces_to_naive(grid16, rng):
     naive = modified_para(a, b, mode="naive")
     for i in range(len(times)):
         assert (avg[i] - naive[i]).linf() < 1e-12
+
+
+def _para_cumsum(a, b):
+    """The paraproduct from fresh blocks and a cumulative low sum."""
+    lows = np.cumsum(_fresh_blocks(a), axis=0)
+    bb = _fresh_blocks(b)
+    out = np.zeros_like(bb[0])
+    for i in range(2, len(bb)):
+        out += lows[i - 2] * bb[i]
+    return Field(a.grid, out)
+
+
+def _resonant_fresh(a, b):
+    ab, bb = _fresh_blocks(a), _fresh_blocks(b)
+    n = len(ab)
+    out = np.zeros_like(ab[0])
+    for i in range(n):
+        out += ab[i] * bb[max(0, i - 1):min(n, i + 2)].sum(axis=0)
+    return Field(a.grid, out)
+
+
+def _corrector_fresh(a, b, c):
+    return (_resonant_fresh(_para_cumsum(a, b), c)
+            - pointwise_product(a, _resonant_fresh(b, c)))
+
+
+def _assert_bitwise(a, b, c):
+    assert np.array_equal(para(a, b).values, _para_cumsum(a, b).values)
+    assert np.array_equal(para(b, a).values, _para_cumsum(b, a).values)
+    assert np.array_equal(resonant(a, c).values, _resonant_fresh(a, c).values)
+    assert np.array_equal(corrector(a, b, c).values,
+                          _corrector_fresh(a, b, c).values)
+
+
+def test_cached_products_bitwise_equal_fresh(grid32, rng):
+    a = random_field(grid32, rng, smooth=0.05)
+    b = random_field(grid32, rng)
+    c = random_field(grid32, rng)
+    _assert_bitwise(a, b, c)
+    # every operand is cached now, and a product of a with itself
+    # reads the same stack twice
+    _assert_bitwise(a, b, c)
+    assert np.array_equal(para(a, a).values, _para_cumsum(a, a).values)
+    assert np.array_equal(resonant(b, b).values, _resonant_fresh(b, b).values)
+    # evict all three, then block them again
+    for _ in range(BLOCK_CACHE_SIZE):
+        para(random_field(grid32, rng), random_field(grid32, rng))
+    _assert_bitwise(a, b, c)

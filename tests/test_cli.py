@@ -181,6 +181,9 @@ BAD_VALUES = {
     + "\n[kernel]\nname = gaussian\n",
     "kernel_with_tanh_revert": SOLVE_CFG.replace("tanh_bilinear", "tanh_revert")
     + "\n[kernel]\nname = gaussian\n",
+    "paracontrolled_without_f": SOLVE_CFG.replace(
+        "tanh_bilinear", "none").replace(
+        "snapshot_every = 2", "snapshot_every = 2\nscheme = paracontrolled"),
 }
 
 
@@ -198,6 +201,16 @@ def test_cli_fractional_list_entry_exit_two(tmp_path, capsys):
                             "\n[grid]\nn = 16\n\n[ensemble]\nk = 1\n"
                             "m_ref = 2\nn_list = 2.7 16\n")
     code = main(["chaos_additive", "--config", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c0", ["0", "-0.5"])
+def test_cli_maxprinciple_nonpositive_c0_exit_two(tmp_path, capsys, c0):
+    path = _write(tmp_path, "[experiment]\nname = maxprinciple\nseed = 1\n"
+                            f"\n[grid]\nn = 16\n\n[params]\nc0 = {c0}\n")
+    code = main(["maxprinciple", "--config", path,
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err

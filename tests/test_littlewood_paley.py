@@ -6,6 +6,7 @@ import pytest
 from parafield import (Field, PathField, RegularityParams, besov_norm,
                        dyadic_blocks, lp_project, make_grid, make_times,
                        parabolic_holder_norm)
+from parafield.littlewood_paley import BLOCK_CACHE_SIZE, DyadicPartition
 from conftest import random_field
 
 
@@ -44,6 +45,39 @@ def test_reconstruction_from_blocks(grid64, rng):
     f = random_field(grid64, rng)
     recon = part.block_fields(f.spectrum).sum(axis=0)
     assert np.max(np.abs(recon - f.values)) <= 1e-10 * max(1.0, f.linf())
+
+
+def test_dealiased_blocks_match_fresh_transform_read_only(grid32, rng):
+    part = dyadic_blocks(grid32)
+    f = random_field(grid32, rng)
+    first = part.dealiased_blocks(f)
+    again = part.dealiased_blocks(f)  # served from the cache
+    assert again is first
+    fresh = part.block_fields(f.spectrum * grid32.dealias)
+    assert np.array_equal(first, fresh)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0, 0] = 1.0
+
+
+def test_block_cache_is_bounded(grid32, rng, monkeypatch):
+    part = dyadic_blocks(grid32)
+    transforms = []
+    inner = DyadicPartition.block_fields
+    monkeypatch.setattr(DyadicPartition, "block_fields",
+                        lambda self, s: transforms.append(1) or inner(self, s))
+    fields = [random_field(grid32, rng) for _ in range(3 * BLOCK_CACHE_SIZE)]
+    for f in fields:
+        part.dealiased_blocks(f)
+        assert len(part._recent) <= BLOCK_CACHE_SIZE
+    assert len(transforms) == len(fields)
+    # the most recent fields are kept, the first one was evicted
+    for f in fields[-BLOCK_CACHE_SIZE:]:
+        part.dealiased_blocks(f)
+    assert len(transforms) == len(fields)
+    part.dealiased_blocks(fields[0])
+    assert len(transforms) == len(fields) + 1
+    assert len(part._recent) == BLOCK_CACHE_SIZE
 
 
 def test_block_index_bounds(grid16):
