@@ -2,9 +2,10 @@
 
 Usage: ``parafield <experiment> --config <path> [--seed S] [--out DIR]``.
 
-Exit codes: 0 on success, 1 when an in-run assertion fails, 2 on a
-config or usage error.  The PARAFIELD_THREADS environment variable caps
-the BLAS/FFT thread pools before numpy gets imported by the pipelines.
+Exit codes: 0 on success, 1 when an in-run assertion or the solver
+fails, 2 on a config or usage error.  The PARAFIELD_THREADS environment
+variable caps the BLAS/FFT thread pools before numpy gets imported by
+the pipelines.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ def main(argv=None) -> int:
         print(f"parafield: config error: {e}", file=sys.stderr)
         return 2
 
+    if "failure" in record:
+        f = record["failure"]
+        print(f"parafield: {f['type']}: {f['message']}", file=sys.stderr)
+        return 1
     for a in record["assertions"]:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}")

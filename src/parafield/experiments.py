@@ -26,8 +26,9 @@ from .measures import chaos_metric
 from .noise import (EnhancedNoise, NoiseSpec, enhance, low_damped_multiplier,
                     mean_field_enhance, mollify, power_law_multiplier,
                     renorm_constant, sample_noise)
-from .paracontrolled import decompose, reconstruct
-from .solver import (SolveConfig, default_dt, solve_additive_mckean,
+from .paracontrolled import reconstruct
+from .solver import (ExplosionError, FixedPointError, PicardError,
+                     SolveConfig, default_dt, solve_additive_mckean,
                      solve_mean_field, solve_paracontrolled,
                      solve_particle_system, solve_renormalized)
 from .torus import Field, PathField, make_grid, make_times, write_pfld
@@ -38,6 +39,10 @@ __all__ = ["ExperimentConfig", "run_experiment", "parse_config",
 
 class ConfigError(ValueError):
     pass
+
+
+SECTIONS = frozenset({"experiment", "grid", "noise", "f", "g", "kernel",
+                      "params", "ensemble"})
 
 
 @dataclass
@@ -93,6 +98,10 @@ def parse_config(path: str | None = None, text: str | None = None,
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
     sections = {s: dict(cp.items(s)) for s in cp.sections()}
+    unknown = sorted(set(sections) - SECTIONS)
+    if unknown:
+        raise ConfigError(f"unknown config section(s) {unknown}; "
+                          f"known: {sorted(SECTIONS)}")
     exp = sections.get("experiment", {})
     name = exp.get("name")
     if name not in EXPERIMENTS:
@@ -358,10 +367,8 @@ def _exp_solve(cfg: ExperimentConfig, outdir: str):
     if scheme == "direct_renormalized":
         u = solve_renormalized(en, frozen, f_spec, g_spec, u0, scfg)
     elif scheme == "paracontrolled":
-        zero = PathField.zero(times, grid)
-        pcs = [decompose(fr, en.X, zero) for fr in frozen]
-        pc = solve_paracontrolled(en, pcs, f_spec, g_spec, u0, scfg)
-        u = reconstruct(pc)
+        u = reconstruct(solve_paracontrolled(en, frozen, f_spec, g_spec, u0,
+                                             scfg))
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     every = cfg.get("params", "snapshot_every", 8, int)
@@ -391,12 +398,12 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
     base = _initial_field(cfg, grid)
     u0 = base * (0.9 * C0 / base.linf())
     scfg = SolveConfig()
+    frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
     rows = []
     for s in range(n_seeds):
         spec = _noise_spec(cfg, cfg.seed + s)
         raw = sample_noise(spec, grid, times, stream_id=0)
         en = enhance(raw, eps)
-        frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
         u = solve_renormalized(en, frozen, f_spec, g_spec, u0, scfg)
         rows.append({"seed": cfg.seed + s, "sup_linf": u.sup_linf(),
                      "bound": C0 * 1.01})
@@ -619,17 +626,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the named pipeline and write CSV/JSON (and PFLD) outputs.
 
     Returns the result record; record["ok"] is False when an in-run
-    assertion failed.
+    assertion failed or a solver failed.  A solver failure still writes
+    the summary, with no metrics and a ``failure`` record: the error's
+    type, message and own fields (time, linf, defect or residuals).
     """
     _keep_freed_heap()
     os.makedirs(cfg.out, exist_ok=True)
     fn = EXPERIMENTS[cfg.experiment]
     t0 = time.perf_counter()
-    if cfg.experiment == "solve":
-        metrics, series, assertions, artifacts = fn(cfg, cfg.out)
-    else:
-        metrics, series, assertions = fn(cfg)
-        artifacts = []
+    failure = None
+    try:
+        if cfg.experiment == "solve":
+            metrics, series, assertions, artifacts = fn(cfg, cfg.out)
+        else:
+            metrics, series, assertions = fn(cfg)
+            artifacts = []
+    except (ExplosionError, PicardError, FixedPointError) as e:
+        metrics, series, assertions, artifacts = [], {}, [], []
+        failure = {"type": type(e).__name__, "message": str(e), **vars(e)}
     wall = time.perf_counter() - t0
     files = list(artifacts)
     for name, rows in series.items():
@@ -642,11 +656,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "metrics": metrics,
         "assertions": [{"name": n, "passed": bool(ok)} for n, ok in assertions],
-        "ok": all(ok for _, ok in assertions),
+        "ok": failure is None and all(ok for _, ok in assertions),
         "wall_time": wall,
         "threads": os.environ.get("PARAFIELD_THREADS", ""),
         "artifacts": files,
     }
+    if failure is not None:
+        record["failure"] = failure
     with open(os.path.join(cfg.out, "summary.json"), "w") as fh:
         json.dump(record, fh, indent=2)
     return record

@@ -252,10 +252,6 @@ class EnhancedNoise:
     def times(self):
         return self.xi.times
 
-    @property
-    def stream_id(self):
-        return self.xi.meta.get("stream_id")
-
 
 def enhance(xi_raw: PathField, eps: float, c_eps=None) -> EnhancedNoise:
     """Mollify and fix the renormalization constant; X and xi2 are lazy.

@@ -137,12 +137,14 @@ def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
     mu is the measure of the reconstructed samples, built here unless
     the caller already holds it; dz = (d1 f)(u, mu) * u' and dmu_j =
     (sum over measure slots of the slot-j partial average) * v_j';
-    sharp is the exact residual of eval_f(u, mu).
+    sharp is the exact residual of eval_f(u, mu).  A caller that passes
+    mu with no samples takes its atoms as paths of zero derivative, so
+    there are no dmu terms.
     """
-    if not sample_pcs:
-        raise ValueError("need at least one measure sample")
     u = reconstruct_slice(u_pc)
     if mu is None:
+        if not sample_pcs:
+            raise ValueError("need at least one measure sample")
         mu = EmpiricalMeasure([reconstruct_slice(s) for s in sample_pcs])
     p1 = eval_partial(spec, 1, u, mu)
     dz = pointwise_product(p1, u_pc.dz, dealias=False)

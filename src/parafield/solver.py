@@ -21,9 +21,9 @@ from .bony import para
 from .heat import etd_step, semigroup
 from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
     eval_partial
-from .noise import EnhancedNoise, cross_resonant
+from .noise import EnhancedNoise
 from .paracontrolled import Paracontrolled, paralinearize_slice, \
-    pc_product_slice, reconstruct
+    pc_product_slice
 from .torus import Field, PathField, pointwise_product
 
 __all__ = [
@@ -184,31 +184,23 @@ def solve_renormalized(en: EnhancedNoise, frozen: list, f_spec: InteractionSpec,
                         frozen, cfg)[0]
 
 
-def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
+def solve_paracontrolled(en: EnhancedNoise, frozen: list,
                          f_spec: InteractionSpec,
                          g_spec: InteractionSpec | None, u0: Field,
                          cfg: SolveConfig) -> Paracontrolled:
     """Frozen-measure equation via the remainder formulation.
 
-    Steps sharp with (d_t - Lap) sharp = Phi_sharp where Phi_sharp is
-    the paracontrolled product of f(u, v) with the enhanced noise plus
-    g minus f(u, v) < xi; the Gubinelli derivative is pinned to
-    f(u, v) at every slice and u is rebuilt as (dz < X) + sharp.
+    ``frozen`` is a list of PathField atoms, as for ``solve_renormalized``;
+    the measure at step n is their slice n.  The atoms are given paths
+    with zero Gubinelli derivative, so f(u, v) has no measure-derivative
+    terms.  Steps sharp with (d_t - Lap) sharp = Phi_sharp where
+    Phi_sharp is the paracontrolled product of f(u, v) with the enhanced
+    noise plus g minus f(u, v) < xi; the Gubinelli derivative is pinned
+    to f(u, v) at every slice and u is rebuilt as (dz < X) + sharp.
     """
-    if not frozen_pcs:
-        raise ValueError("need frozen paracontrolled samples")
-    for s in frozen_pcs:
-        if s.dz is None or s.sharp is None:
-            raise ValueError("frozen samples must carry paracontrolled data")
     times = en.times
     dt = float(times[1] - times[0])
     R = cfg.guard(u0.linf())
-    sample_paths = [reconstruct(s) for s in frozen_pcs]
-    # cross terms xi (.) Xbar_j for the dmu channel of the f structure
-    cross = [cross_resonant(en.xi, s.reference)
-             if s.reference.meta.get("stream_id") != en.stream_id
-             else en.xi2  # same stream: renormalized diagonal
-             for s in frozen_pcs]
 
     def fix_dz(sharp_f: Field, X_f: Field, mu: EmpiricalMeasure, u_guess: Field,
                t: float):
@@ -223,20 +215,19 @@ def solve_paracontrolled(en: EnhancedNoise, frozen_pcs: list,
                 return u, eval_f(f_spec, u, mu)
         raise FixedPointError(t, defect)
 
-    mu = EmpiricalMeasure([p[0] for p in sample_paths])
+    mu = EmpiricalMeasure([p[0] for p in frozen])
     sharp = u0  # X_0 = 0, so u_0 = sharp_0
     u, dz = fix_dz(sharp, en.X[0], mu, u0, float(times[0]))
     dzs, sharps = [dz], [sharp]
     for n in range(times.size - 1):
         f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
-                                   [s[n] for s in frozen_pcs], mu)
-        phi = pc_product_slice(f_pc, en.xi[n], en.X[n], en.xi2[n],
-                               [c[n] for c in cross])
+                                   [], mu)
+        phi = pc_product_slice(f_pc, en.xi[n], en.X[n], en.xi2[n], [])
         phi = phi - para(dz, en.xi[n])
         if g_spec is not None:
             phi = phi + eval_g(g_spec, u, mu)
         sharp = etd_step(sharp, phi, dt)
-        mu = EmpiricalMeasure([p[n + 1] for p in sample_paths])
+        mu = EmpiricalMeasure([p[n + 1] for p in frozen])
         u, dz = fix_dz(sharp, en.X[n + 1], mu, u, float(times[n + 1]))
         sharp = u - para(dz, en.X[n + 1])  # exact residual storage
         _check_guard(u, R, float(times[n + 1]))

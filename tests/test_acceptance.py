@@ -25,7 +25,7 @@ from parafield import (Field, NoiseSpec, PathField, SolveConfig, besov_norm,
                        solve_additive_mckean, solve_renormalized, wasserstein)
 from parafield.bony import para, resonant
 from parafield.experiments import parse_config, run_experiment
-from parafield.paracontrolled import decompose, reconstruct
+from parafield.paracontrolled import reconstruct
 from parafield.solver import solve_paracontrolled
 from conftest import random_field
 
@@ -228,9 +228,7 @@ def test_criterion_13_two_scheme_consistency():
         en = enhance(sample_noise(spec, grid, times, stream_id=0), eps)
         frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
         direct = solve_renormalized(en, frozen, f_spec, None, u0, SolveConfig())
-        zero = PathField.zero(times, grid)
-        pcs = [decompose(fr, en.X, zero) for fr in frozen]
-        pc = solve_paracontrolled(en, pcs, f_spec, None, u0, SolveConfig())
+        pc = solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
         u2 = reconstruct(pc)
         rels[eps] = (direct - u2).sup_linf() / max(direct.sup_linf(), 1e-12)
         sharps.append(besov_norm(pc.sharp[-1], idx, np.inf, np.inf))

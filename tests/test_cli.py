@@ -184,6 +184,7 @@ BAD_VALUES = {
     "paracontrolled_without_f": SOLVE_CFG.replace(
         "tanh_bilinear", "none").replace(
         "snapshot_every = 2", "snapshot_every = 2\nscheme = paracontrolled"),
+    "unknown_section": SOLVE_CFG + "\n[parms]\nscheme = paracontrolled\n",
 }
 
 
@@ -193,6 +194,36 @@ def test_cli_bad_config_value_exit_two(tmp_path, capsys, case):
     code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_explosion_exit_one_with_summary(tmp_path, capsys):
+    path = _write(tmp_path, SOLVE_CFG.replace("n = 16", "n = 32")
+                  .replace("scale = 0.5", "scale = 500"))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", path, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parafield: ExplosionError: ")
+    record = json.loads((out / "summary.json").read_text())
+    assert record["ok"] is False
+    assert record["metrics"] == [] and record["assertions"] == []
+    failure = record["failure"]
+    assert failure["type"] == "ExplosionError"
+    assert err[0] == f"parafield: ExplosionError: {failure['message']}"
+    assert 0.0 < failure["time"] <= 0.1
+    assert not failure["linf"] < 15.0  # the guard 10 (1 + |u0|_inf)
+
+
+def test_picard_failure_summary_carries_residuals(tmp_path):
+    cfg = parse_config(text=PICARD_CFG + "\n[params]\npicard_tol = 1e-14\n"
+                       "picard_max_iters = 2\n", out=str(tmp_path / "out"))
+    record = run_experiment(cfg)
+    assert record["ok"] is False and record["metrics"] == []
+    failure = json.loads((tmp_path / "out" / "summary.json").read_text())[
+        "failure"]
+    assert failure["type"] == "PicardError"
+    assert len(failure["residuals"]) == 2
+    assert failure["residuals"][-1] > 1e-14
 
 
 def test_cli_fractional_list_entry_exit_two(tmp_path, capsys):

@@ -170,7 +170,7 @@ def test_enhance_centers_xi2(grid16):
         means[s] = en.xi2[-1].mean()
     se = means.std(ddof=1) / np.sqrt(M)
     assert abs(means.mean()) <= 4.0 * se
-    assert en.eps == 0.1 and en.stream_id == M - 1
+    assert en.eps == 0.1 and en.xi.meta["stream_id"] == M - 1
 
 
 @pytest.mark.parametrize("temporal", ["white", "exp_correlated"])

@@ -5,12 +5,13 @@ import pytest
 
 from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        FixedPointError, NoiseSpec, PathField, PicardError,
-                       SolveConfig, decompose, default_dt, enhance,
-                       make_interaction, make_times,
-                       mean_field_enhance, sample_noise, semigroup,
-                       solve_additive_frozen, solve_additive_mckean,
-                       solve_mean_field, solve_paracontrolled,
-                       solve_particle_system, solve_renormalized)
+                       SolveConfig, default_dt, enhance, make_interaction,
+                       make_times, mean_field_enhance, reconstruct,
+                       sample_noise, semigroup, solve_additive_frozen,
+                       solve_additive_mckean, solve_mean_field,
+                       solve_paracontrolled, solve_particle_system,
+                       solve_renormalized)
+from parafield.bony import corrector
 from conftest import random_field
 
 
@@ -155,14 +156,55 @@ def test_fixed_point_error_when_cap_is_reached(grid16, monkeypatch):
                  0.05)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
-    frozen = [decompose(PathField.constant(times, u0), en.X,
-                        PathField.zero(times, grid16))]
+    frozen = [PathField.constant(times, u0)]
     # X_0 = 0 pins the first slice in one iteration; X_1 != 0 needs more
     monkeypatch.setattr("parafield.solver.FIXED_POINT_MAX_ITERS", 1)
     with pytest.raises(FixedPointError) as exc:
         solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
     assert exc.value.time == pytest.approx(times[1])
     assert exc.value.defect > 0.0
+
+
+def test_paracontrolled_makes_one_corrector_call_per_step(grid16,
+                                                          monkeypatch):
+    # frozen atoms carry no derivative: only dz has a corrector term
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return corrector(*args)
+
+    monkeypatch.setattr("parafield.paracontrolled.corrector", counting)
+    times = _times(T=0.125)
+    en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
+                 0.05)
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    u0 = Field(grid16, np.full((16, 16), 0.4))
+    frozen = [PathField.constant(times, u0), PathField.constant(times, -u0)]
+    solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
+    assert len(calls) == len(times) - 1
+
+
+def test_paracontrolled_matches_direct_with_two_atoms(grid32):
+    # criterion 13's two-scheme agreement, against a measure of two heat flows
+    f_spec = make_interaction("tanh_bilinear", scale=1.0)
+    X, Y = grid32.coords()
+    v = np.cos(X) * np.cos(Y) + 0.5 * np.sin(X + Y)
+    u0 = Field.from_values(grid32, 0.5 * v / np.max(np.abs(v)))
+    w0 = Field.from_values(grid32, 0.8 * np.sin(2 * X) - 0.3)
+    times = make_times(0.25, 0.025)
+    en = enhance(sample_noise(NoiseSpec(seed=2024), grid32, times,
+                              stream_id=0), 0.1)
+    frozen = [PathField(times, [semigroup(a, float(t)) for t in times])
+              for a in (u0, w0)]
+    cfg = SolveConfig()
+    direct = solve_renormalized(en, frozen, f_spec, None, u0, cfg)
+    pc = reconstruct(solve_paracontrolled(en, frozen, f_spec, None, u0, cfg))
+    assert (direct - pc).sup_linf() <= 0.05 * direct.sup_linf()
+    # the second atom is read: one atom alone gives another solution
+    one = reconstruct(solve_paracontrolled(en, frozen[:1], f_spec, None, u0,
+                                           cfg))
+    assert (pc - one).sup_linf() > 0.05
 
 
 def test_mean_field_fixed_point_residual(grid16):
