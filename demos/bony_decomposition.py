@@ -16,8 +16,7 @@ N = 64
 grid = make_grid(N)
 rng = np.random.default_rng(7)
 
-rough = Field.from_spectrum(grid, np.fft.fft2(rng.standard_normal((N, N))),
-                            check=False)
+rough = Field.from_values(grid, rng.standard_normal((N, N)))
 smooth = semigroup(rough, 0.05)
 
 lo_hi = para(smooth, rough)      # smooth low frequencies modulate rough

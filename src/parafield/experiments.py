@@ -3,8 +3,10 @@
 Configs are flat ``key = value`` files with ``[section]`` headers (read
 with configparser).  Every experiment is a pure function of
 (config, seed): reruns with the same config produce byte-identical
-metric CSVs.  Results land in the output directory as a JSON summary,
-one CSV per metric series and optional PFLD field snapshots.
+metric CSVs.  A pipeline returns its metrics, its series and its
+assertions; ``run_experiment`` then makes the output directory and
+writes a JSON summary, one CSV per metric series and one PFLD file per
+field-path series.
 """
 
 from __future__ import annotations
@@ -41,8 +43,23 @@ class ConfigError(ValueError):
     pass
 
 
-SECTIONS = frozenset({"experiment", "grid", "noise", "f", "g", "kernel",
-                      "params", "ensemble"})
+_INTERACTION_KEYS = frozenset({"name", "scale", "c0", "c", "m"})
+# the keys each section accepts, the union over the pipelines; [kernel]
+# holds the kernel's parameters, which make_kernel checks (None here)
+KEYS = {
+    "experiment": frozenset({"name", "seed", "out"}),
+    "grid": frozenset({"n", "t", "dt"}),
+    "noise": frozenset({"kind", "lambda", "eta_multiplier", "eps"}),
+    "f": _INTERACTION_KEYS,
+    "g": _INTERACTION_KEYS,
+    "kernel": None,
+    "params": frozenset({
+        "alpha", "beta", "c0", "eps_ladder", "eps_pair", "f_scale",
+        "low_floor", "low_k0", "mc_eps", "mc_samples", "n_compare",
+        "n_pairs", "n_samples", "n_seeds", "picard_max_iters", "picard_tol",
+        "scheme", "snapshot_every", "t_eval", "u0", "u0_amp"}),
+    "ensemble": frozenset({"n_list", "k", "m_ref", "m"}),
+}
 
 
 @dataclass
@@ -76,6 +93,13 @@ class ExperimentConfig:
     def get_ints(self, section: str, key: str, default=()):
         return self.get_floats(section, key, default, cast=int)
 
+    def get_count(self, section: str, key: str, default: int, least=1):
+        n = self.get(section, key, default, int)
+        if n < least:
+            raise ConfigError(f"[{section}] {key} = {n} must be at least "
+                              f"{least}")
+        return n
+
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_bytes).hexdigest()[:16]
@@ -98,10 +122,15 @@ def parse_config(path: str | None = None, text: str | None = None,
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
     sections = {s: dict(cp.items(s)) for s in cp.sections()}
-    unknown = sorted(set(sections) - SECTIONS)
+    unknown = sorted(set(sections) - set(KEYS))
     if unknown:
         raise ConfigError(f"unknown config section(s) {unknown}; "
-                          f"known: {sorted(SECTIONS)}")
+                          f"known: {sorted(KEYS)}")
+    for sec, keys in sections.items():
+        unknown = sorted(set(keys) - KEYS[sec]) if KEYS[sec] else []
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown} in [{sec}]; "
+                              f"known: {sorted(KEYS[sec])}")
     exp = sections.get("experiment", {})
     name = exp.get("name")
     if name not in EXPERIMENTS:
@@ -226,7 +255,7 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
     eps_ladder = cfg.get_floats("params", "eps_ladder",
                                 [2.0 ** -k for k in range(2, 8)])
     t_eval = cfg.get("params", "t_eval", 1.0, float)
-    mc_samples = cfg.get("params", "mc_samples", 512, int)
+    mc_samples = cfg.get_count("params", "mc_samples", 512, least=2)
     mc_eps = cfg.get("params", "mc_eps", 0.05, float)
     n2 = cfg.get("params", "n_compare", 128, int)
 
@@ -281,7 +310,9 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
     gamma = 2.0 * reg.alpha - 2.0 - 0.1
     eps_ladder = cfg.get_floats("params", "eps_ladder",
                                 [0.02, 0.01, 0.005, 0.0025])
-    n_samples = cfg.get("params", "n_samples", 32, int)
+    if len(eps_ladder) < 2:
+        raise ConfigError("[params] eps_ladder needs at least two entries")
+    n_samples = cfg.get_count("params", "n_samples", 32)
 
     diffs = np.zeros((n_samples, len(eps_ladder) - 1))
     naive_means = np.zeros((n_samples, len(eps_ladder)))
@@ -317,7 +348,7 @@ def _exp_cross_variance(cfg: ExperimentConfig):
     tg = np.array([0.0, t_eval / 2, t_eval])
     spec = _noise_spec(cfg, cfg.seed)
     eps_pair = cfg.get_floats("params", "eps_pair", [0.2, 0.0125])
-    n_pairs = cfg.get("params", "n_pairs", 512, int)
+    n_pairs = cfg.get_count("params", "n_pairs", 512)
 
     rows = []
     for eps in eps_pair:
@@ -348,7 +379,7 @@ def _exp_cross_variance(cfg: ExperimentConfig):
     return metrics, {"cross_variance": rows}, assertions
 
 
-def _exp_solve(cfg: ExperimentConfig, outdir: str):
+def _exp_solve(cfg: ExperimentConfig):
     eps = _noise_eps(cfg, 0.1)
     grid, times = _grid_times(cfg, eps=eps)
     spec = _noise_spec(cfg, cfg.seed)
@@ -356,33 +387,32 @@ def _exp_solve(cfg: ExperimentConfig, outdir: str):
     g_spec = _interaction(cfg, "g")
     u0 = _initial_field(cfg, grid)
     scheme = cfg.get("params", "scheme", "direct_renormalized")
+    if scheme not in ("direct_renormalized", "paracontrolled"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
     if scheme == "paracontrolled" and "kernel" in cfg.sections:
         raise ConfigError("[kernel] needs scheme = direct_renormalized")
     if scheme == "paracontrolled" and f_spec is None:
         raise ConfigError("scheme = paracontrolled needs an [f]")
+    every = cfg.get_count("params", "snapshot_every", 8)
     scfg = SolveConfig()
     raw = sample_noise(spec, grid, times, stream_id=0)
     en = enhance(raw, eps)
     frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
     if scheme == "direct_renormalized":
         u = solve_renormalized(en, frozen, f_spec, g_spec, u0, scfg)
-    elif scheme == "paracontrolled":
+    else:
         u = reconstruct(solve_paracontrolled(en, frozen, f_spec, g_spec, u0,
                                              scfg))
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    every = cfg.get("params", "snapshot_every", 8, int)
     keep = list(range(0, len(u), every))
     if len(keep) < 2:
         keep = [0, len(u) - 1]
-    art = os.path.join(outdir, "solution.pfld")
-    write_pfld(art, PathField(np.asarray([u.times[i] for i in keep]),
-                              [u[i] for i in keep]))
+    snapshots = PathField(np.asarray([u.times[i] for i in keep]),
+                          [u[i] for i in keep])
     rows = [{"t": float(u.times[i]), "linf": u[i].linf(), "l2": u[i].l2()}
             for i in range(len(u))]
     metrics = [{"name": "final_linf", "value": u[-1].linf()},
                {"name": "sup_linf", "value": u.sup_linf()}]
-    return metrics, {"solution_norms": rows}, [], [art]
+    return metrics, {"solution": snapshots, "solution_norms": rows}, []
 
 
 def _exp_maxprinciple(cfg: ExperimentConfig):
@@ -391,7 +421,7 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
     C0 = cfg.get("params", "c0", 1.0, float)
     if not C0 > 0:
         raise ConfigError(f"[params] c0 = {C0} must be positive")
-    n_seeds = cfg.get("params", "n_seeds", 16, int)
+    n_seeds = cfg.get_count("params", "n_seeds", 16)
     f_spec = _interaction(cfg, "f") or make_interaction(
         "cos_bump", C0=C0, scale=cfg.get("params", "f_scale", 1.0, float))
     g_spec = _interaction(cfg, "g")
@@ -418,7 +448,7 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     grid, _ = _grid_times(cfg, default_T=10.0)
     T = cfg.get("grid", "t", 10.0, float)
     eps_ladder = cfg.get_floats("params", "eps_ladder", [0.1, 0.05, 0.025])
-    n_seeds = cfg.get("params", "n_seeds", 4, int)
+    n_seeds = cfg.get_count("params", "n_seeds", 4)
     f_spec = _interaction(cfg, "f") or make_interaction("tanh_bilinear",
                                                         scale=0.4)
     g_spec = _interaction(cfg, "g")
@@ -468,8 +498,8 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
 def _exp_chaos_additive(cfg: ExperimentConfig):
     grid, times = _grid_times(cfg, default_N=32, default_T=0.25)
     n_list = cfg.get_ints("ensemble", "n_list", [4, 16, 64])
-    K = cfg.get("ensemble", "k", 32, int)
-    M_ref = cfg.get("ensemble", "m_ref", 256, int)
+    K = cfg.get_count("ensemble", "k", 32)
+    M_ref = cfg.get_count("ensemble", "m_ref", 256)
     g_spec = _interaction(cfg, "g", "tanh_revert")
     spec = _noise_spec(cfg, cfg.seed)
     scfg = SolveConfig()
@@ -514,8 +544,8 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
     eps = _noise_eps(cfg, 0.05)
     grid, times = _grid_times(cfg, default_N=32, default_T=0.2, eps=eps)
     n_list = cfg.get_ints("ensemble", "n_list", [8, 32])
-    K = cfg.get("ensemble", "k", 16, int)
-    M = cfg.get("ensemble", "m", 32, int)
+    K = cfg.get_count("ensemble", "k", 16)
+    M = cfg.get_count("ensemble", "m", 32)
     f_spec = _interaction(cfg, "f", "tanh_bilinear")
     g_spec = _interaction(cfg, "g")
     spec = _noise_spec(cfg, cfg.seed)
@@ -550,14 +580,14 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
 def _exp_picard_trace(cfg: ExperimentConfig):
     eps = _noise_eps(cfg, 0.1)
     grid, times = _grid_times(cfg, default_T=0.25, eps=eps)
-    M = cfg.get("ensemble", "m", 16, int)
+    M = cfg.get_count("ensemble", "m", 16)
     f_spec = _interaction(cfg, "f", "tanh_bilinear")
     g_spec = _interaction(cfg, "g")
     spec = _noise_spec(cfg, cfg.seed)
     u0 = _initial_field(cfg, grid)
     scfg = SolveConfig(picard_tol=cfg.get("params", "picard_tol", 1e-4, float),
-                       picard_max_iters=cfg.get("params", "picard_max_iters",
-                                                60, int))
+                       picard_max_iters=cfg.get_count(
+                           "params", "picard_max_iters", 60))
     noises = mean_field_enhance(M, spec, eps, grid, times)
     _, iters, residuals = solve_mean_field(noises, f_spec, g_spec, u0, scfg)
     rows = [{"iteration": i, "residual": float(r)}
@@ -585,8 +615,6 @@ EXPERIMENTS = {
 
 
 def _write_csv(path: str, rows: list):
-    if not rows:
-        return
     cols = list(rows[0].keys())
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
@@ -623,33 +651,34 @@ def _keep_freed_heap() -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the named pipeline and write CSV/JSON (and PFLD) outputs.
+    """Run the named pipeline and write its outputs: a CSV per series of
+    rows, a PFLD file per PathField series and the JSON summary.
 
     Returns the result record; record["ok"] is False when an in-run
     assertion failed or a solver failed.  A solver failure still writes
     the summary, with no metrics and a ``failure`` record: the error's
-    type, message and own fields (time, linf, defect or residuals).
+    type, message and own fields (time, linf, defect or residuals).  A
+    config error raised by the pipeline leaves no output directory.
     """
     _keep_freed_heap()
-    os.makedirs(cfg.out, exist_ok=True)
     fn = EXPERIMENTS[cfg.experiment]
     t0 = time.perf_counter()
     failure = None
     try:
-        if cfg.experiment == "solve":
-            metrics, series, assertions, artifacts = fn(cfg, cfg.out)
-        else:
-            metrics, series, assertions = fn(cfg)
-            artifacts = []
+        metrics, series, assertions = fn(cfg)
     except (ExplosionError, PicardError, FixedPointError) as e:
-        metrics, series, assertions, artifacts = [], {}, [], []
+        metrics, series, assertions = [], {}, []
         failure = {"type": type(e).__name__, "message": str(e), **vars(e)}
     wall = time.perf_counter() - t0
-    files = list(artifacts)
-    for name, rows in series.items():
-        path = os.path.join(cfg.out, f"{name}.csv")
-        _write_csv(path, rows)
-        files.append(path)
+    os.makedirs(cfg.out, exist_ok=True)
+    files = []
+    for name, data in series.items():
+        if isinstance(data, PathField):
+            files.append(os.path.join(cfg.out, f"{name}.pfld"))
+            write_pfld(files[-1], data)
+        elif data:
+            files.append(os.path.join(cfg.out, f"{name}.csv"))
+            _write_csv(files[-1], data)
     record = {
         "experiment": cfg.experiment,
         "config_hash": cfg.config_hash,

@@ -18,7 +18,7 @@ def semigroup(f: Field, t: float) -> Field:
     if t < 0:
         raise ValueError("t must be nonnegative")
     g = f.grid
-    return Field.from_spectrum(g, f.spectrum * np.exp(-t * g.k2), check=False)
+    return Field.from_spectrum(g, f.spectrum * np.exp(-t * g.k2))
 
 
 _weights_cache: dict = {}
@@ -55,14 +55,14 @@ def duhamel(zeta: PathField) -> PathField:
         return PathField(zeta.times, [Field.zero(g)], meta=dict(zeta.meta))
     dt = zeta.dt
     E, I0, I1 = etd_weights(g, dt)
-    z = np.zeros((g.N, g.N), dtype=np.complex128)
+    z = np.zeros(g.k2.shape, dtype=np.complex128)
     out = [Field.zero(g)]
     specs = [f.spectrum for f in zeta.fields]
     for n in range(len(zeta) - 1):
         a = specs[n]
         b = (specs[n + 1] - a) / dt
         z = E * z + I0 * a + I1 * b
-        out.append(Field.from_spectrum(g, z, check=False))
+        out.append(Field.from_spectrum(g, z))
     return PathField(zeta.times, out, meta=dict(zeta.meta))
 
 
@@ -72,5 +72,4 @@ def etd_step(u: Field, nonlin: Field, dt: float) -> Field:
         raise ValueError("dt must be positive")
     g = u.grid
     E, I0, _ = etd_weights(g, dt)
-    spec = E * u.spectrum + I0 * nonlin.spectrum
-    return Field.from_spectrum(g, spec, check=False)
+    return Field.from_spectrum(g, E * u.spectrum + I0 * nonlin.spectrum)

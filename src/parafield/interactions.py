@@ -82,8 +82,9 @@ class EmpiricalMeasure:
             if kernel is None:
                 avg = fn(self.values()).mean(axis=0)
             else:
-                avg = np.fft.ifft2(_multiplier(kernel, self.grid)
-                                   * np.fft.fft2(self.mean(fn))).real
+                N = self.grid.N
+                avg = np.fft.irfft2(_multiplier(kernel, self.grid)
+                                    * np.fft.rfft2(self.mean(fn)), s=(N, N))
             avg.flags.writeable = False
             self._means[key] = avg
         return self._means[key]
@@ -209,13 +210,13 @@ def make_kernel(name: str, **params):
 
 @lru_cache(maxsize=8)
 def _multiplier(kernel, grid: TorusGrid) -> np.ndarray:
-    """Per-mode multiplier h^2 fft2(k(z - 0)) of convolution with k.
+    """Per-mode multiplier h^2 rfft2(k(z - 0)) of convolution with k.
 
-    Nyquist modes are kept, so ifft2(multiplier * fft2(H)) is the grid
+    Nyquist modes are kept, so irfft2(multiplier * rfft2(H)) is the grid
     sum h^2 sum_z' k(z - z') H(z') up to rounding.
     """
     X, Y = grid.coords()
-    k_hat = grid.spacing ** 2 * np.fft.fft2(kernel(X, Y))
+    k_hat = grid.spacing ** 2 * np.fft.rfft2(kernel(X, Y))
     k_hat.flags.writeable = False
     return k_hat
 

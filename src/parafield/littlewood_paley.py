@@ -95,7 +95,8 @@ class DyadicPartition:
     def block_fields(self, spectrum: np.ndarray) -> np.ndarray:
         """All block projections of a spectrum on the grid, as values of
         shape (n_blocks, N, N)."""
-        return np.fft.ifft2(self.weights * spectrum[None, :, :]).real
+        N = self.grid.N
+        return np.fft.irfft2(self.weights * spectrum[None, :, :], s=(N, N))
 
     def dealiased_blocks(self, f: Field) -> np.ndarray:
         """``block_fields(f.spectrum * f.grid.dealias)``, read-only.
@@ -131,7 +132,7 @@ def lp_project(f: Field, ell: int) -> Field:
     """Littlewood-Paley projection Delta_l f."""
     part = dyadic_blocks(f.grid)
     w = part.weights[part.index(ell)]
-    return Field.from_spectrum(f.grid, f.spectrum * w, check=False)
+    return Field.from_spectrum(f.grid, f.spectrum * w)
 
 
 def _lq_norm(vals: np.ndarray, q, spacing: float) -> float:

@@ -121,7 +121,7 @@ def sample_noise(spec: NoiseSpec, grid: TorusGrid, times: np.ndarray,
     amp = grid.N * np.sqrt(spec.chat(grid))
 
     def to_field(w: np.ndarray) -> Field:
-        return Field.from_spectrum(grid, amp * np.fft.fft2(w), check=False)
+        return Field.from_spectrum(grid, amp * np.fft.rfft2(w))
 
     fields: list[Field]
     if spec.temporal == TIME_INDEPENDENT:
@@ -155,7 +155,7 @@ def mollify(xi: PathField, eps: float) -> PathField:
 
     def damp(f: Field) -> Field:
         if id(f) not in done:
-            done[id(f)] = Field.from_spectrum(g, f.spectrum * m, check=False)
+            done[id(f)] = Field.from_spectrum(g, f.spectrum * m)
         return done[id(f)]
 
     out = xi.map(damp)
@@ -187,7 +187,8 @@ def renorm_constant(spec: NoiseSpec, eps: float, times: np.ndarray,
     """
     times = np.asarray(times, dtype=np.float64)
     keep = _retained(grid)
-    chat = spec.chat(grid)[keep]
+    # the half grid holds one of k and -k when ky > 0: count it twice
+    chat = (spec.chat(grid) * np.where(grid.ky > 0, 2.0, 1.0))[keep]
     wres = dyadic_blocks(grid).resonant_weight[keep]
     q = grid.k2[keep]
     moll = np.exp(-2.0 * eps * q)

@@ -1,11 +1,12 @@
 """Real scalar fields on the discretized 2-torus.
 
-The domain is [0, 2pi)^2 sampled on an N x N grid.  Spectra follow the
-unnormalized-forward convention: ``spectrum = fft2(values)`` and
-``values = ifft2(spectrum)`` (numpy's default), so the Fourier
-*coefficient* of the plane wave e^{i k.x} is ``spectrum[k] / N**2``.
-Nyquist rows/columns (wavenumber -N/2) are forced to zero everywhere so
-that every retained mode has its conjugate partner on the grid.
+The domain is [0, 2pi)^2 sampled on an N x N grid.  A spectrum is the
+unnormalized half spectrum ``rfft2(values)`` of shape (N, N//2 + 1),
+and ``values = irfft2(spectrum, s=(N, N))``: it holds the modes with
+ky >= 0, whose conjugates -k are the rest, so it is Hermitian by
+construction.  The Fourier *coefficient* of e^{i k.x} is
+``spectrum[k] / N**2``.  Nyquist modes (|kx| = N/2 or ky = N/2) are
+zeroed everywhere, so every retained mode has its partner -k.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class TorusGrid:
 
     N: int
     spacing: float
-    kx: np.ndarray  # integer wavenumbers along axis 0, shape (N, N)
-    ky: np.ndarray  # integer wavenumbers along axis 1, shape (N, N)
-    k2: np.ndarray  # |k|^2, shape (N, N)
+    kx: np.ndarray  # integer wavenumbers along axis 0, shape (N, N//2 + 1)
+    ky: np.ndarray  # nonnegative wavenumbers along axis 1, same shape
+    k2: np.ndarray  # |k|^2, same shape
     nyquist: np.ndarray  # True where the mode must be zeroed
     dealias: np.ndarray  # True on modes kept by the 2/3 rule
 
@@ -62,23 +63,15 @@ def make_grid(N: int) -> TorusGrid:
     if N < 8 or N & (N - 1) != 0:
         raise ValueError(f"grid size must be a power of two >= 8, got {N}")
     k = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
+    kx, ky = np.meshgrid(k, np.arange(N // 2 + 1), indexing="ij")  # rfft2
     k2 = (kx * kx + ky * ky).astype(np.float64)
-    nyquist = (kx == -N // 2) | (ky == -N // 2)
+    nyquist = (np.abs(kx) == N // 2) | (ky == N // 2)
     cut = N // 3
     dealias = (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
     for a in (kx, ky, k2, nyquist, dealias):
         a.flags.writeable = False
     return TorusGrid(N=N, spacing=2.0 * np.pi / N, kx=kx, ky=ky, k2=k2,
                      nyquist=nyquist, dealias=dealias)
-
-
-def _check_hermitian(grid: TorusGrid, spec: np.ndarray, tol: float = 1e-8):
-    flipped = np.conj(spec[(-grid.kx) % grid.N, (-grid.ky) % grid.N])
-    err = np.max(np.abs(spec - flipped))
-    scale = max(1.0, float(np.max(np.abs(spec))))
-    if err > tol * scale:
-        raise ValueError(f"spectrum is not Hermitian (defect {err:.3e})")
 
 
 class Field:
@@ -103,20 +96,17 @@ class Field:
     @classmethod
     def from_values(cls, grid: TorusGrid, values: np.ndarray) -> "Field":
         """Field from grid samples; Nyquist content is projected out."""
-        spec = np.fft.fft2(np.asarray(values, dtype=np.float64))
-        spec[grid.nyquist] = 0.0
-        return cls.from_spectrum(grid, spec, check=False)
+        return cls.from_spectrum(
+            grid, np.fft.rfft2(np.asarray(values, dtype=np.float64)))
 
     @classmethod
-    def from_spectrum(cls, grid: TorusGrid, spec: np.ndarray,
-                      check: bool = True) -> "Field":
-        spec = np.asarray(spec, dtype=np.complex128).copy()
-        if spec.shape != (grid.N, grid.N):
+    def from_spectrum(cls, grid: TorusGrid, spec: np.ndarray) -> "Field":
+        """Field from a half spectrum, read as ``irfft2`` reads it."""
+        spec = np.array(spec, dtype=np.complex128)
+        if spec.shape != grid.k2.shape:
             raise ValueError("spectrum shape does not match grid")
         spec[grid.nyquist] = 0.0
-        if check:
-            _check_hermitian(grid, spec)
-        vals = np.fft.ifft2(spec).real
+        vals = np.fft.irfft2(spec, s=(grid.N, grid.N))
         spec.flags.writeable = False
         return cls(grid, vals, spectrum=spec)
 
@@ -127,7 +117,7 @@ class Field:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            spec = np.fft.fft2(self.values)
+            spec = np.fft.rfft2(self.values)
             spec[self.grid.nyquist] = 0.0
             spec.flags.writeable = False
             self._spectrum = spec
@@ -252,8 +242,8 @@ def pointwise_product(a: Field, b: Field, dealias: bool = True) -> Field:
     _same_grid(a, b)
     if dealias:
         g = a.grid
-        av = np.fft.ifft2(a.spectrum * g.dealias).real
-        bv = np.fft.ifft2(b.spectrum * g.dealias).real
+        av = np.fft.irfft2(a.spectrum * g.dealias, s=(g.N, g.N))
+        bv = np.fft.irfft2(b.spectrum * g.dealias, s=(g.N, g.N))
         return Field(g, av * bv)
     return Field(a.grid, a.values * b.values)
 

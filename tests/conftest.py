@@ -8,12 +8,12 @@ from parafield import Field, make_grid
 
 def random_field(grid, rng, dealiased=False, smooth=0.0):
     """Random real field; optionally truncated to the 2/3 band or smoothed."""
-    spec = np.fft.fft2(rng.standard_normal((grid.N, grid.N)))
+    spec = np.fft.rfft2(rng.standard_normal((grid.N, grid.N)))
     if dealiased:
         spec = spec * grid.dealias
     if smooth > 0:
         spec = spec * np.exp(-smooth * grid.k2)
-    return Field.from_spectrum(grid, spec, check=False)
+    return Field.from_spectrum(grid, spec)
 
 
 @pytest.fixture

@@ -65,6 +65,8 @@ def test_criterion_02_lp_reconstruction_and_parseval():
     grid = make_grid(64)
     part = dyadic_blocks(grid)
     rng = np.random.default_rng(2)
+    # each ky > 0 column of a half spectrum stands for the modes k and -k
+    twice = np.where(grid.ky > 0, 2.0, 1.0)
     worst_rec, worst_par = 0.0, 0.0
     for _ in range(100):
         f = random_field(grid, rng)
@@ -72,7 +74,7 @@ def test_criterion_02_lp_reconstruction_and_parseval():
         worst_rec = max(worst_rec,
                         np.max(np.abs(recon - f.values)) / max(1.0, f.linf()))
         lhs = np.sum(f.values ** 2)
-        rhs = np.sum(np.abs(f.spectrum) ** 2) / grid.N ** 2
+        rhs = np.sum(twice * np.abs(f.spectrum) ** 2) / grid.N ** 2
         worst_par = max(worst_par, abs(lhs - rhs) / rhs)
     ok = worst_rec <= 1e-10 and worst_par <= 1e-10
     assert _report("criterion 02 reconstruction + parseval", ok,

@@ -1,5 +1,6 @@
 """Config parsing, experiment pipeline outputs and CLI exit codes."""
 
+import importlib.util
 import json
 import os
 import platform
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import parafield
+import parafield.experiments
 from parafield import read_pfld
 from parafield.cli import main
 from parafield.experiments import ConfigError, parse_config, run_experiment
@@ -116,6 +118,9 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert (tmp_path / "out" / "solution_norms.csv").exists()
     N, slices = read_pfld(tmp_path / "out" / "solution.pfld")
     assert N == 16 and len(slices) >= 2
+    assert sorted(summary["artifacts"]) == sorted(
+        str(p) for p in (tmp_path / "out").iterdir()
+        if p.name != "summary.json")
 
 
 @pytest.mark.parametrize("text,files", [
@@ -185,6 +190,9 @@ BAD_VALUES = {
         "tanh_bilinear", "none").replace(
         "snapshot_every = 2", "snapshot_every = 2\nscheme = paracontrolled"),
     "unknown_section": SOLVE_CFG + "\n[parms]\nscheme = paracontrolled\n",
+    "unknown_key": SOLVE_CFG.replace("t = 0.1", "t = 0.1\nbogus = 3"),
+    "unknown_scheme": SOLVE_CFG.replace(
+        "snapshot_every = 2", "snapshot_every = 2\nscheme = bogus"),
 }
 
 
@@ -194,6 +202,62 @@ def test_cli_bad_config_value_exit_two(tmp_path, capsys, case):
     code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _config(name, extra):
+    return f"[experiment]\nname = {name}\nseed = 1\n\n[grid]\nn = 16\n{extra}"
+
+
+# counts each pipeline needs at least one (two) of, read before any work
+BAD_COUNTS = {
+    "solve_snapshot_every_zero": SOLVE_CFG.replace("snapshot_every = 2",
+                                                   "snapshot_every = 0"),
+    "maxprinciple_no_seeds": _config("maxprinciple",
+                                     "\n[params]\nn_seeds = 0\n"),
+    "chaos_additive_no_runs": _config("chaos_additive", "\n[ensemble]\nk = 0\n"),
+    "picard_trace_no_iterations": PICARD_CFG
+    + "\n[params]\npicard_max_iters = 0\n",
+    "renorm_constant_one_sample": _config("renorm_constant",
+                                          "\n[params]\nmc_samples = 1\n"),
+    "enhance_convergence_one_eps": _config(
+        "enhance_convergence", "\n[params]\neps_ladder = 0.02\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_cli_bad_count_exit_two(tmp_path, capsys, case):
+    path = _write(tmp_path, BAD_COUNTS[case])
+    name = parse_config(path).experiment
+    code = main([name, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_scheme_is_rejected_before_sampling(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("noise sampled before the config was checked")
+
+    monkeypatch.setattr(parafield.experiments, "sample_noise", no_sampling)
+    cfg = parse_config(text=BAD_VALUES["unknown_scheme"],
+                       out=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="unknown scheme"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_config_accepts_every_benchmark_workload(monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, wl in workloads.WORKLOADS.items():
+        cfg = parse_config(text=wl.config_text(0), out="unused")
+        assert cfg.seed == 0, name
 
 
 def test_cli_explosion_exit_one_with_summary(tmp_path, capsys):

@@ -13,6 +13,7 @@ from parafield import (Field, NoiseSpec, cross_resonant, duhamel, enhance,
                        power_law_multiplier, renorm_constant, resolved_eps,
                        sample_noise)
 from parafield.bony import resonant
+from parafield.littlewood_paley import dyadic_blocks
 from parafield.experiments import parse_config, run_experiment
 
 
@@ -39,7 +40,7 @@ def test_coefficient_covariance_normalization(grid16):
     # E|coef(k)|^2 = Chat(k) = 1 for spatial white noise
     spec = NoiseSpec(seed=11)
     M = 400
-    acc = np.zeros((16, 16))
+    acc = np.zeros(grid16.k2.shape)
     for s in range(M):
         xi = sample_noise(spec, grid16, np.array([0.0]), stream_id=s)
         coef = xi[0].spectrum / grid16.N ** 2
@@ -104,7 +105,7 @@ def test_mollify_transforms_each_distinct_slice_once(grid16):
         raw = sample_noise(NoiseSpec(seed=2, temporal=temporal), grid16, TIMES3)
         out = mollify(raw, 0.1)
         for f, r in zip(out.fields, raw.fields):
-            want = Field.from_spectrum(grid16, r.spectrum * m, check=False)
+            want = Field.from_spectrum(grid16, r.spectrum * m)
             assert np.array_equal(f.values, want.values)
             assert np.array_equal(f.spectrum, want.spectrum)
         # white noise is one Field repeated, and stays one Field repeated
@@ -150,6 +151,46 @@ def test_renorm_constant_exp_correlated_against_monte_carlo(grid16):
     for t in (0.0, 0.25):
         one = np.array([t])
         assert renorm_constant(spec, eps, one, grid16)(one) == 0.0
+
+
+def _full_grid_renorm(spec, eps, times, N):
+    """c_eps on the time grid as the old sum over every mode of the fft2
+    grid; sharp blocks partition the modes, so w_res = 1 on all of them."""
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    q = kx ** 2 + ky ** 2
+    keep = (np.abs(kx) <= N // 3) & (np.abs(ky) <= N // 3) & (q > 0)
+    q = q[keep]
+    mult = spec.spatial_multiplier
+    chat = 1.0 if mult is None else mult(np.sqrt(q))
+    weight = chat * np.exp(-2.0 * eps * q)
+    if spec.temporal == "white":
+        return np.array([np.sum(weight * -np.expm1(-t * q) / q)
+                         for t in times])
+    dt = times[1] - times[0]
+    a, E = np.exp(-spec.lam * dt), np.exp(-q * dt)
+    I0 = (1.0 - E) / q
+    I1 = dt / q - I0 / q
+    m, vals = np.zeros_like(q), [0.0]
+    for _ in times[1:]:
+        m = E * a * m + (I0 - I1 / dt) * a + I1 / dt
+        vals.append(np.sum(weight * m))
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("spec", [
+    NoiseSpec(seed=1),
+    NoiseSpec(seed=1, spatial_multiplier=power_law_multiplier(-0.5)),
+    NoiseSpec(seed=1, temporal="exp_correlated", lam=2.0)],
+    ids=["white", "power_law", "exp_correlated"])
+@pytest.mark.parametrize("N", [16, 64])
+def test_renorm_constant_matches_full_grid_sum(spec, N):
+    grid = make_grid(N)
+    assert np.all(dyadic_blocks(grid).resonant_weight[~grid.nyquist] == 1)
+    times = make_times(0.5, 0.0625)
+    got = renorm_constant(spec, 0.01, times, grid)(times)
+    want = _full_grid_renorm(spec, 0.01, times, N)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_renorm_constant_grows_as_eps_shrinks(grid32):

@@ -22,13 +22,42 @@ def test_make_grid_validates_size():
     assert g.N == 8 and g.spacing == pytest.approx(2 * np.pi / 8)
 
 
+def _full_nyquist(N):
+    # Nyquist modes of the full fft2 grid: wavenumber -N/2 on either axis
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    return (k[:, None] == -N // 2) | (k[None, :] == -N // 2)
+
+
 def test_wavenumber_layout(grid16):
-    # mode arrays follow the fft layout: index k holds wavenumber k mod N
+    # axis 0 follows the fft layout (index k holds wavenumber k mod N),
+    # axis 1 the rfft layout (ky = 0 .. N/2)
+    N = grid16.N
     assert grid16.kx[1, 0] == 1
-    assert grid16.kx[grid16.N - 1, 0] == -1
+    assert grid16.kx[N - 1, 0] == -1
+    assert grid16.ky[0, N // 2] == N // 2
     assert grid16.k2[2, 3] == 13
-    assert grid16.nyquist[grid16.N // 2, 0]
+    assert grid16.nyquist[N // 2, 0] and grid16.nyquist[0, N // 2]
+    assert grid16.nyquist.sum() == N + N // 2
     assert grid16.dealias[5, 5] and not grid16.dealias[6, 0]
+
+
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_spectra_are_half_spectra(N, rng):
+    g = make_grid(N)
+    for a in (g.kx, g.ky, g.k2, g.nyquist, g.dealias):
+        assert a.shape == (N, N // 2 + 1)
+    assert random_field(g, rng).spectrum.shape == (N, N // 2 + 1)
+    with pytest.raises(ValueError):
+        Field.from_spectrum(g, np.zeros((N, N), dtype=complex))
+
+
+def test_spectrum_is_half_of_fft2(grid16, rng):
+    v = rng.standard_normal((16, 16))
+    want = np.fft.fft2(v)
+    want[_full_nyquist(16)] = 0.0
+    got = Field.from_values(grid16, v).spectrum
+    assert np.allclose(got, want[:, :16 // 2 + 1], rtol=0, atol=1e-12)
+    assert np.all(got[grid16.nyquist] == 0)
 
 
 def test_field_roundtrip_and_nyquist(grid16, rng):
@@ -36,7 +65,7 @@ def test_field_roundtrip_and_nyquist(grid16, rng):
     f = Field.from_values(grid16, v)
     # Nyquist is projected out, everything else kept
     spec = np.fft.fft2(v)
-    spec[grid16.nyquist] = 0.0
+    spec[_full_nyquist(16)] = 0.0
     assert np.allclose(f.values, np.fft.ifft2(spec).real, atol=1e-12)
     assert np.all(f.spectrum[grid16.nyquist] == 0)
 
@@ -53,17 +82,12 @@ def test_spectrum_convention_single_mode(grid16):
     assert off < 1e-8 * N ** 2
 
 
-def test_inverse_spectrum_rejects_non_hermitian(grid16):
-    spec = np.zeros((16, 16), dtype=complex)
-    spec[1, 0] = 1.0  # conjugate partner missing
-    with pytest.raises(ValueError):
-        Field.from_spectrum(grid16, spec)
-
-
 def test_parseval(grid16, rng):
     f = random_field(grid16, rng)
     lhs = np.sum(f.values ** 2)
-    rhs = np.sum(np.abs(f.spectrum) ** 2) / grid16.N ** 2
+    # each ky > 0 column stands for the modes k and -k
+    twice = np.where(grid16.ky > 0, 2.0, 1.0)
+    rhs = np.sum(twice * np.abs(f.spectrum) ** 2) / grid16.N ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
     assert f.l2() == pytest.approx(np.sqrt(lhs) * grid16.spacing, rel=1e-12)
 
@@ -90,10 +114,11 @@ def test_grid_mismatch_raises(grid16, rng):
 def _exact_product_coefficients(a, b):
     """Alias-free product coefficients via a zero-padded double grid."""
     N = a.grid.N
+    k = np.fft.fftfreq(N, d=1.0 / N).astype(int) % (2 * N)
     out = []
     for f in (a, b):
         spec_big = np.zeros((2 * N, 2 * N), dtype=complex)
-        spec_big[a.grid.kx % (2 * N), a.grid.ky % (2 * N)] = f.spectrum * 4
+        spec_big[k[:, None], k[None, :]] = np.fft.fft2(f.values) * 4
         out.append(np.fft.ifft2(spec_big).real)
     return np.fft.fft2(out[0] * out[1]) / (2 * N) ** 2
 
