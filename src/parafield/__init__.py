@@ -1,7 +1,7 @@
 """Spectral laboratory for renormalized mean-field SPDE dynamics on the torus."""
 
-from .torus import (Field, PathField, TorusGrid, make_grid, make_times,
-                    pointwise_product, read_pfld, write_pfld)
+from .torus import (Field, PathField, TorusGrid, dealiased, make_grid,
+                    make_times, pointwise_product, read_pfld, write_pfld)
 from .littlewood_paley import (DyadicPartition, RegularityParams, besov_norm,
                                dyadic_blocks, lp_project,
                                parabolic_holder_norm)

@@ -80,18 +80,24 @@ class ExperimentConfig:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
 
-    def get_floats(self, section: str, key: str, default=(), cast=float):
+    def get_floats(self, section: str, key: str, default=(), cast=float,
+                   least=0):
+        """A list value; a trend read along it needs ``least`` = 2."""
         sec = self.sections.get(section, {})
         if key not in sec:
             return list(default)
         v = sec[key]
         try:
-            return [cast(x) for x in str(v).replace(",", " ").split()]
+            out = [cast(x) for x in str(v).replace(",", " ").split()]
         except ValueError as e:
             raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
+        if len(out) < least:
+            raise ConfigError(f"[{section}] {key} needs at least {least} "
+                              f"entries, got {len(out)}")
+        return out
 
-    def get_ints(self, section: str, key: str, default=()):
-        return self.get_floats(section, key, default, cast=int)
+    def get_ints(self, section: str, key: str, default=(), least=0):
+        return self.get_floats(section, key, default, cast=int, least=least)
 
     def get_count(self, section: str, key: str, default: int, least=1):
         n = self.get(section, key, default, int)
@@ -258,6 +264,10 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
     mc_samples = cfg.get_count("params", "mc_samples", 512, least=2)
     mc_eps = cfg.get("params", "mc_eps", 0.05, float)
     n2 = cfg.get("params", "n_compare", 128, int)
+    try:
+        grid2 = make_grid(n2)
+    except ValueError as e:
+        raise ConfigError(f"[params] n_compare = {n2}: {e}") from None
 
     rows = []
     for eps in eps_ladder:
@@ -279,7 +289,6 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
     ys = [r["c_analytic"] for r in rows]
     kappa, b, r2 = _fit_line(xs, ys)
 
-    grid2 = make_grid(n2)
     ys2 = [float(renorm_constant(spec, e, times, grid2)(t_eval))
            for e in eps_ladder]
     kappa2, b2, r2_2 = _fit_line(xs, ys2)
@@ -309,9 +318,7 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
     reg = _reg(cfg)
     gamma = 2.0 * reg.alpha - 2.0 - 0.1
     eps_ladder = cfg.get_floats("params", "eps_ladder",
-                                [0.02, 0.01, 0.005, 0.0025])
-    if len(eps_ladder) < 2:
-        raise ConfigError("[params] eps_ladder needs at least two entries")
+                                [0.02, 0.01, 0.005, 0.0025], least=2)
     n_samples = cfg.get_count("params", "n_samples", 32)
 
     diffs = np.zeros((n_samples, len(eps_ladder) - 1))
@@ -447,7 +454,8 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
 def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     grid, _ = _grid_times(cfg, default_T=10.0)
     T = cfg.get("grid", "t", 10.0, float)
-    eps_ladder = cfg.get_floats("params", "eps_ladder", [0.1, 0.05, 0.025])
+    eps_ladder = cfg.get_floats("params", "eps_ladder", [0.1, 0.05, 0.025],
+                                least=2)
     n_seeds = cfg.get_count("params", "n_seeds", 4)
     f_spec = _interaction(cfg, "f") or make_interaction("tanh_bilinear",
                                                         scale=0.4)
@@ -497,7 +505,7 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
 
 def _exp_chaos_additive(cfg: ExperimentConfig):
     grid, times = _grid_times(cfg, default_N=32, default_T=0.25)
-    n_list = cfg.get_ints("ensemble", "n_list", [4, 16, 64])
+    n_list = cfg.get_ints("ensemble", "n_list", [4, 16, 64], least=2)
     K = cfg.get_count("ensemble", "k", 32)
     M_ref = cfg.get_count("ensemble", "m_ref", 256)
     g_spec = _interaction(cfg, "g", "tanh_revert")
@@ -543,7 +551,7 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
 def _exp_chaos_singular(cfg: ExperimentConfig):
     eps = _noise_eps(cfg, 0.05)
     grid, times = _grid_times(cfg, default_N=32, default_T=0.2, eps=eps)
-    n_list = cfg.get_ints("ensemble", "n_list", [8, 32])
+    n_list = cfg.get_ints("ensemble", "n_list", [8, 32], least=2)
     K = cfg.get_count("ensemble", "k", 16)
     M = cfg.get_count("ensemble", "m", 32)
     f_spec = _interaction(cfg, "f", "tanh_bilinear")

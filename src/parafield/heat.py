@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .torus import Field, PathField, TorusGrid
+from .torus import Field, PathField, TorusGrid, make_grid
 
 __all__ = ["semigroup", "duhamel", "etd_step", "etd_weights"]
 
@@ -66,10 +66,22 @@ def duhamel(zeta: PathField) -> PathField:
     return PathField(zeta.times, out, meta=dict(zeta.meta))
 
 
-def etd_step(u: Field, nonlin: Field, dt: float) -> Field:
-    """One exponential-Euler step of du/dt = Laplacian(u) + nonlin."""
+def etd_step(u, nonlin, dt: float):
+    """One exponential-Euler step of du/dt = Laplacian(u) + nonlin.
+
+    Steps a Field with a Field forcing to a Field.  Given half spectra
+    of shape (..., N, N//2 + 1) instead, one field per leading index, it
+    steps the whole stack at once and returns its next half spectrum,
+    Nyquist modes zeroed.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    g = u.grid
+    if isinstance(u, Field):
+        E, I0, _ = etd_weights(u.grid, dt)
+        return Field.from_spectrum(u.grid,
+                                   E * u.spectrum + I0 * nonlin.spectrum)
+    g = make_grid(u.shape[-2])
     E, I0, _ = etd_weights(g, dt)
-    return Field.from_spectrum(g, E * u.spectrum + I0 * nonlin.spectrum)
+    spec = E * u + I0 * nonlin
+    spec[..., g.nyquist] = 0.0
+    return spec

@@ -44,9 +44,15 @@ __all__ = [
 
 @dataclass
 class EmpiricalMeasure:
-    """Uniform-weight ensemble of fields (atoms share one grid)."""
+    """Uniform-weight ensemble of fields (atoms share one grid).
+
+    ``stack`` is the atoms' values stacked to shape (n, N, N), when the
+    caller already holds them so (a solver's own fields); otherwise it
+    is built on the first ``values()`` call.
+    """
 
     atoms: list
+    stack: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.atoms:
@@ -55,7 +61,6 @@ class EmpiricalMeasure:
         for a in self.atoms:
             if a.grid != g:
                 raise ValueError("atoms must share a grid")
-        self._stack = None
         self._means = {}
 
     def __len__(self):
@@ -67,10 +72,10 @@ class EmpiricalMeasure:
 
     def values(self) -> np.ndarray:
         """The atoms stacked to shape (n, N, N), built on the first call."""
-        if self._stack is None:
-            self._stack = np.stack([a.values for a in self.atoms])
-            self._stack.flags.writeable = False
-        return self._stack
+        if self.stack is None:
+            self.stack = np.stack([a.values for a in self.atoms])
+            self.stack.flags.writeable = False
+        return self.stack
 
     def mean(self, fn, kernel=None) -> np.ndarray:
         """The atom average mean_j fn(v_j), built once per (fn, kernel).
@@ -101,7 +106,9 @@ class InteractionSpec:
     is set the interaction is long-range: the measure factor's spectrum
     is multiplied by the kernel's, which needs a product family, m = 1
     and a direct scheme.  ``C0`` marks the vanishing threshold of
-    Assumption-B variants.
+    Assumption-B variants.  ``odd`` marks a pointwise F(a, b) =
+    phi(b - a) with phi odd bit for bit, so that F(a, b) = -F(b, a)
+    exactly (up to the sign of a zero).
     """
 
     name: str
@@ -111,39 +118,74 @@ class InteractionSpec:
     kernel: object = None
     C0: float | None = None
     factors: tuple | None = None
+    odd: bool = False
 
 
-def _average(spec: InteractionSpec, index: int, u: Field,
-             mu: EmpiricalMeasure) -> Field:
+def _self_pair_sum(fn, V: np.ndarray) -> np.ndarray:
+    """sum_j fn(v_i, v_j) for every atom v_i of V, for an odd fn.
+
+    Row i evaluates its terms j >= i only; each term j > i enters row j
+    negated, as fn(v_j, v_i) = -fn(v_i, v_j).  Every row still adds its
+    terms in the order j = 0, 1, ... from +0, as add.reduce over axis 0
+    does, so each sum is bitwise the one of fn(v_i, V); a sum started at
+    +0 does not show the sign of a zero term, where the two differ.
+    """
+    acc = np.zeros_like(V)  # row i: +0 and its terms j < i, in order
+    for i in range(len(V)):
+        P = fn(V[i][None], V[i:])
+        acc[i + 1:] -= P[1:]
+        acc[i] = np.add.reduce(np.concatenate([acc[i][None], P]), axis=0)
+    return acc
+
+
+def _average(spec: InteractionSpec, index: int, u, mu: EmpiricalMeasure):
     """Tuple average of F (index 0) or of dF/d(arg index)."""
+    vals = u.values if isinstance(u, Field) else u
     if spec.factors is None:
         fn = spec.F if index == 0 else spec.partials[index - 1]
-        return Field(u.grid, fn(u.values[None, :, :], mu.values()).mean(axis=0))
-    s, g, dg, h, dh = spec.factors
-    m = spec.m
-    H = mu.mean(h, spec.kernel)
-    if index == 0:
-        return Field(u.grid, s * g(u.values) * H ** m)
-    if index == 1:
-        return Field(u.grid, s * dg(u.values) * H ** m)
-    return Field(u.grid,
-                 s * g(u.values) * mu.mean(dh, spec.kernel) * H ** (m - 1))
+        V = mu.values()
+        if vals.ndim == 2:
+            out = fn(vals[None], V).mean(axis=0)
+        elif spec.odd and index == 0 and vals is V:
+            out = _self_pair_sum(fn, V) / len(V)
+        else:
+            out = np.stack([fn(row[None], V).mean(axis=0) for row in vals])
+    else:
+        s, g, dg, h, dh = spec.factors
+        m = spec.m
+        H = mu.mean(h, spec.kernel)
+        if index == 0:
+            out = s * g(vals) * H ** m
+        elif index == 1:
+            out = s * dg(vals) * H ** m
+        else:
+            out = s * g(vals) * mu.mean(dh, spec.kernel) * H ** (m - 1)
+    return Field(u.grid, out) if isinstance(u, Field) else out
 
 
-def eval_f(spec: InteractionSpec, u: Field, mu: EmpiricalMeasure) -> Field:
-    """Tuple-averaged interaction f(u, mu)."""
+def eval_f(spec: InteractionSpec, u, mu: EmpiricalMeasure):
+    """Tuple-averaged interaction f(u, mu).
+
+    ``u`` is a Field, which gives a Field, or a stack of grid values of
+    shape (n, N, N), which gives the values of f at each field.  When
+    the stack is ``mu.values()`` itself (a running measure), an odd
+    pointwise family evaluates each pair of fields once.
+    """
     return _average(spec, 0, u, mu)
 
 
-def eval_partial(spec: InteractionSpec, index: int, u: Field,
-                 mu: EmpiricalMeasure) -> Field:
-    """Tuple-averaged partial derivative; index 1 is d/d(first argument)."""
+def eval_partial(spec: InteractionSpec, index: int, u,
+                 mu: EmpiricalMeasure):
+    """Tuple-averaged partial derivative; index 1 is d/d(first argument).
+
+    ``u`` is a Field or a stack of grid values, as for ``eval_f``.
+    """
     if not 1 <= index <= spec.m + 1:
         raise ValueError(f"index must be in 1..{spec.m + 1}")
     return _average(spec, index, u, mu)
 
 
-def eval_g(spec_g: InteractionSpec, u: Field, mu: EmpiricalMeasure) -> Field:
+def eval_g(spec_g: InteractionSpec, u, mu: EmpiricalMeasure):
     """The drift g, sharing the evaluation machinery of f."""
     return eval_f(spec_g, u, mu)
 
@@ -333,7 +375,7 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         spec = _product_spec(name, m, products[name])
     else:
         F, dFa, dFb = pointwise[name]
-        spec = InteractionSpec(name, F, (dFa, dFb))
+        spec = InteractionSpec(name, F, (dFa, dFb), odd=True)
     if name in ("cos_bump", "quadratic_cap"):
         spec.C0 = c0
     spec.kernel = kernel

@@ -3,12 +3,13 @@ mean-field equations.
 
 All schemes are exponential-Euler in mild form: the heat part is exact
 per Fourier mode and the nonlinearity enters through the phi_1 weight.
-The direct schemes share one loop, ``_step_fields``, which steps a list
-of fields together against a frozen measure path or against their own
-running measure; only the paracontrolled scheme has a loop of its own.
-An explosion guard monitors the sup norm and raises ExplosionError with
-the earliest crossing time over the fields stepped together instead of
-letting the run NaN out.
+The direct schemes share one loop, ``_step_fields``, which holds its
+fields as one (n, N, N) stack and steps the stack at once, against a
+frozen measure path or against the fields' own running measure; only
+the paracontrolled scheme has a loop of its own.  An explosion guard
+monitors the sup norm and raises ExplosionError with the earliest
+crossing time over the fields stepped together (and, within one step,
+the lowest-index field) instead of letting the run NaN out.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
 from .noise import EnhancedNoise
 from .paracontrolled import Paracontrolled, paralinearize_slice, \
     pc_product_slice
-from .torus import Field, PathField, pointwise_product
+from .torus import Field, PathField, dealiased, pointwise_product
 
 __all__ = [
     "SolveConfig",
@@ -91,28 +92,54 @@ def default_dt(eps: float, N: int) -> float:
     return min(eps / 4.0, 1.0 / N)
 
 
-def _check_guard(u: Field, R: float, t: float):
-    m = u.linf()
-    if m >= R or not np.isfinite(m):
-        raise ExplosionError(t, m, R)
+def _check_guard(values: np.ndarray, R: float, t: float):
+    """Raise ExplosionError for the lowest-index field of ``values``
+    (one field (N, N) or a stack (n, N, N)) whose sup norm reaches R."""
+    m = np.max(np.abs(values), axis=(-2, -1)).reshape(-1)
+    bad = (m >= R) | ~np.isfinite(m)
+    if bad.any():
+        raise ExplosionError(t, float(m[np.argmax(bad)]), R)
 
 
-def _renorm_rhs(f_spec, g_spec, u, mu, xi_slice, c_val):
-    """Forcing f(u, mu) xi - c (f d1f)(u, mu) + g(u, mu) of one step.
+def _dealiased_noise(xs: list, kept: dict):
+    """The dealiased values of the noise slices ``xs``, stacked, and the
+    slice -> values map to pass at the next step.
 
-    Without f the forcing is xi itself (the additive equation).
+    Each distinct slice is transformed once; a slice in ``kept`` (met at
+    the last step, as a time-constant noise is) is not transformed again.
+    """
+    new = [x for x in dict.fromkeys(xs) if x not in kept]
+    if new:
+        kept = {**kept, **dict(zip(new, dealiased(new)))}
+    kept = {x: kept[x] for x in xs}
+    return np.stack([kept[x] for x in xs]), kept
+
+
+def _forcing(f_spec, g_spec, U, mu, xs, xid, c):
+    """Half spectrum of the forcing f(u, mu) xi - c (f d1f)(u, mu)
+    + g(u, mu) of one step, for every field u of the stack U.
+
+    ``xs`` holds each field's noise slice, ``xid`` their dealiased values
+    and ``c`` the counterterms, shape (n, 1, 1).  Without f the forcing
+    is xi + g(u, mu) (the additive equation).
     """
     if f_spec is None:
-        rhs = xi_slice
+        if g_spec is None:
+            return np.stack([x.spectrum for x in xs])
+        rhs = np.stack([x.values for x in xs]) + eval_g(g_spec, U, mu)
     else:
-        fval = eval_f(f_spec, u, mu)
-        rhs = pointwise_product(fval, xi_slice)
-        if c_val != 0.0:
-            dfval = eval_partial(f_spec, 1, u, mu)
-            rhs = rhs - c_val * pointwise_product(fval, dfval, dealias=False)
-    if g_spec is not None:
-        rhs = rhs + eval_g(g_spec, u, mu)
-    return rhs
+        fval = eval_f(f_spec, U, mu)
+        rhs = pointwise_product(dealiased(fval), xid, dealias=False)
+        live = c != 0.0
+        if live.any():
+            ct = c * pointwise_product(fval, eval_partial(f_spec, 1, U, mu),
+                                       dealias=False)
+            rhs = np.where(live, rhs - ct, rhs)
+        if g_spec is not None:
+            rhs = rhs + eval_g(g_spec, U, mu)
+    spec = np.fft.rfft2(rhs)
+    spec[..., mu.grid.nyquist] = 0.0
+    return spec
 
 
 def _step_fields(u0s: list, xis: list, cs: list | None,
@@ -125,20 +152,38 @@ def _step_fields(u0s: list, xis: list, cs: list | None,
     mu_n) + g(u^i_n, mu_n)), or with forcing xi^i_n + g when f_spec is
     None.  mu_n is slice n of the ``frozen`` atoms, or the running
     empirical measure of the fields themselves when ``frozen`` is None.
+    The fields are held as one (n, N, N) value stack with its half
+    spectrum, and each time step is one ``etd_step`` of the whole stack;
+    a Field wraps each row only for the returned paths.
     """
     times = xis[0].times
     dt = float(times[1] - times[0])
+    grid = u0s[0].grid
     R = cfg.guard(max(u.linf() for u in u0s))
+    c = None if cs is None else np.stack(cs)[:, :, None, None]
+    rows = list(u0s)
     paths = [[u] for u in u0s]
-    atoms = paths if frozen is None else frozen
+    U = np.stack([u.values for u in u0s])
+    S = np.stack([u.spectrum for u in u0s])
+    mu, xid, kept = None, None, {}
     for n in range(times.size - 1):
-        mu = EmpiricalMeasure([p[n] for p in atoms])
-        for i, path in enumerate(paths):
-            c = float(cs[i][n]) if cs is not None else 0.0
-            rhs = _renorm_rhs(f_spec, g_spec, path[n], mu, xis[i][n], c)
-            v = etd_step(path[n], rhs, dt)
-            _check_guard(v, R, float(times[n + 1]))
-            path.append(v)
+        if frozen is None:
+            mu = EmpiricalMeasure(rows, stack=U)
+        else:
+            atoms = [p[n] for p in frozen]
+            if mu is None or any(a is not b for a, b in zip(atoms, mu.atoms)):
+                mu = EmpiricalMeasure(atoms)
+        xs = [xi[n] for xi in xis]
+        if f_spec is not None:
+            xid, kept = _dealiased_noise(xs, kept)
+        S = etd_step(S, _forcing(f_spec, g_spec, U, mu, xs, xid,
+                                 None if c is None else c[:, n]), dt)
+        U = np.fft.irfft2(S, s=(grid.N, grid.N))
+        _check_guard(U, R, float(times[n + 1]))
+        U.flags.writeable = S.flags.writeable = False
+        rows = [Field(grid, U[i], S[i]) for i in range(len(rows))]
+        for path, row in zip(paths, rows):
+            path.append(row)
     return [PathField(times, p) for p in paths]
 
 
@@ -230,7 +275,7 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: list,
         mu = EmpiricalMeasure([p[n + 1] for p in frozen])
         u, dz = fix_dz(sharp, en.X[n + 1], mu, u, float(times[n + 1]))
         sharp = u - para(dz, en.X[n + 1])  # exact residual storage
-        _check_guard(u, R, float(times[n + 1]))
+        _check_guard(u.values, R, float(times[n + 1]))
         dzs.append(dz)
         sharps.append(sharp)
     return Paracontrolled(reference=en.X, dz=PathField(times, dzs),

@@ -12,7 +12,8 @@ zeroed everywhere, so every retained mode has its partner -k.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "PathField",
     "make_grid",
     "make_times",
+    "dealiased",
     "pointwise_product",
     "write_pfld",
     "read_pfld",
@@ -43,7 +45,8 @@ class TorusGrid:
     dealias: np.ndarray  # True on modes kept by the 2/3 rule
 
     def __eq__(self, other):
-        return isinstance(other, TorusGrid) and self.N == other.N
+        return other is self or (isinstance(other, TorusGrid)
+                                 and self.N == other.N)
 
     def __hash__(self):
         return hash(("TorusGrid", self.N))
@@ -58,8 +61,10 @@ class TorusGrid:
         return np.meshgrid(x, x, indexing="ij")
 
 
+@lru_cache(maxsize=None)
 def make_grid(N: int) -> TorusGrid:
-    """Build the torus grid.  N must be a power of two, N >= 8."""
+    """The torus grid, built once per size.  N must be a power of two,
+    N >= 8."""
     if N < 8 or N & (N - 1) != 0:
         raise ValueError(f"grid size must be a power of two >= 8, got {N}")
     k = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
@@ -77,17 +82,19 @@ def make_grid(N: int) -> TorusGrid:
 class Field:
     """Immutable real scalar field on a :class:`TorusGrid`.
 
-    The spectrum is cached lazily and kept consistent with the values.
+    The values array is taken as it is, not copied, and marked
+    read-only; a caller that hands in a buffer it still writes to passes
+    a copy.  The spectrum is cached lazily and kept consistent with the
+    values.
     """
 
     __slots__ = ("grid", "values", "_spectrum")
 
     def __init__(self, grid: TorusGrid, values: np.ndarray,
                  spectrum: np.ndarray | None = None):
-        values = np.asarray(values, dtype=np.float64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
         if values.shape != (grid.N, grid.N):
             raise ValueError("values shape does not match grid")
-        values = values.copy()
         values.flags.writeable = False
         self.grid = grid
         self.values = values
@@ -237,15 +244,39 @@ def make_times(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, M + 1)
 
 
-def pointwise_product(a: Field, b: Field, dealias: bool = True) -> Field:
-    """Grid product a*b; the 2/3 rule truncates both inputs first."""
-    _same_grid(a, b)
+def dealiased(x) -> np.ndarray:
+    """Grid values of x with every mode outside the 2/3 rule removed.
+
+    ``x`` is a Field (its own spectrum is truncated), a list of Fields
+    (values of shape (n, N, N)) or a stack of grid values of shape
+    (..., N, N), one field per leading index.
+    """
+    if isinstance(x, Field):
+        g, spec = x.grid, x.spectrum
+    elif isinstance(x, list):
+        g, spec = x[0].grid, np.stack([f.spectrum for f in x])
+    else:
+        g = make_grid(x.shape[-1])
+        spec = np.fft.rfft2(x)
+        spec[..., g.nyquist] = 0.0
+    return np.fft.irfft2(spec * g.dealias, s=(g.N, g.N))
+
+
+def pointwise_product(a, b, dealias: bool = True):
+    """Grid product a*b; the 2/3 rule truncates both inputs first.
+
+    Two Fields give a Field.  Either input may instead be a stack of
+    grid values of shape (..., N, N), multiplied field by field, and
+    then the product is returned as values.
+    """
+    fields = isinstance(a, Field) and isinstance(b, Field)
+    if fields:
+        _same_grid(a, b)
     if dealias:
-        g = a.grid
-        av = np.fft.irfft2(a.spectrum * g.dealias, s=(g.N, g.N))
-        bv = np.fft.irfft2(b.spectrum * g.dealias, s=(g.N, g.N))
-        return Field(g, av * bv)
-    return Field(a.grid, a.values * b.values)
+        out = dealiased(a) * dealiased(b)
+    else:
+        out = getattr(a, "values", a) * getattr(b, "values", b)
+    return Field(a.grid, out) if fields else out
 
 
 def write_pfld(path, data) -> None:

@@ -235,6 +235,36 @@ def test_cli_bad_count_exit_two(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+# a trend needs two list entries, and renorm_constant's comparison grid
+# must be a grid; each is checked before any noise is drawn
+BAD_BEFORE_SAMPLING = {
+    "chaos_additive_one_n": _config("chaos_additive",
+                                    "\n[ensemble]\nn_list = 4\n"),
+    "chaos_singular_one_n": _config("chaos_singular",
+                                    "\n[ensemble]\nn_list = 2\n"),
+    "renorm_dichotomy_one_eps": _config("renorm_dichotomy",
+                                        "\n[params]\neps_ladder = 0.1\n"),
+    "renorm_constant_compare_grid_12": _config(
+        "renorm_constant", "\n[params]\nn_compare = 12\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BEFORE_SAMPLING))
+def test_cli_bad_list_or_compare_grid_exit_two(tmp_path, capsys, monkeypatch,
+                                               case):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("noise sampled before the config was checked")
+
+    for name in ("sample_noise", "mean_field_enhance"):
+        monkeypatch.setattr(parafield.experiments, name, no_sampling)
+    path = _write(tmp_path, BAD_BEFORE_SAMPLING[case])
+    name = parse_config(path).experiment
+    code = main([name, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_scheme_is_rejected_before_sampling(tmp_path, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("noise sampled before the config was checked")

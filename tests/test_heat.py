@@ -49,6 +49,14 @@ def test_etd_step_formula(grid16, rng):
     assert np.max(np.abs(got.values - want)) < 1e-12
     with pytest.raises(ValueError):
         etd_step(u, n, 0.0)
+    # a stack of half spectra steps as one, each row as its own Field
+    us = [u, n, random_field(grid16, rng)]
+    forcing = [n, random_field(grid16, rng), u]
+    spec = etd_step(np.stack([f.spectrum for f in us]),
+                    np.stack([f.spectrum for f in forcing]), dt)
+    for i in range(3):
+        one = etd_step(us[i], forcing[i], dt)
+        assert spec[i].tobytes() == one.spectrum.tobytes()
 
 
 def test_duhamel_closed_form_linear_forcing(grid32):

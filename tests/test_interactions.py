@@ -65,6 +65,54 @@ def test_eval_f_is_atom_average(grid16, rng):
         eval_partial(spec, 3, u, mu)
 
 
+@pytest.mark.parametrize("scale", [0.7, -0.7])
+@pytest.mark.parametrize("name", ["mean_revert", "tanh_revert"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_running_measure_pair_sum_is_bitwise(grid16, rng, n, name, scale):
+    # eval_f on the measure's own stack evaluates each pair once and uses
+    # F(a, b) = -F(b, a); every row must still equal the plain average
+    spec = make_interaction(name, scale=scale)
+    assert spec.odd
+    vals = rng.standard_normal((n, 16, 16))
+    if n > 1:  # ties: the same floats, and zeros of either sign
+        vals[1, :4] = vals[0, :4]
+        vals[0, 5], vals[1, 5] = 0.0, -0.0
+        vals[0, 6], vals[1, 6] = -0.0, -0.0
+    mu = EmpiricalMeasure([Field(grid16, v) for v in vals])
+    V = mu.values()
+    want = np.stack([spec.F(V[i][None], V).mean(axis=0) for i in range(n)])
+    pairs = []
+    F = spec.F
+
+    def counting(a, b):
+        pairs.append(len(b))
+        return F(a, b)
+
+    spec.F = counting
+    got = eval_f(spec, V, mu)
+    assert got.tobytes() == want.tobytes()
+    assert sum(pairs) == n * (n + 1) // 2
+    # a stack that is not the measure's own is averaged row by row
+    got_rows = eval_f(spec, V.copy(), mu)
+    assert got_rows.tobytes() == want.tobytes()
+
+
+def test_eval_on_a_stack_matches_each_field(grid16, rng):
+    atoms = [random_field(grid16, rng) for _ in range(3)]
+    mu = EmpiricalMeasure(atoms)
+    us = [random_field(grid16, rng) for _ in range(4)]
+    U = np.stack([u.values for u in us])
+    for spec in (make_interaction("tanh_bilinear", scale=0.5, m=2),
+                 make_interaction("tanh_revert", scale=0.7)):
+        for index in (0, 1, 2):
+            got = (eval_f(spec, U, mu) if index == 0
+                   else eval_partial(spec, index, U, mu))
+            for i, u in enumerate(us):
+                one = (eval_f(spec, u, mu) if index == 0
+                       else eval_partial(spec, index, u, mu))
+                assert got[i].tobytes() == one.values.tobytes()
+
+
 def test_m2_lift_double_average(grid16, rng):
     spec = make_interaction("bilinear", scale=0.5, m=2)
     assert spec.m == 2

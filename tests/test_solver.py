@@ -1,12 +1,16 @@
 """Time integrators: closed-form reductions, coupling symmetry, guards."""
 
+import math
+
 import numpy as np
 import pytest
 
+import parafield.solver
 from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        FixedPointError, NoiseSpec, PathField, PicardError,
-                       SolveConfig, default_dt, enhance, make_interaction,
-                       make_times, mean_field_enhance, reconstruct,
+                       SolveConfig, default_dt, enhance, etd_step, eval_f,
+                       eval_g, eval_partial, make_interaction, make_times,
+                       mean_field_enhance, pointwise_product, reconstruct,
                        sample_noise, semigroup, solve_additive_frozen,
                        solve_additive_mckean, solve_mean_field,
                        solve_paracontrolled, solve_particle_system,
@@ -88,6 +92,74 @@ def test_singular_tanaka_frozen_replay_is_bitwise(grid16):
             assert np.array_equal(replay[m].values, stacked[i][m].values)
 
 
+def _step_by_hand(u0s, xis, c, f_spec, g_spec, dt):
+    """One exponential-Euler step of each field through the Field API,
+    one field at a time, against the running measure of ``u0s``."""
+    mu = EmpiricalMeasure(list(u0s))
+    out = []
+    for u, xi in zip(u0s, xis):
+        rhs = xi[0]
+        if f_spec is not None:
+            fval = eval_f(f_spec, u, mu)
+            rhs = pointwise_product(fval, xi[0])
+            rhs = rhs - c * pointwise_product(
+                fval, eval_partial(f_spec, 1, u, mu), dealias=False)
+        if g_spec is not None:
+            rhs = rhs + eval_g(g_spec, u, mu)
+        out.append(etd_step(u, rhs, dt))
+    return out
+
+
+@pytest.mark.parametrize("system", ["particle", "additive"])
+def test_one_stacked_step_matches_field_by_field(grid16, system):
+    dt = 1.0 / 32
+    times = make_times(dt, dt)
+    n = 4
+    rng = np.random.default_rng(3)
+    u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(n)]
+    g_spec = make_interaction("tanh_revert", scale=0.7)
+    cfg = SolveConfig()
+    if system == "particle":
+        # c_eps(0) = 0, so the one step gets a constant counterterm
+        c = 0.8
+        mf = [EnhancedNoise(en.xi, lambda t: np.full_like(t, c), en.eps)
+              for en in mean_field_enhance(n, NoiseSpec(seed=4), 0.05,
+                                           grid16, times)]
+        f_spec = make_interaction("tanh_bilinear", scale=0.5)
+        xis = [en.xi for en in mf]
+        got = solve_particle_system(mf, f_spec, g_spec, u0s, cfg)
+    else:
+        c, f_spec = 0.0, None
+        xis = [sample_noise(NoiseSpec(seed=4, temporal="exp_correlated"),
+                            grid16, times, stream_id=i) for i in range(n)]
+        got = solve_additive_mckean(g_spec, xis, u0s, cfg)
+    want = _step_by_hand(u0s, xis, c, f_spec, g_spec, dt)
+    for path, w in zip(got, want):
+        assert path[1].values.tobytes() == w.values.tobytes()
+        assert path[1].spectrum.tobytes() == w.spectrum.tobytes()
+
+
+def test_one_etd_step_call_per_time_step(grid16, monkeypatch):
+    # the benchmark's traced run counts field steps as the leading planes
+    # of etd_step's first argument, summed over its calls
+    planes = []
+
+    def counting(u, nonlin, dt):
+        planes.append(math.prod(np.shape(getattr(u, "values", u))[:-2]))
+        return etd_step(u, nonlin, dt)
+
+    monkeypatch.setattr(parafield.solver, "etd_step", counting)
+    n, times = 3, _times(T=0.125)
+    mf = mean_field_enhance(n, NoiseSpec(seed=5), 0.1, grid16, times)
+    rng = np.random.default_rng(1)
+    u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(n)]
+    solve_particle_system(mf, make_interaction("tanh_bilinear", scale=0.5),
+                          None, u0s, SolveConfig())
+    M = len(times) - 1
+    assert len(planes) == M
+    assert sum(planes) == n * M
+
+
 def test_particle_system_permutation_symmetry(grid16):
     times = _times(T=0.125)
     spec = NoiseSpec(seed=5)
@@ -133,6 +205,27 @@ def test_explosion_guard_raises_with_time(grid16):
                               SolveConfig(max_linf=2.0))
     assert 0.0 < exc.value.time <= 1.0
     assert exc.value.linf >= 2.0
+
+
+@pytest.mark.parametrize("amps,crossing", [((0.5, 1.0, 4.0), 2),
+                                            ((0.5, 4.0, 4.0), 1)])
+def test_stack_explosion_reports_the_crossing_field(grid16, amps, crossing):
+    # independent fields u = (1 - e^{-t}) A cos(x) with R = 2: A = 4
+    # crosses at t = 0.75, smaller amplitudes never; of two fields that
+    # cross at one step the lower index is reported
+    times = make_times(1.0, 1.0 / 16)
+    X, _ = grid16.coords()
+    zetas = [PathField.constant(times, Field.from_values(grid16,
+                                                         a * np.cos(X)))
+             for a in amps]
+    u0s = [Field.zero(grid16)] * len(amps)
+    with pytest.raises(ExplosionError) as exc:
+        solve_additive_mckean(None, zetas, u0s, SolveConfig(max_linf=2.0))
+    alone = solve_additive_mckean(None, [zetas[crossing]], u0s[:1],
+                                  SolveConfig(max_linf=1e9))[0]
+    k = next(k for k in range(len(times)) if alone[k].linf() >= 2.0)
+    assert exc.value.time == times[k] == 0.75
+    assert exc.value.linf == alone[k].linf()
 
 
 def test_picard_error_on_tight_budget(grid16):

@@ -8,7 +8,7 @@ compared mode by mode on the retained band.
 import numpy as np
 import pytest
 
-from parafield import (Field, PathField, make_grid, make_times,
+from parafield import (Field, PathField, dealiased, make_grid, make_times,
                        pointwise_product, read_pfld, write_pfld)
 from conftest import random_field
 
@@ -141,6 +141,35 @@ def test_pointwise_product_no_dealias_is_grid_product(grid16, rng):
     b = random_field(grid16, rng)
     p = pointwise_product(a, b, dealias=False)
     assert np.allclose(p.values, a.values * b.values, atol=1e-14)
+
+
+def test_products_of_a_stack_match_each_field(grid16, rng):
+    # Fields built from values, whose spectra are rfft2 of the values as
+    # a stack's are; a Field built from a spectrum keeps that spectrum
+    a = [Field(grid16, random_field(grid16, rng).values) for _ in range(3)]
+    b = [Field(grid16, random_field(grid16, rng).values) for _ in range(3)]
+    A = np.stack([f.values for f in a])
+    B = np.stack([f.values for f in b])
+    for dealias in (True, False):
+        got = pointwise_product(A, B, dealias=dealias)
+        for i in range(3):
+            one = pointwise_product(a[i], b[i], dealias=dealias)
+            assert got[i].tobytes() == one.values.tobytes()
+    # a list of Fields is truncated through each Field's own spectrum
+    rows = dealiased(a)
+    for i in range(3):
+        assert rows[i].tobytes() == dealiased(a[i]).tobytes()
+
+
+def test_field_keeps_its_array_read_only(grid16):
+    v = np.ones((16, 16))
+    f = Field(grid16, v)
+    assert f.values is v and not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 2.0
+    # a strided view is copied to a contiguous array
+    w = np.arange(256.0).reshape(16, 16).T
+    assert Field(grid16, w).values.flags.c_contiguous
 
 
 def test_make_times():
