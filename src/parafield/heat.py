@@ -77,9 +77,14 @@ def etd_step(u, nonlin, dt: float):
     if dt <= 0:
         raise ValueError("dt must be positive")
     if isinstance(u, Field):
-        E, I0, _ = etd_weights(u.grid, dt)
-        return Field.from_spectrum(u.grid,
-                                   E * u.spectrum + I0 * nonlin.spectrum)
+        return Field.from_spectrum(
+            u.grid, _etd_spectrum(u.spectrum, nonlin.spectrum, dt))
+    return _etd_spectrum(u, nonlin, dt)
+
+
+def _etd_spectrum(u: np.ndarray, nonlin: np.ndarray, dt: float) -> np.ndarray:
+    # the step on half spectra; kept apart from etd_step so that a Field
+    # step is one etd_step call, as a stack step is
     g = make_grid(u.shape[-2])
     E, I0, _ = etd_weights(g, dt)
     spec = E * u + I0 * nonlin

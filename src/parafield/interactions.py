@@ -46,9 +46,9 @@ __all__ = [
 class EmpiricalMeasure:
     """Uniform-weight ensemble of fields (atoms share one grid).
 
-    ``stack`` is the atoms' values stacked to shape (n, N, N), when the
-    caller already holds them so (a solver's own fields); otherwise it
-    is built on the first ``values()`` call.
+    ``stack`` is the atoms' values stacked to shape (n, N, N), read-only,
+    when the caller already holds them so (a solver's own fields);
+    otherwise it is built on the first ``values()`` call.
     """
 
     atoms: list
@@ -61,6 +61,11 @@ class EmpiricalMeasure:
         for a in self.atoms:
             if a.grid != g:
                 raise ValueError("atoms must share a grid")
+        if self.stack is not None:
+            if self.stack.shape != (len(self.atoms), g.N, g.N):
+                raise ValueError("stack shape does not match the atoms")
+            if self.stack.flags.writeable:
+                raise ValueError("stack must be read-only")
         self._means = {}
 
     def __len__(self):
@@ -106,9 +111,9 @@ class InteractionSpec:
     is set the interaction is long-range: the measure factor's spectrum
     is multiplied by the kernel's, which needs a product family, m = 1
     and a direct scheme.  ``C0`` marks the vanishing threshold of
-    Assumption-B variants.  ``odd`` marks a pointwise F(a, b) =
-    phi(b - a) with phi odd bit for bit, so that F(a, b) = -F(b, a)
-    exactly (up to the sign of a zero).
+    Assumption-B variants.  A spec without ``factors`` must have
+    F(a, b) = -F(b, a) bit for bit: a running measure evaluates each
+    pair of its atoms once.
     """
 
     name: str
@@ -118,7 +123,6 @@ class InteractionSpec:
     kernel: object = None
     C0: float | None = None
     factors: tuple | None = None
-    odd: bool = False
 
 
 def _self_pair_sum(fn, V: np.ndarray) -> np.ndarray:
@@ -144,12 +148,12 @@ def _average(spec: InteractionSpec, index: int, u, mu: EmpiricalMeasure):
     if spec.factors is None:
         fn = spec.F if index == 0 else spec.partials[index - 1]
         V = mu.values()
-        if vals.ndim == 2:
-            out = fn(vals[None], V).mean(axis=0)
-        elif spec.odd and index == 0 and vals is V:
+        if index == 0 and vals is V:  # every pointwise F is odd
             out = _self_pair_sum(fn, V) / len(V)
         else:
-            out = np.stack([fn(row[None], V).mean(axis=0) for row in vals])
+            rows = vals[None] if vals.ndim == 2 else vals
+            out = np.stack([fn(row[None], V).mean(axis=0) for row in rows])
+            out = out[0] if vals.ndim == 2 else out
     else:
         s, g, dg, h, dh = spec.factors
         m = spec.m
@@ -168,8 +172,8 @@ def eval_f(spec: InteractionSpec, u, mu: EmpiricalMeasure):
 
     ``u`` is a Field, which gives a Field, or a stack of grid values of
     shape (n, N, N), which gives the values of f at each field.  When
-    the stack is ``mu.values()`` itself (a running measure), an odd
-    pointwise family evaluates each pair of fields once.
+    the stack is ``mu.values()`` itself (a running measure), a pointwise
+    family evaluates each pair of fields once.
     """
     return _average(spec, 0, u, mu)
 
@@ -353,7 +357,10 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         "zero": (0.0, np.ones_like, np.zeros_like, np.ones_like,
                  np.zeros_like),
     }
-    # F(a, b) that does not factor, stored as (F, dF/da, dF/db)
+    # F(a, b) that does not factor, stored as (F, dF/da, dF/db); each F
+    # is phi(b - a) with phi odd bit for bit, so F(a, b) = -F(b, a)
+    # exactly (up to the sign of a zero), which a running measure's pair
+    # sum relies on (_self_pair_sum)
     pointwise = {
         "mean_revert": (lambda a, b: s * (b - a),
                         lambda a, b: np.full_like(a + 0.0 * b, -s),
@@ -375,7 +382,7 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         spec = _product_spec(name, m, products[name])
     else:
         F, dFa, dFb = pointwise[name]
-        spec = InteractionSpec(name, F, (dFa, dFb), odd=True)
+        spec = InteractionSpec(name, F, (dFa, dFb))
     if name in ("cos_bump", "quadratic_cap"):
         spec.C0 = c0
     spec.kernel = kernel

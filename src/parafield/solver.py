@@ -165,6 +165,7 @@ def _step_fields(u0s: list, xis: list, cs: list | None,
     paths = [[u] for u in u0s]
     U = np.stack([u.values for u in u0s])
     S = np.stack([u.spectrum for u in u0s])
+    U.flags.writeable = S.flags.writeable = False
     mu, xid, kept = None, None, {}
     for n in range(times.size - 1):
         if frozen is None:

@@ -72,7 +72,6 @@ def test_running_measure_pair_sum_is_bitwise(grid16, rng, n, name, scale):
     # eval_f on the measure's own stack evaluates each pair once and uses
     # F(a, b) = -F(b, a); every row must still equal the plain average
     spec = make_interaction(name, scale=scale)
-    assert spec.odd
     vals = rng.standard_normal((n, 16, 16))
     if n > 1:  # ties: the same floats, and zeros of either sign
         vals[1, :4] = vals[0, :4]
@@ -288,6 +287,17 @@ def test_measure_stacks_atoms_once(grid16, rng):
     assert mu.values() is vals
     assert np.array_equal(vals, np.stack([a.values for a in atoms]))
     assert not vals.flags.writeable
+
+
+def test_measure_takes_a_matching_read_only_stack(grid16, rng):
+    atoms = [random_field(grid16, rng) for _ in range(3)]
+    stack = np.stack([a.values for a in atoms])
+    with pytest.raises(ValueError, match="read-only"):
+        EmpiricalMeasure(atoms, stack=stack)
+    stack.flags.writeable = False
+    assert EmpiricalMeasure(atoms, stack=stack).values() is stack
+    with pytest.raises(ValueError, match="shape"):
+        EmpiricalMeasure(atoms[:2], stack=stack)
 
 
 def test_measure_mean_calls_its_function_once(grid16, rng):
