@@ -13,12 +13,22 @@ from .torus import Field, PathField, TorusGrid, make_grid
 __all__ = ["semigroup", "duhamel", "etd_step", "etd_weights"]
 
 
-def semigroup(f: Field, t: float) -> Field:
-    """Heat semigroup P_t f, multiplier e^{-t|k|^2}."""
+def semigroup(f, t: float):
+    """Heat semigroup P_t f, multiplier e^{-t|k|^2}.
+
+    Maps a Field to a Field, or half spectra of shape (..., N, N//2 + 1),
+    one field per leading index, to their half spectra, Nyquist modes
+    zeroed.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    g = f.grid
-    return Field.from_spectrum(g, f.spectrum * np.exp(-t * g.k2))
+    if isinstance(f, Field):
+        g = f.grid
+        return Field.from_spectrum(g, f.spectrum * np.exp(-t * g.k2))
+    g = make_grid(f.shape[-2])
+    spec = f * np.exp(-t * g.k2)
+    spec[..., g.nyquist] = 0.0
+    return spec
 
 
 _weights_cache: dict = {}

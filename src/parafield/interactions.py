@@ -10,7 +10,8 @@ average is exactly s g(u) H^m with H = mean_j h(v_j), and a measure
 computes H once for every field evaluated against it, so the cost is
 linear in the number of atoms for any m (Bossy-Talay).  The two
 pointwise families, mean_revert and tanh_revert, do not factor; they
-take m = 1 and are averaged atom by atom.
+take m = 1, are stored as an odd profile phi with F(a, b) = phi(b - a)
+and are averaged atom by atom.
 
 A long-range interaction averages the measure argument against a
 kernel k(z - z') over the torus, which turns H into k * H: one
@@ -111,9 +112,11 @@ class InteractionSpec:
     is set the interaction is long-range: the measure factor's spectrum
     is multiplied by the kernel's, which needs a product family, m = 1
     and a direct scheme.  ``C0`` marks the vanishing threshold of
-    Assumption-B variants.  A spec without ``factors`` must have
-    F(a, b) = -F(b, a) bit for bit: a running measure evaluates each
-    pair of its atoms once.
+    Assumption-B variants.  A spec without ``factors`` is a pointwise
+    family with m = 1 and carries ``phi``, an odd profile (phi(-d) =
+    -phi(d) bit for bit, called as phi(d, out=...)) with F(a, b) =
+    phi(b - a); F and its partials are derived from it, and a running
+    measure sums phi over each pair of its atoms once.
     """
 
     name: str
@@ -123,22 +126,29 @@ class InteractionSpec:
     kernel: object = None
     C0: float | None = None
     factors: tuple | None = None
+    phi: object = None
 
 
-def _self_pair_sum(fn, V: np.ndarray) -> np.ndarray:
-    """sum_j fn(v_i, v_j) for every atom v_i of V, for an odd fn.
+def _self_pair_sum(phi, V: np.ndarray) -> np.ndarray:
+    """sum_j phi(v_j - v_i) for every atom v_i of V, for an odd phi.
 
     Row i evaluates its terms j >= i only; each term j > i enters row j
-    negated, as fn(v_j, v_i) = -fn(v_i, v_j).  Every row still adds its
-    terms in the order j = 0, 1, ... from +0, as add.reduce over axis 0
-    does, so each sum is bitwise the one of fn(v_i, V); a sum started at
-    +0 does not show the sign of a zero term, where the two differ.
+    negated, as phi(v_i - v_j) = -phi(v_j - v_i).  Every row still adds
+    its terms in the order j = 0, 1, ... from +0, as add.reduce over
+    axis 0 does, so each sum is bitwise the one of phi(V - v_i); a sum
+    started at +0 does not show the sign of a zero term, where the two
+    differ.  One (n + 1, N, N) buffer holds a row's partial sum and its
+    new terms, so no step allocates.
     """
+    n = len(V)
     acc = np.zeros_like(V)  # row i: +0 and its terms j < i, in order
-    for i in range(len(V)):
-        P = fn(V[i][None], V[i:])
+    buf = np.empty((n + 1,) + V.shape[1:])
+    for i in range(n):
+        P = buf[1:n - i + 1]
+        phi(np.subtract(V[i:], V[i], out=P), out=P)
         acc[i + 1:] -= P[1:]
-        acc[i] = np.add.reduce(np.concatenate([acc[i][None], P]), axis=0)
+        buf[0] = acc[i]
+        np.add.reduce(buf[:n - i + 1], axis=0, out=acc[i])
     return acc
 
 
@@ -148,8 +158,8 @@ def _average(spec: InteractionSpec, index: int, u, mu: EmpiricalMeasure):
     if spec.factors is None:
         fn = spec.F if index == 0 else spec.partials[index - 1]
         V = mu.values()
-        if index == 0 and vals is V:  # every pointwise F is odd
-            out = _self_pair_sum(fn, V) / len(V)
+        if index == 0 and vals is V:
+            out = _self_pair_sum(spec.phi, V) / len(V)
         else:
             rows = vals[None] if vals.ndim == 2 else vals
             out = np.stack([fn(row[None], V).mean(axis=0) for row in rows])
@@ -357,17 +367,15 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         "zero": (0.0, np.ones_like, np.zeros_like, np.ones_like,
                  np.zeros_like),
     }
-    # F(a, b) that does not factor, stored as (F, dF/da, dF/db); each F
-    # is phi(b - a) with phi odd bit for bit, so F(a, b) = -F(b, a)
-    # exactly (up to the sign of a zero), which a running measure's pair
-    # sum relies on (_self_pair_sum)
+    # F(a, b) = phi(b - a) that does not factor, stored as (phi, phi');
+    # each phi is odd bit for bit, which a running measure's pair sum
+    # relies on (_self_pair_sum)
     pointwise = {
-        "mean_revert": (lambda a, b: s * (b - a),
-                        lambda a, b: np.full_like(a + 0.0 * b, -s),
-                        lambda a, b: np.full_like(a + 0.0 * b, s)),
-        "tanh_revert": (lambda a, b: s * np.tanh(b - a),
-                        lambda a, b: -s / np.cosh(b - a) ** 2,
-                        lambda a, b: s / np.cosh(b - a) ** 2),
+        "mean_revert": (lambda d, out=None: np.multiply(s, d, out=out),
+                        lambda d: np.full_like(d, s)),
+        "tanh_revert": (lambda d, out=None: np.multiply(
+                            s, np.tanh(d, out=out), out=out),
+                        lambda d: s / np.cosh(d) ** 2),
     }
 
     if name not in products and name not in pointwise:
@@ -380,9 +388,11 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         raise ValueError(f"{name} only supports m = 1")
     if name in products:
         spec = _product_spec(name, m, products[name])
-    else:
-        F, dFa, dFb = pointwise[name]
-        spec = InteractionSpec(name, F, (dFa, dFb))
+    else:  # dF/da = -phi'(b - a), dF/db = phi'(b - a)
+        phi, dphi = pointwise[name]
+        spec = InteractionSpec(name, lambda a, b: phi(b - a),
+                               (lambda a, b: -dphi(b - a),
+                                lambda a, b: dphi(b - a)), phi=phi)
     if name in ("cos_bump", "quadratic_cap"):
         spec.C0 = c0
     spec.kernel = kernel

@@ -8,12 +8,18 @@ noise) and c the temporal correlation.  The zero mode is always zero
 
 Sampling is keyed by (seed, stream_id) through a counter-based Philox
 generator: identical configurations give identical bits.
+``sample_noise`` draws one stream or a sequence of them; each stream
+draws from its own key, and the drawn planes of all of them are
+transformed as one stack, so a stream has the same bits whether it is
+drawn alone or with others.  ``mollify`` likewise takes one path or a
+list and transforms their distinct slices as one stack.
 
 Enhancement is lazy: ``enhance`` mollifies the noise and fixes c_eps,
 and the reference X and the renormalized product xi2 are built on
 first read, so a scheme that reads only xi and c_eps never builds them.
-``mean_field_enhance`` returns a list of independently enhanced
-streams; the cross term between two of them is ``cross_resonant``.
+``mean_field_enhance`` draws and mollifies n streams as one stack and
+returns them as a list of enhanced streams; the cross term between two
+of them is ``cross_resonant``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from .bony import resonant
 from .heat import duhamel
 from .littlewood_paley import dyadic_blocks
-from .torus import Field, PathField, TorusGrid
+from .torus import Field, PathField, TorusGrid, _checked_times, spectra
 
 __all__ = [
     "NoiseSpec",
@@ -109,59 +115,65 @@ def _rng(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def sample_noise(spec: NoiseSpec, grid: TorusGrid, times: np.ndarray,
-                 stream_id: int = 0) -> PathField:
-    """Draw one noise path on the given grid and time grid.
+                 stream_id=0) -> PathField | list[PathField]:
+    """Draw one noise path, or one per id of a sequence of stream ids.
 
     Time-independent noise reuses a single spatial draw at all times;
     the exp-correlated class evolves every mode by a stationary AR(1)
-    update that matches exp(-lam |t-s|) exactly on the time grid.
+    update that matches exp(-lam |t-s|) exactly on the time grid.  Each
+    stream draws from its own Philox key, in the same order however many
+    streams are drawn together; the drawn planes of all streams are
+    transformed as one stack.
     """
-    times = np.asarray(times, dtype=np.float64)
-    rng = _rng(spec.seed, stream_id)
-    amp = grid.N * np.sqrt(spec.chat(grid))
-
-    def to_field(w: np.ndarray) -> Field:
-        return Field.from_spectrum(grid, amp * np.fft.rfft2(w))
-
-    fields: list[Field]
-    if spec.temporal == TIME_INDEPENDENT:
-        f = to_field(rng.standard_normal((grid.N, grid.N)))
-        fields = [f] * times.size
-    else:
-        dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+    ids = [stream_id] if np.ndim(stream_id) == 0 else list(stream_id)
+    times = _checked_times(times)
+    N = grid.N
+    planes = 1 if spec.temporal == TIME_INDEPENDENT else times.size
+    W = np.stack([_rng(spec.seed, s).standard_normal((planes, N, N))
+                  for s in ids])
+    if planes > 1:
+        dt = float(times[1] - times[0])
         a = np.exp(-spec.lam * dt)
-        w = rng.standard_normal((grid.N, grid.N))
-        fields = [to_field(w)]
-        for _ in range(times.size - 1):
-            w = a * w + np.sqrt(1.0 - a * a) * rng.standard_normal((grid.N, grid.N))
-            fields.append(to_field(w))
-    return PathField(times, fields,
-                     meta={"spec": spec, "stream_id": stream_id, "eps": 0.0})
+        for t in range(1, planes):
+            W[:, t] = a * W[:, t - 1] + np.sqrt(1.0 - a * a) * W[:, t]
+    S = N * np.sqrt(spec.chat(grid)) * np.fft.rfft2(W)
+    S[..., grid.nyquist] = 0.0
+    V = np.fft.irfft2(S, s=(N, N))
+    S.flags.writeable = V.flags.writeable = False
+    paths = []
+    for s, vs, ss in zip(ids, V, S):
+        fields = [Field(grid, v, sp) for v, sp in zip(vs, ss)]
+        if planes == 1:  # one draw for every time
+            fields = fields * times.size
+        paths.append(PathField(times, fields, meta={"spec": spec,
+                                                    "stream_id": s,
+                                                    "eps": 0.0}))
+    return paths[0] if np.ndim(stream_id) == 0 else paths
 
 
-def mollify(xi: PathField, eps: float) -> PathField:
+def mollify(xi, eps: float) -> PathField | list[PathField]:
     """Heat-kernel mollifier at scale eps: multiplier e^{-eps |k|^2}.
 
-    Each distinct slice object is transformed once, so a time-independent
+    ``xi`` is a PathField or a list of them.  The distinct slice objects
+    of all the paths are transformed as one stack, so a time-independent
     path (one Field repeated) stays one Field repeated.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0:
         return xi
-    g = xi.grid
-    m = np.exp(-eps * g.k2)
-    done: dict = {}  # id -> mollified slice; xi keeps every key alive
-
-    def damp(f: Field) -> Field:
-        if id(f) not in done:
-            done[id(f)] = Field.from_spectrum(g, f.spectrum * m)
-        return done[id(f)]
-
-    out = xi.map(damp)
-    out.meta.update(xi.meta)
-    out.meta["eps"] = xi.meta.get("eps", 0.0) + eps
-    return out
+    paths = [xi] if isinstance(xi, PathField) else xi
+    g = paths[0].grid
+    slices = list(dict.fromkeys(f for p in paths for f in p.fields))
+    S = spectra(slices) * np.exp(-eps * g.k2)
+    S[..., g.nyquist] = 0.0
+    V = np.fft.irfft2(S, s=(g.N, g.N))
+    S.flags.writeable = V.flags.writeable = False
+    done = {f: Field(g, v, sp) for f, v, sp in zip(slices, V, S)}
+    out = [PathField(p.times, [done[f] for f in p.fields],
+                     meta={**p.meta, "eps": p.meta.get("eps", 0.0) + eps})
+           for p in paths]
+    return out[0] if isinstance(xi, PathField) else out
 
 
 def resolved_eps(grid: TorusGrid, eps: float) -> bool:
@@ -286,17 +298,15 @@ def mean_field_enhance(n: int, spec: NoiseSpec, eps: float, grid: TorusGrid,
                        master_seed: int | None = None) -> list[EnhancedNoise]:
     """Sample n independent streams and enhance each one.
 
-    Stream i has stream id i.  The cross terms xi^i (.) X^j between two
-    streams come from ``cross_resonant``.
+    Stream i has stream id i.  The n streams are drawn and mollified as
+    one stack and share one c_eps, a function of (spec, eps, times, grid)
+    alone.  The cross terms xi^i (.) X^j between two streams come from
+    ``cross_resonant``.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     seed = spec.seed if master_seed is None else master_seed
     base = replace(spec, seed=seed)
-    noises = []
-    for i in range(n):
-        xi_raw = sample_noise(base, grid, times, stream_id=i)
-        # c_eps is a function of (base, eps, times, grid) alone
-        c_eps = noises[0].c_eps if noises else None
-        noises.append(enhance(xi_raw, eps, c_eps=c_eps))
-    return noises
+    xis = mollify(sample_noise(base, grid, times, stream_id=range(n)), eps)
+    c_eps = renorm_constant(base, eps, xis[0].times, grid)
+    return [EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps) for xi in xis]

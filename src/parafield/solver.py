@@ -25,7 +25,7 @@ from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
 from .noise import EnhancedNoise
 from .paracontrolled import Paracontrolled, paralinearize_slice, \
     pc_product_slice
-from .torus import Field, PathField, dealiased, pointwise_product
+from .torus import Field, PathField, dealiased, pointwise_product, spectra
 
 __all__ = [
     "SolveConfig",
@@ -164,7 +164,7 @@ def _step_fields(u0s: list, xis: list, cs: list | None,
     rows = list(u0s)
     paths = [[u] for u in u0s]
     U = np.stack([u.values for u in u0s])
-    S = np.stack([u.spectrum for u in u0s])
+    S = spectra(u0s)
     U.flags.writeable = S.flags.writeable = False
     mu, xid, kept = None, None, {}
     for n in range(times.size - 1):
@@ -320,7 +320,10 @@ def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
     residuals = []
     for it in range(cfg.picard_max_iters):
         new = _step_fields([u0] * M, xis, cs, f_spec, g_spec, ensemble, cfg)
-        res = max((new[i] - ensemble[i]).sup_linf() for i in range(M))
+        res = max(float(np.max(np.abs(
+            np.stack([p[n].values for p in new])
+            - np.stack([p[n].values for p in ensemble]))))
+            for n in range(times.size))
         residuals.append(res)
         ensemble = new
         if res < cfg.picard_tol:

@@ -12,6 +12,7 @@ zeroed everywhere, so every retained mode has its partner -k.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ __all__ = [
     "PathField",
     "make_grid",
     "make_times",
+    "spectra",
     "dealiased",
     "pointwise_product",
     "write_pfld",
@@ -168,19 +170,41 @@ def _same_grid(a, b):
         raise ValueError("grid mismatch")
 
 
+# the last time grids found valid, as (the object given, its read-only
+# copy): a path built on either again is not checked again, unless the
+# given object no longer holds the values of the copy
+_CHECKED_TIMES: deque = deque(maxlen=8)
+
+
+def _checked_times(times) -> np.ndarray:
+    """``times`` as a checked read-only float array: strictly increasing
+    with a constant step."""
+    for given, copy in _CHECKED_TIMES:
+        if times is copy or (times is given and np.array_equal(given, copy)):
+            return copy
+    copy = np.array(times, dtype=np.float64)
+    if copy.size >= 2:
+        dt = np.diff(copy)
+        if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-14):
+            raise ValueError("times must be strictly increasing with constant step")
+    copy.flags.writeable = False
+    _CHECKED_TIMES.append((times, copy))
+    return copy
+
+
 class PathField:
-    """A time-indexed path of fields on a common grid and uniform times."""
+    """A time-indexed path of fields on a common grid and uniform times.
+
+    ``times`` is held as a read-only copy; a time array given again, or
+    the copy of one, is not checked again.
+    """
 
     __slots__ = ("times", "fields", "meta")
 
     def __init__(self, times: np.ndarray, fields: list, meta: dict | None = None):
-        times = np.asarray(times, dtype=np.float64)
+        times = _checked_times(times)
         if len(fields) != times.size:
             raise ValueError("times/fields length mismatch")
-        if times.size >= 2:
-            dt = np.diff(times)
-            if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-14):
-                raise ValueError("times must be strictly increasing with constant step")
         g = fields[0].grid
         for f in fields:
             if f.grid != g:
@@ -244,6 +268,22 @@ def make_times(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, M + 1)
 
 
+def spectra(fields: list) -> np.ndarray:
+    """The half spectra of a list of Fields, stacked to (n, N, N//2 + 1).
+
+    The spectra no field has cached yet are computed by one ``rfft2``
+    over the stack of their values, and cached.
+    """
+    missing = [f for f in dict.fromkeys(fields) if f._spectrum is None]
+    if missing:
+        S = np.fft.rfft2(np.stack([f.values for f in missing]))
+        S[..., missing[0].grid.nyquist] = 0.0
+        S.flags.writeable = False
+        for f, s in zip(missing, S):
+            f._spectrum = s
+    return np.stack([f.spectrum for f in fields])
+
+
 def dealiased(x) -> np.ndarray:
     """Grid values of x with every mode outside the 2/3 rule removed.
 
@@ -254,7 +294,7 @@ def dealiased(x) -> np.ndarray:
     if isinstance(x, Field):
         g, spec = x.grid, x.spectrum
     elif isinstance(x, list):
-        g, spec = x[0].grid, np.stack([f.spectrum for f in x])
+        g, spec = x[0].grid, spectra(x)
     else:
         g = make_grid(x.shape[-1])
         spec = np.fft.rfft2(x)

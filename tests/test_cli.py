@@ -244,6 +244,10 @@ BAD_BEFORE_SAMPLING = {
                                     "\n[ensemble]\nn_list = 2\n"),
     "renorm_dichotomy_one_eps": _config("renorm_dichotomy",
                                         "\n[params]\neps_ladder = 0.1\n"),
+    "renorm_constant_one_eps": _config("renorm_constant",
+                                       "\n[params]\neps_ladder = 0.1\n"),
+    "cross_variance_one_eps": _config("cross_variance",
+                                      "\n[params]\neps_pair = 0.1\n"),
     "renorm_constant_compare_grid_12": _config(
         "renorm_constant", "\n[params]\nn_compare = 12\n"),
 }

@@ -18,6 +18,13 @@ def test_semigroup_single_mode(grid32):
         semigroup(f, -0.1)
 
 
+def test_semigroup_of_a_stack_matches_each_field(grid32, rng):
+    fs = [random_field(grid32, rng) for _ in range(3)]
+    got = semigroup(np.stack([f.spectrum for f in fs]), 0.2)
+    for g, f in zip(got, fs):
+        assert g.tobytes() == semigroup(f, 0.2).spectrum.tobytes()
+
+
 def test_semigroup_composition(grid32, rng):
     f = random_field(grid32, rng)
     a = semigroup(semigroup(f, 0.07), 0.05)

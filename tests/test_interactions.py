@@ -69,8 +69,9 @@ def test_eval_f_is_atom_average(grid16, rng):
 @pytest.mark.parametrize("name", ["mean_revert", "tanh_revert"])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_running_measure_pair_sum_is_bitwise(grid16, rng, n, name, scale):
-    # eval_f on the measure's own stack evaluates each pair once and uses
-    # F(a, b) = -F(b, a); every row must still equal the plain average
+    # eval_f on the measure's own stack evaluates phi(b - a) on each pair
+    # once and uses phi(-d) = -phi(d); every row must still equal the
+    # plain average of F
     spec = make_interaction(name, scale=scale)
     vals = rng.standard_normal((n, 16, 16))
     if n > 1:  # ties: the same floats, and zeros of either sign
@@ -81,13 +82,13 @@ def test_running_measure_pair_sum_is_bitwise(grid16, rng, n, name, scale):
     V = mu.values()
     want = np.stack([spec.F(V[i][None], V).mean(axis=0) for i in range(n)])
     pairs = []
-    F = spec.F
+    phi = spec.phi
 
-    def counting(a, b):
-        pairs.append(len(b))
-        return F(a, b)
+    def counting(d, out=None):
+        pairs.append(len(d))
+        return phi(d, out=out)
 
-    spec.F = counting
+    spec.phi = counting
     got = eval_f(spec, V, mu)
     assert got.tobytes() == want.tobytes()
     assert sum(pairs) == n * (n + 1) // 2

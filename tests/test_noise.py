@@ -319,3 +319,66 @@ def test_mean_field_enhance_streams(grid16):
     mf2 = mean_field_enhance(3, NoiseSpec(seed=77), 0.1, grid16, TIMES3,
                              master_seed=9)
     assert np.array_equal(mf[2].xi[0].values, mf2[2].xi[0].values)
+
+
+@pytest.mark.parametrize("temporal", ["white", "exp_correlated"])
+@pytest.mark.parametrize("N", [16, 64])
+def test_sampling_a_stack_of_streams_is_bitwise_per_stream(temporal, N):
+    grid = make_grid(N)
+    spec = NoiseSpec(seed=5, temporal=temporal, lam=2.0)
+    ids = [3, 4, 500_000]
+    stack = sample_noise(spec, grid, TIMES3, stream_id=ids)
+    assert len(stack) == len(ids)
+    for s, path in zip(ids, stack):
+        one = sample_noise(spec, grid, TIMES3, stream_id=s)
+        assert path.meta["stream_id"] == s
+        for a, b in zip(path.fields, one.fields):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.spectrum.tobytes() == b.spectrum.tobytes()
+    # the first slice is the stream's own Philox draw, transformed alone
+    w = np.random.Generator(np.random.Philox(
+        key=np.array([5, 3], dtype=np.uint64))).standard_normal((N, N))
+    want = Field.from_spectrum(grid, N * np.sqrt(spec.chat(grid))
+                               * np.fft.rfft2(w))
+    assert stack[0][0].values.tobytes() == want.values.tobytes()
+
+
+def test_mean_field_enhance_is_bitwise_per_stream_enhancement(grid16):
+    times = make_times(0.5, 0.125)
+    for temporal in ("white", "exp_correlated"):
+        spec = NoiseSpec(seed=6, temporal=temporal)
+        mf = mean_field_enhance(4, spec, 0.1, grid16, times)
+        for i, en in enumerate(mf):
+            one = enhance(sample_noise(spec, grid16, times, stream_id=i), 0.1)
+            for a, b in zip(en.xi.fields, one.xi.fields):
+                assert a.values.tobytes() == b.values.tobytes()
+                assert a.spectrum.tobytes() == b.spectrum.tobytes()
+            assert (en.c_eps(times).tobytes()
+                    == one.c_eps(times).tobytes())
+            assert en.xi.meta["eps"] == 0.1 and en.xi.meta["stream_id"] == i
+        # a time-independent path stays one Field repeated
+        assert (mf[0].xi[0] is mf[0].xi[-1]) == (temporal == "white")
+
+
+def test_stream_count_does_not_change_the_transform_count(grid16,
+                                                           monkeypatch):
+    calls = []
+    for name in ("rfft2", "irfft2"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = []
+    for n in (1, 8):
+        for temporal in ("white", "exp_correlated"):
+            spec = NoiseSpec(seed=3, temporal=temporal)
+            calls.clear()
+            sample_noise(spec, grid16, TIMES3, stream_id=range(n))
+            mean_field_enhance(n, spec, 0.1, grid16, TIMES3)
+            counts.append((temporal, len(calls)))
+    assert counts[:2] == counts[2:]
+    # two samplings of an rfft2 and an irfft2 each, one mollifying irfft2
+    assert counts[0][1] == 5

@@ -10,6 +10,7 @@ import pytest
 
 from parafield import (Field, PathField, dealiased, make_grid, make_times,
                        pointwise_product, read_pfld, write_pfld)
+from parafield.torus import spectra
 from conftest import random_field
 
 
@@ -217,3 +218,41 @@ def test_pfld_rejects_bad_magic(tmp_path):
     bad.write_bytes(b"NOPE" + b"\0" * 16)
     with pytest.raises(ValueError):
         read_pfld(bad)
+
+
+def test_a_time_grid_is_checked_once(grid16, monkeypatch):
+    checks = []
+    allclose = np.allclose
+
+    def counting(*args, **kwargs):
+        checks.append(1)
+        return allclose(*args, **kwargs)
+
+    monkeypatch.setattr(np, "allclose", counting)
+    times = make_times(0.5, 0.125)
+    p = PathField(times, [Field.zero(grid16)] * len(times))
+    assert not p.times.flags.writeable and p.times is not times
+    for _ in range(3):
+        p = p.map(lambda f: 2.0 * f) + PathField(times, p.fields)
+    assert len(checks) == 1
+    # every new array is checked, and a bad grid still raises, also when
+    # an array already checked is changed in place
+    PathField(times.copy(), p.fields)
+    assert len(checks) == 2
+    with pytest.raises(ValueError, match="constant step"):
+        PathField(np.array([0.0, 0.1, 0.3, 0.4, 0.5]), p.fields)
+    times[2] = 0.3
+    with pytest.raises(ValueError, match="constant step"):
+        PathField(times, p.fields)
+
+
+def test_stacked_spectra_match_each_field(grid16, rng):
+    fs = [Field(grid16, rng.standard_normal((16, 16))) for _ in range(3)]
+    want = [Field(grid16, f.values.copy()).spectrum for f in fs]
+    cached = fs[1].spectrum
+    got = spectra([fs[0], fs[1], fs[2], fs[0]])
+    assert got.shape == (4, 16, 9)
+    for g, w in zip(got, want + want[:1]):
+        assert g.tobytes() == w.tobytes()
+    assert fs[1].spectrum is cached
+    assert fs[0].spectrum.tobytes() == want[0].tobytes()
