@@ -33,7 +33,8 @@ from .solver import (ExplosionError, FixedPointError, PicardError,
                      SolveConfig, default_dt, solve_additive_mckean,
                      solve_mean_field, solve_paracontrolled,
                      solve_particle_system, solve_renormalized)
-from .torus import Field, PathField, make_grid, make_times, write_pfld
+from .torus import Field, PathField, from_spectra, make_grid, make_times, \
+    spectra, write_pfld
 
 __all__ = ["ExperimentConfig", "run_experiment", "parse_config",
            "EXPERIMENTS", "ConfigError"]
@@ -522,11 +523,9 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
         # draw run through the heat flow for time 0.5, scaled to sup norm
         # 0.5), all drawn and transformed as one stack
         noises = sample_noise(spec, grid, times, stream_id=sids)
-        S = np.fft.rfft2(np.stack([white(s) for s in sids]))
-        S[..., grid.nyquist] = 0.0
-        V = np.fft.irfft2(semigroup(S, 0.5), s=(grid.N, grid.N))
-        linf = np.maximum(np.max(np.abs(V), axis=(1, 2)), 1e-12)
-        u0s = [Field(grid, v * (0.5 / m)) for v, m in zip(V, linf)]
+        S = semigroup(spectra([Field(grid, white(s)) for s in sids]), 0.5)
+        u0s = [f * (0.5 / max(f.linf(), 1e-12))
+               for f in from_spectra(grid, S)[1]]
         return [p[-1] for p in solve_additive_mckean(g_spec, noises, u0s, scfg)]
 
     # reference: one big additive run (Tanaka reading of the mean field)

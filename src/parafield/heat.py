@@ -23,12 +23,16 @@ def semigroup(f, t: float):
     if t < 0:
         raise ValueError("t must be nonnegative")
     if isinstance(f, Field):
-        g = f.grid
-        return Field.from_spectrum(g, f.spectrum * np.exp(-t * g.k2))
-    g = make_grid(f.shape[-2])
-    spec = f * np.exp(-t * g.k2)
-    spec[..., g.nyquist] = 0.0
-    return spec
+        return Field.from_spectrum(f.grid, _semigroup_spectrum(f.spectrum, t))
+    return _semigroup_spectrum(f, t)
+
+
+def _semigroup_spectrum(spec: np.ndarray, t: float) -> np.ndarray:
+    # the semigroup on half spectra: one body for a Field and a stack
+    g = make_grid(spec.shape[-2])
+    out = spec * np.exp(-t * g.k2)
+    out[..., g.nyquist] = 0.0
+    return out
 
 
 _weights_cache: dict = {}

@@ -17,9 +17,9 @@ list and transforms their distinct slices as one stack.
 Enhancement is lazy: ``enhance`` mollifies the noise and fixes c_eps,
 and the reference X and the renormalized product xi2 are built on
 first read, so a scheme that reads only xi and c_eps never builds them.
-``mean_field_enhance`` draws and mollifies n streams as one stack and
-returns them as a list of enhanced streams; the cross term between two
-of them is ``cross_resonant``.
+``enhance`` also takes a list of paths and mollifies them as one stack;
+``mean_field_enhance`` draws and enhances n streams that way.  The cross
+term between two streams is ``cross_resonant``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 from .bony import resonant
 from .heat import duhamel
 from .littlewood_paley import dyadic_blocks
-from .torus import Field, PathField, TorusGrid, _checked_times, spectra
+from .torus import PathField, TorusGrid, _checked_times, from_spectra, \
+    spectra
 
 __all__ = [
     "NoiseSpec",
@@ -129,25 +130,26 @@ def sample_noise(spec: NoiseSpec, grid: TorusGrid, times: np.ndarray,
     times = _checked_times(times)
     N = grid.N
     planes = 1 if spec.temporal == TIME_INDEPENDENT else times.size
-    W = np.stack([_rng(spec.seed, s).standard_normal((planes, N, N))
-                  for s in ids])
+    W = np.empty((len(ids), planes, N, N))
+    for i, s in enumerate(ids):
+        _rng(spec.seed, s).standard_normal(out=W[i])
     if planes > 1:
         dt = float(times[1] - times[0])
         a = np.exp(-spec.lam * dt)
         for t in range(1, planes):
             W[:, t] = a * W[:, t - 1] + np.sqrt(1.0 - a * a) * W[:, t]
-    S = N * np.sqrt(spec.chat(grid)) * np.fft.rfft2(W)
-    S[..., grid.nyquist] = 0.0
-    V = np.fft.irfft2(S, s=(N, N))
-    S.flags.writeable = V.flags.writeable = False
+    S = np.fft.rfft2(W)
+    del W  # the real draws are not needed next to the spectra
+    S *= N * np.sqrt(spec.chat(grid))
+    _, fields = from_spectra(grid, S.reshape(-1, N, N // 2 + 1))
     paths = []
-    for s, vs, ss in zip(ids, V, S):
-        fields = [Field(grid, v, sp) for v, sp in zip(vs, ss)]
+    for i, s in enumerate(ids):
+        row = fields[i * planes:(i + 1) * planes]
         if planes == 1:  # one draw for every time
-            fields = fields * times.size
-        paths.append(PathField(times, fields, meta={"spec": spec,
-                                                    "stream_id": s,
-                                                    "eps": 0.0}))
+            row = row * times.size
+        paths.append(PathField(times, row, meta={"spec": spec,
+                                                 "stream_id": s,
+                                                 "eps": 0.0}))
     return paths[0] if np.ndim(stream_id) == 0 else paths
 
 
@@ -165,11 +167,9 @@ def mollify(xi, eps: float) -> PathField | list[PathField]:
     paths = [xi] if isinstance(xi, PathField) else xi
     g = paths[0].grid
     slices = list(dict.fromkeys(f for p in paths for f in p.fields))
-    S = spectra(slices) * np.exp(-eps * g.k2)
-    S[..., g.nyquist] = 0.0
-    V = np.fft.irfft2(S, s=(g.N, g.N))
-    S.flags.writeable = V.flags.writeable = False
-    done = {f: Field(g, v, sp) for f, v, sp in zip(slices, V, S)}
+    S = spectra(slices)
+    S *= np.exp(-eps * g.k2)
+    done = dict(zip(slices, from_spectra(g, S)[1]))
     out = [PathField(p.times, [done[f] for f in p.fields],
                      meta={**p.meta, "eps": p.meta.get("eps", 0.0) + eps})
            for p in paths]
@@ -266,21 +266,23 @@ class EnhancedNoise:
         return self.xi.times
 
 
-def enhance(xi_raw: PathField, eps: float, c_eps=None) -> EnhancedNoise:
+def enhance(xi_raw, eps: float) -> EnhancedNoise | list[EnhancedNoise]:
     """Mollify and fix the renormalization constant; X and xi2 are lazy.
 
-    ``c_eps`` is a renormalization constant already computed for the
-    noise class, eps, times and grid of xi_raw; by default it is
-    computed here.  X = duhamel(xi) and the renormalized resonant part
-    xi2 are computed when first read (see ``EnhancedNoise``).
+    ``xi_raw`` is a path from ``sample_noise`` or a list of paths of one
+    noise class, times and grid; a list is mollified as one stack and
+    its paths share the c_eps of the first.  X = duhamel(xi) and the
+    renormalized resonant part xi2 are computed when first read (see
+    ``EnhancedNoise``).
     """
-    spec = xi_raw.meta.get("spec")
-    if spec is None:
+    paths = [xi_raw] if isinstance(xi_raw, PathField) else xi_raw
+    spec = paths[0].meta.get("spec")
+    if any(p.meta.get("spec") is None for p in paths):
         raise ValueError("xi_raw must come from sample_noise")
-    xi = mollify(xi_raw, eps)
-    if c_eps is None:
-        c_eps = renorm_constant(spec, eps, xi.times, xi.grid)
-    return EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps)
+    xis = mollify(paths, eps)
+    c_eps = renorm_constant(spec, eps, xis[0].times, xis[0].grid)
+    out = [EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps) for xi in xis]
+    return out[0] if isinstance(xi_raw, PathField) else out
 
 
 def cross_resonant(xi_i: PathField, X_j: PathField) -> PathField:
@@ -298,15 +300,12 @@ def mean_field_enhance(n: int, spec: NoiseSpec, eps: float, grid: TorusGrid,
                        master_seed: int | None = None) -> list[EnhancedNoise]:
     """Sample n independent streams and enhance each one.
 
-    Stream i has stream id i.  The n streams are drawn and mollified as
-    one stack and share one c_eps, a function of (spec, eps, times, grid)
-    alone.  The cross terms xi^i (.) X^j between two streams come from
-    ``cross_resonant``.
+    Stream i has stream id i.  The n streams are drawn and enhanced as
+    one stack (see ``enhance``).  The cross terms xi^i (.) X^j between
+    two streams come from ``cross_resonant``.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     seed = spec.seed if master_seed is None else master_seed
     base = replace(spec, seed=seed)
-    xis = mollify(sample_noise(base, grid, times, stream_id=range(n)), eps)
-    c_eps = renorm_constant(base, eps, xis[0].times, grid)
-    return [EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps) for xi in xis]
+    return enhance(sample_noise(base, grid, times, stream_id=range(n)), eps)

@@ -25,7 +25,8 @@ from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
 from .noise import EnhancedNoise
 from .paracontrolled import Paracontrolled, paralinearize_slice, \
     pc_product_slice
-from .torus import Field, PathField, dealiased, pointwise_product, spectra
+from .torus import Field, PathField, dealiased, from_spectra, \
+    pointwise_product, spectra
 
 __all__ = [
     "SolveConfig",
@@ -179,10 +180,8 @@ def _step_fields(u0s: list, xis: list, cs: list | None,
             xid, kept = _dealiased_noise(xs, kept)
         S = etd_step(S, _forcing(f_spec, g_spec, U, mu, xs, xid,
                                  None if c is None else c[:, n]), dt)
-        U = np.fft.irfft2(S, s=(grid.N, grid.N))
+        U, rows = from_spectra(grid, S)
         _check_guard(U, R, float(times[n + 1]))
-        U.flags.writeable = S.flags.writeable = False
-        rows = [Field(grid, U[i], S[i]) for i in range(len(rows))]
         for path, row in zip(paths, rows):
             path.append(row)
     return [PathField(times, p) for p in paths]

@@ -25,6 +25,7 @@ __all__ = [
     "make_grid",
     "make_times",
     "spectra",
+    "from_spectra",
     "dealiased",
     "pointwise_product",
     "write_pfld",
@@ -282,6 +283,20 @@ def spectra(fields: list) -> np.ndarray:
         for f, s in zip(missing, S):
             f._spectrum = s
     return np.stack([f.spectrum for f in fields])
+
+
+def from_spectra(grid: TorusGrid, S: np.ndarray) -> tuple:
+    """Fields from a stack of half spectra of shape (n, N, N//2 + 1).
+
+    The counterpart of ``spectra``: one ``irfft2`` over the stack.  S is
+    taken over, not copied: its Nyquist modes are zeroed in place and it
+    is frozen as the fields' spectra.  Returns the read-only (n, N, N)
+    value stack and one Field per row, a view of it.
+    """
+    S[..., grid.nyquist] = 0.0
+    V = np.fft.irfft2(S, s=(grid.N, grid.N))
+    S.flags.writeable = V.flags.writeable = False
+    return V, [Field(grid, v, s) for v, s in zip(V, S)]
 
 
 def dealiased(x) -> np.ndarray:

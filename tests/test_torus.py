@@ -10,7 +10,7 @@ import pytest
 
 from parafield import (Field, PathField, dealiased, make_grid, make_times,
                        pointwise_product, read_pfld, write_pfld)
-from parafield.torus import spectra
+from parafield.torus import from_spectra, spectra
 from conftest import random_field
 
 
@@ -256,3 +256,15 @@ def test_stacked_spectra_match_each_field(grid16, rng):
         assert g.tobytes() == w.tobytes()
     assert fs[1].spectrum is cached
     assert fs[0].spectrum.tobytes() == want[0].tobytes()
+
+
+def test_fields_from_stacked_spectra_match_each_field(grid16, rng):
+    S = np.fft.rfft2(rng.standard_normal((3, 16, 16)))
+    want = [Field.from_spectrum(grid16, s) for s in S]
+    V, fs = from_spectra(grid16, S)
+    assert V.shape == (3, 16, 16) and not V.flags.writeable
+    for i, (f, w) in enumerate(zip(fs, want)):
+        assert f.values.tobytes() == w.values.tobytes() == V[i].tobytes()
+        assert f.spectrum.tobytes() == w.spectrum.tobytes()
+        assert not f.spectrum.flags.writeable
+    assert spectra(fs).tobytes() == S.tobytes()
