@@ -46,6 +46,6 @@ for n in (4, 16):
     runs[n] = runs_n
 
 print(f"additive particle systems vs a {M_REF}-sample mean-field reference")
-for row in chaos_metric(runs, ref, p=2, ground="L2", seed=21):
+for row in chaos_metric(runs, ref, p=2, seed=21):
     print(f"  n = {row['n']:>3}: W2(empirical, reference) = "
           f"{row['measure_distance']:.4f} +/- {row['stderr']:.4f}")

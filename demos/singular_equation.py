@@ -34,7 +34,7 @@ sols = {}
 for eps in all_eps:
     en = enhance(raw, eps)
     # the naive run is the same solve with a zero counterterm
-    naive = EnhancedNoise(en.xi, c_eps=np.zeros_like, eps=eps)
+    naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
     for renorm, noise in ((True, en), (False, naive)):
         sols[(eps, renorm)] = solve_renormalized(noise, frozen, f_spec, None,
                                                  u0, SolveConfig())

@@ -3,13 +3,12 @@
 from .torus import (Field, PathField, TorusGrid, dealiased, make_grid,
                     make_times, pointwise_product, read_pfld, write_pfld)
 from .littlewood_paley import (DyadicPartition, RegularityParams, besov_norm,
-                               dyadic_blocks, lp_project,
-                               parabolic_holder_norm)
-from .bony import corrector, modified_para, para, resonant
+                               dyadic_blocks)
+from .bony import corrector, para, resonant
 from .heat import duhamel, etd_step, semigroup
 from .noise import (EnhancedNoise, NoiseSpec, cross_resonant, enhance,
                     mean_field_enhance, mollify, power_law_multiplier,
-                    renorm_constant, resolved_eps, sample_noise)
+                    renorm_constant, sample_noise)
 from .interactions import (EmpiricalMeasure, InteractionSpec, eval_f, eval_g,
                            eval_partial, make_interaction, make_kernel)
 from .paracontrolled import (Paracontrolled, decompose, paralinearize_f,

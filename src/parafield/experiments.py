@@ -81,9 +81,18 @@ class ExperimentConfig:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
 
+    def get_positive(self, section: str, key: str, default: float,
+                     or_zero=False) -> float:
+        x = self.get(section, key, default, float)
+        if not (x >= 0 if or_zero else x > 0):
+            raise ConfigError(f"[{section}] {key} = {x} must be "
+                              f"{'nonnegative' if or_zero else 'positive'}")
+        return x
+
     def get_floats(self, section: str, key: str, default=(), cast=float,
                    least=0):
-        """A list value; a trend read along it needs ``least`` = 2."""
+        """A list of positive values (mollification levels or system
+        sizes); a trend read along it needs ``least`` = 2."""
         sec = self.sections.get(section, {})
         if key not in sec:
             return list(default)
@@ -95,6 +104,9 @@ class ExperimentConfig:
         if len(out) < least:
             raise ConfigError(f"[{section}] {key} needs at least {least} "
                               f"entries, got {len(out)}")
+        if not all(x > 0 for x in out):
+            raise ConfigError(f"[{section}] {key} = {v!r}: entries must be "
+                              f"positive")
         return out
 
     def get_ints(self, section: str, key: str, default=(), least=0):
@@ -187,13 +199,6 @@ def _noise_spec(cfg: ExperimentConfig, seed: int) -> NoiseSpec:
         raise ConfigError(f"[noise] {e}") from None
 
 
-def _noise_eps(cfg: ExperimentConfig, default: float) -> float:
-    eps = cfg.get("noise", "eps", default, float)
-    if eps < 0:
-        raise ConfigError(f"[noise] eps = {eps} must be nonnegative")
-    return eps
-
-
 def _interaction(cfg: ExperimentConfig, section: str, default_name=None):
     sec = cfg.sections.get(section, {})
     name = sec.get("name", default_name)
@@ -234,9 +239,12 @@ def _initial_field(cfg: ExperimentConfig, grid) -> Field:
 
 
 def _reg(cfg: ExperimentConfig) -> RegularityParams:
-    return RegularityParams(
-        alpha=cfg.get("params", "alpha", 0.75, float),
-        beta=cfg.get("params", "beta", 0.7, float))
+    try:
+        return RegularityParams(
+            alpha=cfg.get("params", "alpha", 0.75, float),
+            beta=cfg.get("params", "beta", 0.7, float))
+    except ValueError as e:
+        raise ConfigError(f"[params] {e}") from None
 
 
 def _fit_line(x, y):
@@ -261,9 +269,9 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
     spec = _noise_spec(cfg, cfg.seed)
     eps_ladder = cfg.get_floats("params", "eps_ladder",
                                 [2.0 ** -k for k in range(2, 8)], least=2)
-    t_eval = cfg.get("params", "t_eval", 1.0, float)
+    t_eval = cfg.get_positive("params", "t_eval", 1.0)
     mc_samples = cfg.get_count("params", "mc_samples", 512, least=2)
-    mc_eps = cfg.get("params", "mc_eps", 0.05, float)
+    mc_eps = cfg.get_positive("params", "mc_eps", 0.05, or_zero=True)
     n2 = cfg.get("params", "n_compare", 128, int)
     try:
         grid2 = make_grid(n2)
@@ -352,7 +360,7 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
 
 def _exp_cross_variance(cfg: ExperimentConfig):
     grid, _ = _grid_times(cfg, default_T=0.5)
-    t_eval = cfg.get("params", "t_eval", 0.5, float)
+    t_eval = cfg.get_positive("params", "t_eval", 0.5)
     tg = np.array([0.0, t_eval / 2, t_eval])
     spec = _noise_spec(cfg, cfg.seed)
     eps_pair = cfg.get_floats("params", "eps_pair", [0.2, 0.0125], least=2)
@@ -388,7 +396,7 @@ def _exp_cross_variance(cfg: ExperimentConfig):
 
 
 def _exp_solve(cfg: ExperimentConfig):
-    eps = _noise_eps(cfg, 0.1)
+    eps = cfg.get_positive("noise", "eps", 0.1, or_zero=True)
     grid, times = _grid_times(cfg, eps=eps)
     spec = _noise_spec(cfg, cfg.seed)
     f_spec = _interaction(cfg, "f", "tanh_bilinear")
@@ -424,16 +432,17 @@ def _exp_solve(cfg: ExperimentConfig):
 
 
 def _exp_maxprinciple(cfg: ExperimentConfig):
-    eps = _noise_eps(cfg, 0.05)
+    eps = cfg.get_positive("noise", "eps", 0.05, or_zero=True)
     grid, times = _grid_times(cfg, default_T=0.5, eps=eps)
-    C0 = cfg.get("params", "c0", 1.0, float)
-    if not C0 > 0:
-        raise ConfigError(f"[params] c0 = {C0} must be positive")
+    C0 = cfg.get_positive("params", "c0", 1.0)
     n_seeds = cfg.get_count("params", "n_seeds", 16)
     f_spec = _interaction(cfg, "f") or make_interaction(
         "cos_bump", C0=C0, scale=cfg.get("params", "f_scale", 1.0, float))
     g_spec = _interaction(cfg, "g")
     base = _initial_field(cfg, grid)
+    if base.linf() == 0:
+        raise ConfigError("[params] u0 is zero everywhere, so it cannot be "
+                          "scaled to sup norm 0.9 c0")
     u0 = base * (0.9 * C0 / base.linf())
     scfg = SolveConfig()
     frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
@@ -484,7 +493,7 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
         for eps in all_eps:
             en = enhance(raw, eps)
             # the naive run is the same solve with a zero counterterm
-            naive = EnhancedNoise(en.xi, c_eps=np.zeros_like, eps=eps)
+            naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
             for renorm, noise in ((True, en), (False, naive)):
                 sols[(eps, renorm)] = solve_renormalized(
                     noise, frozen, f_spec, g_spec, u0, scfg)
@@ -536,7 +545,7 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
     # by resampling noise
     runs = {n: [solve(range(1000 * (k + 1), 1000 * (k + 1) + n))
                 for k in range(K)] for n in n_list}
-    table = chaos_metric(runs, ref, p=2, ground="L2", seed=cfg.seed)
+    table = chaos_metric(runs, ref, p=2, seed=cfg.seed)
     dists = [r["measure_distance"] for r in table]
     metrics = [{"name": f"w2_n{r['n']}", "value": r["measure_distance"],
                 "stderr": r["stderr"]} for r in table]
@@ -545,7 +554,7 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
 
 
 def _exp_chaos_singular(cfg: ExperimentConfig):
-    eps = _noise_eps(cfg, 0.05)
+    eps = cfg.get_positive("noise", "eps", 0.05, or_zero=True)
     grid, times = _grid_times(cfg, default_N=32, default_T=0.2, eps=eps)
     n_list = cfg.get_ints("ensemble", "n_list", [8, 32], least=2)
     K = cfg.get_count("ensemble", "k", 16)
@@ -573,7 +582,7 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
                                          [u0] * n, scfg)
             runs_n.append([p[-1] for p in sols])
         runs[n] = runs_n
-    table = chaos_metric(runs, ref, p=2, ground="L2", seed=cfg.seed)
+    table = chaos_metric(runs, ref, p=2, seed=cfg.seed)
     dists = [r["measure_distance"] for r in table]
     metrics = [{"name": f"w2_n{r['n']}", "value": r["measure_distance"],
                 "stderr": r["stderr"]} for r in table]
@@ -582,7 +591,7 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
 
 
 def _exp_picard_trace(cfg: ExperimentConfig):
-    eps = _noise_eps(cfg, 0.1)
+    eps = cfg.get_positive("noise", "eps", 0.1, or_zero=True)
     grid, times = _grid_times(cfg, default_T=0.25, eps=eps)
     M = cfg.get_count("ensemble", "m", 16)
     f_spec = _interaction(cfg, "f", "tanh_bilinear")

@@ -111,8 +111,7 @@ class InteractionSpec:
     them, and the measure averages read them directly.  When ``kernel``
     is set the interaction is long-range: the measure factor's spectrum
     is multiplied by the kernel's, which needs a product family, m = 1
-    and a direct scheme.  ``C0`` marks the vanishing threshold of
-    Assumption-B variants.  A spec without ``factors`` is a pointwise
+    and a direct scheme.  A spec without ``factors`` is a pointwise
     family with m = 1 and carries ``phi``, an odd profile (phi(-d) =
     -phi(d) bit for bit, called as phi(d, out=...)) with F(a, b) =
     phi(b - a); F and its partials are derived from it, and a running
@@ -124,7 +123,6 @@ class InteractionSpec:
     partials: tuple
     m: int = 1
     kernel: object = None
-    C0: float | None = None
     factors: tuple | None = None
     phi: object = None
 
@@ -393,7 +391,5 @@ def make_interaction(name: str, **params) -> InteractionSpec:
         spec = InteractionSpec(name, lambda a, b: phi(b - a),
                                (lambda a, b: -dphi(b - a),
                                 lambda a, b: dphi(b - a)), phi=phi)
-    if name in ("cos_bump", "quadratic_cap"):
-        spec.C0 = c0
     spec.kernel = kernel
     return spec

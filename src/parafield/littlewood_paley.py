@@ -1,4 +1,4 @@
-"""Dyadic frequency decomposition and discrete Besov/Hoelder estimators.
+"""Dyadic frequency decomposition and a discrete Besov estimator.
 
 The blocks are sharp annular indicators: block -1 holds the zero mode
 only, block l >= 0 holds Euclidean wavenumbers in [2^l, 2^{l+1}).  This
@@ -11,7 +11,7 @@ also keeps the dealiased block stacks of the last few fields it
 blocked (``DyadicPartition.dealiased_blocks``), so an operand that
 enters several Bony products in a row is transformed once.
 
-The discrete Besov quantities are *estimators*: tests downstream use
+The discrete Besov quantity is an *estimator*: tests downstream use
 trends and ratios, never absolute constants.
 """
 
@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Field, PathField, TorusGrid
+from .torus import Field, TorusGrid
 
 __all__ = [
     "DyadicPartition",
     "RegularityParams",
     "dyadic_blocks",
-    "lp_project",
     "besov_norm",
-    "parabolic_holder_norm",
 ]
 
 # fields whose dealiased block stacks each partition keeps; bounded,
@@ -87,11 +85,6 @@ class DyadicPartition:
         # entry holds its field, so the id cannot be reused while cached
         self._recent: OrderedDict = OrderedDict()
 
-    def index(self, ell: int) -> int:
-        if ell < -1 or ell > self.L_max:
-            raise ValueError(f"block {ell} out of range [-1, {self.L_max}]")
-        return ell + 1
-
     def block_fields(self, spectrum: np.ndarray) -> np.ndarray:
         """All block projections of a spectrum on the grid, as values of
         shape (n_blocks, N, N)."""
@@ -128,13 +121,6 @@ def dyadic_blocks(grid: TorusGrid) -> DyadicPartition:
     return _partition_cache[grid.N]
 
 
-def lp_project(f: Field, ell: int) -> Field:
-    """Littlewood-Paley projection Delta_l f."""
-    part = dyadic_blocks(f.grid)
-    w = part.weights[part.index(ell)]
-    return Field.from_spectrum(f.grid, f.spectrum * w)
-
-
 def _lq_norm(vals: np.ndarray, q, spacing: float) -> float:
     if np.isinf(q):
         return float(np.max(np.abs(vals)))
@@ -153,24 +139,3 @@ def besov_norm(f: Field, gamma: float, q_space=np.inf,
     if np.isinf(q_sum):
         return float(np.max(terms))
     return float(np.sum(terms ** q_sum) ** (1.0 / q_sum))
-
-
-def parabolic_holder_norm(u: PathField, alpha: float) -> float:
-    """Parabolic alpha-Hoelder estimator of a path.
-
-    Max of the C^{alpha/2}-in-time L^inf modulus over slice pairs, the
-    sup over slices of the spatial Besov-alpha estimator, and the sup
-    slice L^inf norm.
-    """
-    if len(u) < 2:
-        raise ValueError("need at least two time slices")
-    vals = np.stack([f.values for f in u.fields])
-    temporal = 0.0
-    M = len(u)
-    for i in range(M):
-        for j in range(i + 1, M):
-            d = float(np.max(np.abs(vals[j] - vals[i])))
-            temporal = max(temporal, d / abs(u.times[j] - u.times[i]) ** (alpha / 2))
-    spatial = max(besov_norm(f, alpha) for f in u.fields)
-    sup = max(float(np.max(np.abs(v))) for v in vals)
-    return max(temporal, spatial, sup)

@@ -4,17 +4,12 @@ The p-Wasserstein distance between equal-size uniform ensembles is the
 exact optimal-assignment value on the pairwise cost matrix, found by the
 shortest-augmenting-path method of Jonker and Volgenant (Computing 38,
 1987) in the form given by Crouse (IEEE Trans. Aerosp. Electron. Syst.
-52(4), 2016).  Ground metrics on fields: grid L^2 (default), L^inf, or
-the Besov-alpha estimator norm of the difference (a grid proxy for a
-Hoelder ground metric).
+52(4), 2016).  The ground metric on fields is the grid L^2 distance.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .littlewood_paley import besov_norm
-from .torus import Field
 
 __all__ = ["linear_sum_assignment", "ground_distance_matrix", "wasserstein",
            "chaos_metric", "subsample_ensemble"]
@@ -90,34 +85,17 @@ def _as_values(atoms):
     return np.stack([a.values for a in atoms])
 
 
-def ground_distance_matrix(xs: list, ys: list, ground="L2") -> np.ndarray:
-    """Pairwise ground distances d(x_i, y_j)."""
-    g = xs[0].grid
-    if ground == "L2":
-        X = _as_values(xs).reshape(len(xs), -1)
-        Y = _as_values(ys).reshape(len(ys), -1)
-        x2 = (X ** 2).sum(1)[:, None]
-        y2 = (Y ** 2).sum(1)[None, :]
-        d2 = np.maximum(x2 + y2 - 2.0 * X @ Y.T, 0.0)
-        return np.sqrt(d2) * g.spacing
-    if ground == "Linf":
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = np.max(np.abs(x.values - y.values))
-        return out
-    if isinstance(ground, tuple) and ground[0] == "besov":
-        alpha = float(ground[1])
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = besov_norm(x - y, alpha)
-        return out
-    raise ValueError(f"unknown ground metric {ground!r}")
+def ground_distance_matrix(xs: list, ys: list) -> np.ndarray:
+    """Pairwise grid L^2 distances ||x_i - y_j||."""
+    X = _as_values(xs).reshape(len(xs), -1)
+    Y = _as_values(ys).reshape(len(ys), -1)
+    x2 = (X ** 2).sum(1)[:, None]
+    y2 = (Y ** 2).sum(1)[None, :]
+    d2 = np.maximum(x2 + y2 - 2.0 * X @ Y.T, 0.0)
+    return np.sqrt(d2) * xs[0].grid.spacing
 
 
-def wasserstein(mu_atoms: list, nu_atoms: list, p: float = 2,
-                ground="L2") -> float:
+def wasserstein(mu_atoms: list, nu_atoms: list, p: float = 2) -> float:
     """Exact W_p between equal-size uniform ensembles of fields.
 
     min over pairings sigma of (1/n sum_i d(x_i, y_sigma(i))^p)^{1/p},
@@ -133,7 +111,7 @@ def wasserstein(mu_atoms: list, nu_atoms: list, p: float = 2,
         raise ValueError("empty ensembles: W_p needs at least one atom")
     if n > MAX_EXACT_ATOMS:
         raise ValueError(f"exact mode capped at {MAX_EXACT_ATOMS} atoms")
-    cost = ground_distance_matrix(mu_atoms, nu_atoms, ground) ** p
+    cost = ground_distance_matrix(mu_atoms, nu_atoms) ** p
     rows, cols = linear_sum_assignment(cost)
     return float((cost[rows, cols].mean()) ** (1.0 / p))
 
@@ -149,7 +127,7 @@ def subsample_ensemble(atoms: list, size: int, seed: int = 0) -> list:
 
 
 def chaos_metric(particle_runs: dict, reference: list, p: float = 2,
-                 ground="L2", seed: int = 0) -> list:
+                 seed: int = 0) -> list:
     """Distance-to-mean-field table across system sizes.
 
     ``particle_runs`` maps n to a list of K runs, each run a list of n
@@ -168,12 +146,12 @@ def chaos_metric(particle_runs: dict, reference: list, p: float = 2,
         K = len(runs)
         first = [run[0] for run in runs]
         ref_K = subsample_ensemble(reference, min(K, len(reference)), seed)
-        d_first = wasserstein(first[:len(ref_K)], ref_K, p, ground)
+        d_first = wasserstein(first[:len(ref_K)], ref_K, p)
         per_run = []
         for r, run in enumerate(runs):
             ref_n = subsample_ensemble(reference, min(n, len(reference)),
                                        seed + 1 + r)
-            per_run.append(wasserstein(run[:len(ref_n)], ref_n, p, ground))
+            per_run.append(wasserstein(run[:len(ref_n)], ref_n, p))
         table.append({"n": n, "K": K, "p": p,
                       "distance": d_first,
                       "measure_distance": float(np.mean(per_run)),

@@ -45,7 +45,6 @@ __all__ = [
     "enhance",
     "cross_resonant",
     "mean_field_enhance",
-    "resolved_eps",
 ]
 
 TIME_INDEPENDENT = "white"
@@ -95,6 +94,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.temporal not in (TIME_INDEPENDENT, EXP_CORRELATED):
             raise ValueError(f"unknown temporal class {self.temporal!r}")
+        if not self.lam >= 0:
+            raise ValueError(f"lambda = {self.lam} must be nonnegative")
 
     def chat(self, grid: TorusGrid) -> np.ndarray:
         absk = np.sqrt(grid.k2)
@@ -176,11 +177,6 @@ def mollify(xi, eps: float) -> PathField | list[PathField]:
     return out[0] if isinstance(xi, PathField) else out
 
 
-def resolved_eps(grid: TorusGrid, eps: float) -> bool:
-    """True when the mollifier kills the cutoff: e^{-2 eps (N/2)^2} <= 1e-3."""
-    return np.exp(-2.0 * eps * (grid.N / 2) ** 2) <= 1e-3
-
-
 def _retained(grid: TorusGrid) -> np.ndarray:
     # modes entering dealiased quadratic products, zero mode excluded
     return grid.dealias & ~grid.nyquist & (grid.k2 > 0)
@@ -243,10 +239,9 @@ class EnhancedNoise:
     scheme reads only ``xi`` and ``c_eps``, so it never pays for them.
     """
 
-    def __init__(self, xi: PathField, c_eps, eps: float):
+    def __init__(self, xi: PathField, c_eps):
         self.xi = xi
         self.c_eps = c_eps  # callable of t
-        self.eps = eps
 
     @cached_property
     def X(self) -> PathField:
@@ -281,7 +276,7 @@ def enhance(xi_raw, eps: float) -> EnhancedNoise | list[EnhancedNoise]:
         raise ValueError("xi_raw must come from sample_noise")
     xis = mollify(paths, eps)
     c_eps = renorm_constant(spec, eps, xis[0].times, xis[0].grid)
-    out = [EnhancedNoise(xi=xi, c_eps=c_eps, eps=eps) for xi in xis]
+    out = [EnhancedNoise(xi=xi, c_eps=c_eps) for xi in xis]
     return out[0] if isinstance(xi_raw, PathField) else out
 
 

@@ -263,6 +263,8 @@ class PathField:
 
 def make_times(T: float, dt: float) -> np.ndarray:
     """Uniform time grid 0 = t_0 < ... < t_M = T with step dt."""
+    if not (T > 0 and dt > 0):
+        raise ValueError("T and dt must be positive")
     M = int(round(T / dt))
     if M < 1 or abs(M * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer multiple of dt")

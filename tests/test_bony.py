@@ -1,11 +1,9 @@
 """Paraproduct / resonant decomposition against a block double-sum oracle."""
 
 import numpy as np
-import pytest
 
-from parafield import (Field, PathField, dyadic_blocks, make_times,
-                       pointwise_product)
-from parafield.bony import corrector, modified_para, para, resonant
+from parafield import Field, dyadic_blocks, pointwise_product
+from parafield.bony import corrector, para, resonant
 from parafield.littlewood_paley import BLOCK_CACHE_SIZE
 from conftest import random_field
 
@@ -79,30 +77,6 @@ def test_corrector_trilinear(grid32, rng):
     summed = corrector(a + a2, b, c)
     split = corrector(a, b, c) + corrector(a2, b, c)
     assert (summed - split).linf() < 1e-10
-
-
-def test_modified_para_naive_matches_slicewise(grid16, rng):
-    times = make_times(0.5, 0.25)
-    a = PathField(times, [random_field(grid16, rng) for _ in times])
-    b = PathField(times, [random_field(grid16, rng) for _ in times])
-    naive = modified_para(a, b, mode="naive")
-    for i in range(len(times)):
-        assert (naive[i] - para(a[i], b[i])).linf() < 1e-12
-    with pytest.raises(ValueError):
-        modified_para(a, b, mode="windowed")
-
-
-def test_modified_para_constant_input_reduces_to_naive(grid16, rng):
-    # a constant-in-time low-frequency factor makes every window
-    # average trivial, so the heat-average variant equals the naive one
-    times = make_times(0.5, 0.125)
-    f = random_field(grid16, rng)
-    a = PathField.constant(times, f)
-    b = PathField(times, [random_field(grid16, rng) for _ in times])
-    avg = modified_para(a, b, mode="heat_average")
-    naive = modified_para(a, b, mode="naive")
-    for i in range(len(times)):
-        assert (avg[i] - naive[i]).linf() < 1e-12
 
 
 def _para_cumsum(a, b):

@@ -235,8 +235,10 @@ def test_cli_bad_count_exit_two(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-# a trend needs two list entries, and renorm_constant's comparison grid
-# must be a grid; each is checked before any noise is drawn
+# a trend needs two list entries, each positive; renorm_constant's
+# comparison grid must be a grid; times, mollification levels and the
+# noise's decay rate must be in range, the regularity exponents valid and
+# maxprinciple's u0 nonzero; each is checked before any noise is drawn
 BAD_BEFORE_SAMPLING = {
     "chaos_additive_one_n": _config("chaos_additive",
                                     "\n[ensemble]\nn_list = 4\n"),
@@ -250,6 +252,34 @@ BAD_BEFORE_SAMPLING = {
                                       "\n[params]\neps_pair = 0.1\n"),
     "renorm_constant_compare_grid_12": _config(
         "renorm_constant", "\n[params]\nn_compare = 12\n"),
+    "enhance_convergence_negative_eps": _config(
+        "enhance_convergence", "\n[params]\neps_ladder = 0.02 -0.01\n"),
+    "cross_variance_negative_eps": _config(
+        "cross_variance", "\n[params]\neps_pair = 0.2 -0.0125\n"),
+    "renorm_constant_negative_eps": _config(
+        "renorm_constant", "\n[params]\neps_ladder = 0.1 -0.05\n"),
+    "renorm_constant_negative_mc_eps": _config(
+        "renorm_constant", "\n[params]\nmc_eps = -0.05\n"),
+    "renorm_dichotomy_zero_eps": _config(
+        "renorm_dichotomy", "\n[params]\neps_ladder = 0.1 0\n"),
+    "renorm_dichotomy_negative_eps": _config(
+        "renorm_dichotomy", "\n[params]\neps_ladder = 0.1 -0.05\n"),
+    "enhance_convergence_negative_t": _config("enhance_convergence",
+                                              "t = -0.5\n"),
+    "solve_negative_t": SOLVE_CFG.replace("t = 0.1", "t = -0.1"),
+    "renorm_constant_zero_t_eval": _config("renorm_constant",
+                                           "\n[params]\nt_eval = 0\n"),
+    "cross_variance_negative_t_eval": _config(
+        "cross_variance", "\n[params]\nt_eval = -0.5\n"),
+    "enhance_convergence_alpha_two": _config("enhance_convergence",
+                                             "\n[params]\nalpha = 2\n"),
+    "chaos_additive_zero_n": _config("chaos_additive",
+                                     "\n[ensemble]\nn_list = 0 4\n"),
+    "chaos_singular_zero_n": _config("chaos_singular",
+                                     "\n[ensemble]\nn_list = 0 8\n"),
+    "maxprinciple_zero_u0": _config("maxprinciple", "\n[params]\nu0 = zero\n"),
+    "solve_exp_correlated_negative_lambda": SOLVE_CFG.replace(
+        "eps = 0.1", "eps = 0.1\nkind = exp_correlated\nlambda = -1"),
 }
 
 

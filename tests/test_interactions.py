@@ -43,7 +43,6 @@ def test_confinement_vanishes_at_threshold(name):
     for edge in (C0, -C0):
         vals = spec.F(np.full_like(b, edge), b)
         assert np.max(np.abs(vals)) < 1e-12
-    assert spec.C0 == C0
 
 
 def test_eval_f_is_atom_average(grid16, rng):

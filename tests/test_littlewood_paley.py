@@ -1,11 +1,10 @@
-"""Dyadic partition, Besov estimator and parabolic norm contracts."""
+"""Dyadic partition and Besov estimator contracts."""
 
 import numpy as np
 import pytest
 
-from parafield import (Field, PathField, RegularityParams, besov_norm,
-                       dyadic_blocks, lp_project, make_grid, make_times,
-                       parabolic_holder_norm)
+from parafield import (Field, RegularityParams, besov_norm, dyadic_blocks,
+                       make_grid)
 from parafield.littlewood_paley import BLOCK_CACHE_SIZE, DyadicPartition
 from conftest import random_field
 
@@ -25,11 +24,10 @@ def test_block_membership(grid64, mode, block):
         f = Field(grid64, np.ones((64, 64)))
     else:
         f = single_mode(grid64, *mode)
-    proj = lp_project(f, block)
-    assert np.allclose(proj.values, f.values, atol=1e-12)
-    for ell in part.ells:
-        if ell != block:
-            assert lp_project(f, ell).linf() < 1e-12
+    # the block's weight is one on the field's modes, every other zero
+    support = np.abs(f.spectrum) > 1e-9
+    for ell, w in zip(part.ells, part.weights):
+        assert np.all(w[support] == (1.0 if ell == block else 0.0))
 
 
 def test_sharp_weights_partition_unity(grid64):
@@ -80,14 +78,6 @@ def test_block_cache_is_bounded(grid32, rng, monkeypatch):
     assert len(part._recent) == BLOCK_CACHE_SIZE
 
 
-def test_block_index_bounds(grid16):
-    part = dyadic_blocks(grid16)
-    with pytest.raises(ValueError):
-        part.index(part.L_max + 1)
-    with pytest.raises(ValueError):
-        part.index(-2)
-
-
 def test_besov_single_mode_values(grid64):
     # cos(3x) sits in block 1: sup norm term is 2^gamma * 1,
     # L2 term is 2^gamma * ||cos||_{L2} = 2^gamma * pi * sqrt(2)
@@ -114,22 +104,6 @@ def test_regularity_params_validation():
         RegularityParams(alpha=0.7, beta=0.75)
     with pytest.raises(ValueError):
         RegularityParams(alpha=0.75, beta=0.5)
-
-
-def test_parabolic_holder_norm(grid16, rng):
-    times = make_times(0.5, 0.25)
-    f = random_field(grid16, rng, smooth=0.1)
-    const = PathField.constant(times, f)
-    alpha = 0.75
-    n_const = parabolic_holder_norm(const, alpha)
-    # no time variation: the norm is the max of spatial and sup parts
-    spatial = besov_norm(f, alpha, np.inf, np.inf)
-    assert n_const == pytest.approx(max(spatial, f.linf()), rel=1e-12)
-    # adding time variation can only increase the estimator
-    wiggly = PathField(times, [f, 2.0 * f, f])
-    assert parabolic_holder_norm(wiggly, alpha) >= n_const
-    with pytest.raises(ValueError):
-        parabolic_holder_norm(PathField(np.array([0.0]), [f]), alpha)
 
 
 def test_partition_cache_shared():

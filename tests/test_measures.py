@@ -1,7 +1,9 @@
 """Wasserstein distances: brute-force oracle and metric properties."""
 
+import importlib
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -15,8 +17,8 @@ from parafield.measures import linear_sum_assignment
 from conftest import random_field
 
 
-def _brute_force_w(xs, ys, p, ground="L2"):
-    cost = ground_distance_matrix(xs, ys, ground) ** p
+def _brute_force_w(xs, ys, p):
+    cost = ground_distance_matrix(xs, ys) ** p
     n = len(xs)
     best = np.inf
     for perm in itertools.permutations(range(n)):
@@ -24,13 +26,12 @@ def _brute_force_w(xs, ys, p, ground="L2"):
     return best ** (1.0 / p)
 
 
-@pytest.mark.parametrize("ground", ["L2", "Linf", ("besov", 0.75)])
-@pytest.mark.parametrize("p", [1, 2])
-def test_wasserstein_matches_brute_force(grid16, rng, p, ground):
+@pytest.mark.parametrize("p", [1, 2], ids=lambda p: f"{p}-L2")
+def test_wasserstein_matches_brute_force(grid16, rng, p):
     xs = [random_field(grid16, rng, smooth=0.2) for _ in range(4)]
     ys = [random_field(grid16, rng, smooth=0.2) for _ in range(4)]
-    got = wasserstein(xs, ys, p, ground)
-    want = _brute_force_w(xs, ys, p, ground)
+    got = wasserstein(xs, ys, p)
+    want = _brute_force_w(xs, ys, p)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -84,8 +85,8 @@ def test_assignment_agrees_with_scipy():
 def test_wasserstein_identical_ensembles_is_zero(grid16, rng):
     a, b = random_field(grid16, rng), random_field(grid16, rng)
     atoms = [a, b, a, b, a]  # repeated atoms: many optimal pairings
-    assert wasserstein(atoms, atoms, 2, "Linf") == 0.0
-    assert wasserstein(atoms, list(reversed(atoms)), 1, "Linf") == 0.0
+    assert wasserstein(atoms, atoms, 2) == 0.0
+    assert wasserstein(atoms, list(reversed(atoms)), 1) == 0.0
 
 
 def test_import_loads_no_scipy():
@@ -98,13 +99,20 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition is gone breaks only
+    # `from parafield.<module> import *`
+    for info in pkgutil.iter_modules(parafield.__path__):
+        mod = importlib.import_module(f"parafield.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"parafield.{info.name}.{name}"
+
+
 def test_ground_l2_matches_field_norm(grid16, rng):
     a = random_field(grid16, rng)
     b = random_field(grid16, rng)
-    d = ground_distance_matrix([a], [b], "L2")[0, 0]
+    d = ground_distance_matrix([a], [b])[0, 0]
     assert d == pytest.approx((a - b).l2(), rel=1e-10)
-    with pytest.raises(ValueError):
-        ground_distance_matrix([a], [b], "H1")
 
 
 def test_wasserstein_metric_properties(grid16, rng):

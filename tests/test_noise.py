@@ -10,8 +10,7 @@ import pytest
 import parafield.noise
 from parafield import (Field, NoiseSpec, cross_resonant, duhamel, enhance,
                        make_grid, make_times, mean_field_enhance, mollify,
-                       power_law_multiplier, renorm_constant, resolved_eps,
-                       sample_noise)
+                       power_law_multiplier, renorm_constant, sample_noise)
 from parafield.bony import resonant
 from parafield.littlewood_paley import dyadic_blocks
 from parafield.experiments import parse_config, run_experiment
@@ -112,14 +111,6 @@ def test_mollify_transforms_each_distinct_slice_once(grid16):
         assert (out[0] is out[-1]) == (temporal == "white")
 
 
-def test_resolved_eps_threshold():
-    g = make_grid(64)
-    # e^{-2 eps (N/2)^2} <= 1e-3 iff eps >= ln(1000) / (2 * 1024)
-    crit = np.log(1e3) / (2.0 * (g.N / 2) ** 2)
-    assert resolved_eps(g, crit * 1.01)
-    assert not resolved_eps(g, crit * 0.99)
-
-
 def test_renorm_constant_white_against_monte_carlo(grid16):
     spec = NoiseSpec(seed=21)
     eps, t_eval = 0.1, 0.5
@@ -211,7 +202,7 @@ def test_enhance_centers_xi2(grid16):
         means[s] = en.xi2[-1].mean()
     se = means.std(ddof=1) / np.sqrt(M)
     assert abs(means.mean()) <= 4.0 * se
-    assert en.eps == 0.1 and en.xi.meta["stream_id"] == M - 1
+    assert en.xi.meta["eps"] == 0.1 and en.xi.meta["stream_id"] == M - 1
 
 
 @pytest.mark.parametrize("temporal", ["white", "exp_correlated"])

@@ -122,7 +122,7 @@ def test_one_stacked_step_matches_field_by_field(grid16, system):
     if system == "particle":
         # c_eps(0) = 0, so the one step gets a constant counterterm
         c = 0.8
-        mf = [EnhancedNoise(en.xi, lambda t: np.full_like(t, c), en.eps)
+        mf = [EnhancedNoise(en.xi, lambda t: np.full_like(t, c))
               for en in mean_field_enhance(n, NoiseSpec(seed=4), 0.05,
                                            grid16, times)]
         f_spec = make_interaction("tanh_bilinear", scale=0.5)
@@ -190,7 +190,7 @@ def test_renormalize_flag_changes_solution(grid16):
     frozen = [PathField.constant(times, u0)]
     a = solve_renormalized(en, frozen, f_spec, None, u0, SolveConfig())
     # the naive run is the same solve with a zero counterterm
-    naive = EnhancedNoise(en.xi, c_eps=np.zeros_like, eps=en.eps)
+    naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
     b = solve_renormalized(naive, frozen, f_spec, None, u0, SolveConfig())
     assert (a - b).sup_linf() > 1e-6
 
@@ -347,7 +347,7 @@ def test_mean_field_explosion_reports_earliest_crossing(grid16, amp0):
     X, _ = grid16.coords()
     enhanced = [EnhancedNoise(PathField.constant(
         times, Field.from_values(grid16, amp * np.cos(X))),
-        lambda t: np.zeros_like(t), 0.1) for amp in (amp0, 4.0)]
+        lambda t: np.zeros_like(t)) for amp in (amp0, 4.0)]
     f_spec = make_interaction("constant", c=1.0)
     u0 = Field.zero(grid16)
     cfg = SolveConfig(max_linf=2.0)

@@ -178,6 +178,10 @@ def test_make_times():
     assert np.allclose(t, [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         make_times(1.0, 0.3)
+    # a negative T with a step of its own sign would run backwards
+    for T, dt in ((-0.5, -0.5), (0.0, 0.0), (0.5, -0.25)):
+        with pytest.raises(ValueError, match="positive"):
+            make_times(T, dt)
 
 
 def test_pathfield_contracts(grid16, rng):
