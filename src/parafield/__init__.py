@@ -2,8 +2,7 @@
 
 from .torus import (Field, PathField, TorusGrid, dealiased, make_grid,
                     make_times, pointwise_product, read_pfld, write_pfld)
-from .littlewood_paley import (DyadicPartition, RegularityParams, besov_norm,
-                               dyadic_blocks)
+from .littlewood_paley import DyadicPartition, besov_norm, dyadic_blocks
 from .bony import corrector, para, resonant
 from .heat import duhamel, etd_step, semigroup
 from .noise import (EnhancedNoise, NoiseSpec, cross_resonant, enhance,

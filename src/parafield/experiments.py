@@ -1,7 +1,8 @@
 """Config-driven experiment pipelines.
 
 Configs are flat ``key = value`` files with ``[section]`` headers (read
-with configparser).  Every experiment is a pure function of
+with configparser), checked against the pipeline's ``SCHEMA`` entry and
+its parsers before any work.  Every experiment is a pure function of
 (config, seed): reruns with the same config produce byte-identical
 metric CSVs.  A pipeline returns its metrics, its series and its
 assertions; ``run_experiment`` then makes the output directory and
@@ -14,6 +15,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 from .bony import resonant
 from .heat import duhamel, semigroup
 from .interactions import make_interaction, make_kernel
-from .littlewood_paley import RegularityParams, besov_norm
+from .littlewood_paley import besov_norm
 from .measures import chaos_metric
 from .noise import (EnhancedNoise, NoiseSpec, enhance, low_damped_multiplier,
                     mean_field_enhance, mollify, power_law_multiplier,
@@ -44,89 +46,139 @@ class ConfigError(ValueError):
     pass
 
 
-_INTERACTION_KEYS = frozenset({"name", "scale", "c0", "c", "m"})
-# the keys each section accepts, the union over the pipelines; [kernel]
-# holds the kernel's parameters, which make_kernel checks (None here)
-KEYS = {
-    "experiment": frozenset({"name", "seed", "out"}),
-    "grid": frozenset({"n", "t", "dt"}),
-    "noise": frozenset({"kind", "lambda", "eta_multiplier", "eps"}),
-    "f": _INTERACTION_KEYS,
-    "g": _INTERACTION_KEYS,
-    "kernel": None,
-    "params": frozenset({
-        "alpha", "beta", "c0", "eps_ladder", "eps_pair", "f_scale",
-        "low_floor", "low_k0", "mc_eps", "mc_samples", "n_compare",
-        "n_pairs", "n_samples", "n_seeds", "picard_max_iters", "picard_tol",
-        "scheme", "snapshot_every", "t_eval", "u0", "u0_amp"}),
-    "ensemble": frozenset({"n_list", "k", "m_ref", "m"}),
+def _number(cast=float, low=-math.inf, high=math.inf, closed=False):
+    """Parser of a finite number in (low, high), or [low, high) if closed."""
+    span = f"{'[' if closed else '('}{low:.4g}, {high:.4g})"
+
+    def parse(text):
+        x = cast(text)
+        if not (math.isfinite(x) and (low <= x if closed else low < x)
+                and x < high):
+            raise ValueError(f"must be finite and in {span}")
+        return x
+    return parse
+
+
+def _list(entry):
+    """Parser of a list a trend is read along: two or more ``entry``s."""
+    def parse(text):
+        out = tuple(entry(x) for x in text.replace(",", " ").split())
+        if len(out) < 2:
+            raise ValueError(f"needs at least 2 entries, got {len(out)}")
+        return out
+    return parse
+
+
+def _grid_size(text):
+    return make_grid(int(text)).N
+
+
+_REAL, _POSITIVE = _number(), _number(low=0)
+_COUNT = _number(int, 1, closed=True)
+# one parser per key name, shared by every pipeline
+_PARSERS = {
+    **dict.fromkeys(("name", "out", "kind", "scheme", "u0"), str),
+    "seed": int,
+    **dict.fromkeys(("n", "n_compare"), _grid_size),
+    **dict.fromkeys(("scale", "c", "eta_multiplier", "f_scale", "u0_amp"),
+                    _REAL),
+    **dict.fromkeys(("t", "dt", "t_eval", "c0", "picard_tol", "low_k0"),
+                    _POSITIVE),
+    **dict.fromkeys(("eps", "mc_eps", "lambda", "low_floor"),
+                    _number(low=0, closed=True)),
+    **dict.fromkeys(("m", "k", "m_ref", "n_pairs", "n_samples", "n_seeds",
+                     "picard_max_iters", "snapshot_every"), _COUNT),
+    "mc_samples": _number(int, 2, closed=True),
+    "alpha": _number(low=2 / 3, high=1),
+    **dict.fromkeys(("eps_ladder", "eps_pair"), _list(_POSITIVE)),
+    "n_list": _list(_COUNT),
+}
+_INTERACTION = {"name": None, "scale": 1.0, "c0": 1.0, "c": 1.0, "m": 1}
+
+
+def _interactions(f, scale=1.0):
+    """[f] with its default family, an unset [g], and [kernel], which
+    holds the parameters of [f]'s kernel (make_kernel checks its keys)."""
+    return {"f": {**_INTERACTION, "name": f, "scale": scale},
+            "g": _INTERACTION, "kernel": None}
+
+
+_NOISE = {"kind": "white", "lambda": 1.0, "eta_multiplier": None}
+_U0 = {"u0": "bump", "u0_amp": 0.5}
+# SCHEMA[pipeline][section][key] = default, None meaning unset: the keys
+# each pipeline reads besides [experiment] name, seed and out
+SCHEMA = {
+    "renorm_constant": {
+        "grid": {"n": 64, "t": 1.0, "dt": None}, "noise": _NOISE,
+        "params": {"eps_ladder": tuple(2.0 ** -k for k in range(2, 8)),
+                   "t_eval": 1.0, "mc_samples": 512, "mc_eps": 0.05,
+                   "n_compare": 128}},
+    "enhance_convergence": {
+        "grid": {"n": 128, "t": 0.5}, "noise": _NOISE,
+        "params": {"alpha": 0.75, "eps_ladder": (0.02, 0.01, 0.005, 0.0025),
+                   "n_samples": 32}},
+    "cross_variance": {
+        "grid": {"n": 64}, "noise": _NOISE,
+        "params": {"t_eval": 0.5, "eps_pair": (0.2, 0.0125), "n_pairs": 512}},
+    "solve": {
+        "grid": {"n": 64, "t": 0.5, "dt": None},
+        "noise": {"eps": 0.1, **_NOISE}, **_interactions("tanh_bilinear"),
+        "params": {**_U0, "scheme": "direct_renormalized",
+                   "snapshot_every": 8}},
+    "maxprinciple": {
+        "grid": {"n": 64, "t": 0.5, "dt": None},
+        "noise": {"eps": 0.05, **_NOISE}, **_interactions(None),
+        "params": {**_U0, "c0": 1.0, "n_seeds": 16, "f_scale": 1.0}},
+    "renorm_dichotomy": {
+        "grid": {"n": 64, "t": 10.0}, "noise": _NOISE,
+        **_interactions("tanh_bilinear", scale=0.4),
+        "params": {**_U0, "eps_ladder": (0.1, 0.05, 0.025), "n_seeds": 4,
+                   "low_k0": 2.0, "low_floor": 0.1}},
+    "chaos_additive": {
+        "grid": {"n": 32, "t": 0.25, "dt": None}, "noise": _NOISE,
+        "g": {**_INTERACTION, "name": "tanh_revert"},
+        "ensemble": {"n_list": (4, 16, 64), "k": 32, "m_ref": 256}},
+    "chaos_singular": {
+        "grid": {"n": 32, "t": 0.2, "dt": None},
+        "noise": {"eps": 0.05, **_NOISE}, **_interactions("tanh_bilinear"),
+        "params": _U0, "ensemble": {"n_list": (8, 32), "k": 16, "m": 32}},
+    "picard_trace": {
+        "grid": {"n": 64, "t": 0.25, "dt": None},
+        "noise": {"eps": 0.1, **_NOISE}, **_interactions("tanh_bilinear"),
+        "params": {**_U0, "picard_tol": 1e-4, "picard_max_iters": 60},
+        "ensemble": {"m": 16}},
 }
 
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config: ``values[section][key]`` holds the typed value of
+    every key the pipeline reads, its default where the file has none
+    (``values["kernel"]`` is None without a [kernel] section)."""
+
     experiment: str
     seed: int
     out: str
-    sections: dict
+    values: dict
     raw_bytes: bytes
-
-    def get(self, section: str, key: str, default=None, cast=str):
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            return default
-        v = sec[key]
-        try:
-            return cast(v)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
-
-    def get_positive(self, section: str, key: str, default: float,
-                     or_zero=False) -> float:
-        x = self.get(section, key, default, float)
-        if not (x >= 0 if or_zero else x > 0):
-            raise ConfigError(f"[{section}] {key} = {x} must be "
-                              f"{'nonnegative' if or_zero else 'positive'}")
-        return x
-
-    def get_floats(self, section: str, key: str, default=(), cast=float,
-                   least=0):
-        """A list of positive values (mollification levels or system
-        sizes); a trend read along it needs ``least`` = 2."""
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            return list(default)
-        v = sec[key]
-        try:
-            out = [cast(x) for x in str(v).replace(",", " ").split()]
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key} = {v!r}: {e}") from None
-        if len(out) < least:
-            raise ConfigError(f"[{section}] {key} needs at least {least} "
-                              f"entries, got {len(out)}")
-        if not all(x > 0 for x in out):
-            raise ConfigError(f"[{section}] {key} = {v!r}: entries must be "
-                              f"positive")
-        return out
-
-    def get_ints(self, section: str, key: str, default=(), least=0):
-        return self.get_floats(section, key, default, cast=int, least=least)
-
-    def get_count(self, section: str, key: str, default: int, least=1):
-        n = self.get(section, key, default, int)
-        if n < least:
-            raise ConfigError(f"[{section}] {key} = {n} must be at least "
-                              f"{least}")
-        return n
 
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_bytes).hexdigest()[:16]
 
 
+def _parse(section: str, key: str, text: str, parser):
+    try:
+        return parser(text)
+    except (ValueError, OverflowError) as e:  # an int too large for a float
+        raise ConfigError(f"[{section}] {key} = {text!r}: {e}") from None
+
+
 def parse_config(path: str | None = None, text: str | None = None,
                  seed: int | None = None, out: str | None = None) -> ExperimentConfig:
-    """Read an experiment config; CLI overrides win over file values."""
+    """Read an experiment config and parse it against the named pipeline's
+    SCHEMA: a section or key the pipeline does not read, or a bad value,
+    is a config error.  CLI overrides win over file values."""
     if text is None:
         if path is None:
             raise ConfigError("need a config path or text")
@@ -141,43 +193,47 @@ def parse_config(path: str | None = None, text: str | None = None,
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
     sections = {s: dict(cp.items(s)) for s in cp.sections()}
-    unknown = sorted(set(sections) - set(KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config section(s) {unknown}; "
-                          f"known: {sorted(KEYS)}")
-    for sec, keys in sections.items():
-        unknown = sorted(set(keys) - KEYS[sec]) if KEYS[sec] else []
-        if unknown:
-            raise ConfigError(f"unknown key(s) {unknown} in [{sec}]; "
-                              f"known: {sorted(KEYS[sec])}")
-    exp = sections.get("experiment", {})
-    name = exp.get("name")
-    if name not in EXPERIMENTS:
+    name = sections.get("experiment", {}).get("name")
+    if name not in SCHEMA:
         raise ConfigError(f"[experiment] name must be one of "
-                          f"{sorted(EXPERIMENTS)}, got {name!r}")
+                          f"{sorted(SCHEMA)}, got {name!r}")
+    schema = {"experiment": {"name": name, "seed": None, "out": "results"},
+              **SCHEMA[name]}
+    unknown = sorted(set(sections) - set(schema))
+    if unknown:
+        raise ConfigError(f"{name} reads no section(s) {unknown}; "
+                          f"it reads {sorted(schema)}")
+    values = {}
+    for sec, defaults in schema.items():
+        given = sections.get(sec, {})
+        if defaults is None:  # [kernel]: make_kernel checks its keys
+            values[sec] = ({k: _parse(sec, k, v, str if k == "name" else _REAL)
+                            for k, v in given.items()}
+                           if sec in sections else None)
+            continue
+        unknown = sorted(set(given) - set(defaults))
+        if unknown:
+            raise ConfigError(f"{name} reads no key(s) {unknown} in [{sec}]; "
+                              f"it reads {sorted(defaults)}")
+        values[sec] = {k: _parse(sec, k, given[k], _PARSERS[k])
+                       if k in given else d for k, d in defaults.items()}
+    exp = values.pop("experiment")
+    seed = exp["seed"] if seed is None else seed
     if seed is None:
-        if "seed" not in exp:
-            raise ConfigError("[experiment] seed is mandatory")
-        try:
-            seed = int(exp["seed"])
-        except ValueError as e:
-            raise ConfigError(f"[experiment] seed = {exp['seed']!r}: "
-                              f"{e}") from None
-    out = out or exp.get("out", "results")
+        raise ConfigError("[experiment] seed is mandatory")
+    out = out or exp["out"]
     raw = (text + f"\n# seed={seed} out={out}\n").encode()
     return ExperimentConfig(experiment=name, seed=seed, out=out,
-                            sections=sections, raw_bytes=raw)
+                            values=values, raw_bytes=raw)
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 
 
-def _grid_times(cfg: ExperimentConfig, default_N=64, default_T=0.5,
-                eps: float | None = None):
-    N = cfg.get("grid", "n", default_N, int)
-    T = cfg.get("grid", "t", default_T, float)
-    dt = cfg.get("grid", "dt", None, float)
+def _grid_times(cfg: ExperimentConfig, eps: float | None = None):
+    g = cfg.values["grid"]
+    N, T, dt = g["n"], g["t"], g["dt"]
     if dt is None:
         dt = default_dt(eps if eps else 0.1, N)
         dt = T / max(1, int(np.ceil(T / dt)))
@@ -187,46 +243,37 @@ def _grid_times(cfg: ExperimentConfig, default_N=64, default_T=0.5,
         raise ConfigError(f"[grid] n = {N}, t = {T}, dt = {dt}: {e}") from None
 
 
-def _noise_spec(cfg: ExperimentConfig, seed: int) -> NoiseSpec:
-    kind = cfg.get("noise", "kind", "white")
-    lam = cfg.get("noise", "lambda", 1.0, float)
-    eta = cfg.get("noise", "eta_multiplier", None, float)
-    mult = power_law_multiplier(eta) if eta is not None else None
+def _noise_spec(cfg: ExperimentConfig, seed: int, multiplier=None):
+    """The [noise] spec; ``multiplier`` is its density if no eta_multiplier."""
+    v = cfg.values["noise"]
+    if v["eta_multiplier"] is not None:
+        multiplier = power_law_multiplier(v["eta_multiplier"])
     try:
-        return NoiseSpec(seed=seed, temporal=kind, lam=lam,
-                         spatial_multiplier=mult)
+        return NoiseSpec(seed=seed, temporal=v["kind"], lam=v["lambda"],
+                         spatial_multiplier=multiplier)
     except ValueError as e:
         raise ConfigError(f"[noise] {e}") from None
 
 
-def _interaction(cfg: ExperimentConfig, section: str, default_name=None):
-    sec = cfg.sections.get(section, {})
-    name = sec.get("name", default_name)
-    if name is None or name == "none":
+def _interaction(cfg: ExperimentConfig, section: str):
+    sec = cfg.values[section]
+    params = {"scale": sec["scale"], "C0": sec["c0"], "c": sec["c"],
+              "m": sec["m"]}
+    if sec["name"] in (None, "none"):
         return None
-    kernel = (dict(cfg.sections["kernel"])
-              if section == "f" and "kernel" in cfg.sections else None)
+    kernel = cfg.values["kernel"] if section == "f" else None
     if kernel is not None and "name" not in kernel:
         raise ConfigError("[kernel] name is mandatory")
     try:
-        params = {}
-        for k in ("scale", "c0", "c"):
-            if k in sec:
-                params["C0" if k == "c0" else k] = float(sec[k])
-        if "m" in sec:
-            params["m"] = int(sec["m"])
         if kernel is not None:
-            kname = kernel.pop("name")
-            params["kernel"] = make_kernel(
-                kname, **{k: float(v) for k, v in kernel.items()})
-        return make_interaction(name, **params)
+            params["kernel"] = make_kernel(**kernel)
+        return make_interaction(sec["name"], **params)
     except ValueError as e:
         raise ConfigError(f"[{section}] {e}") from None
 
 
 def _initial_field(cfg: ExperimentConfig, grid) -> Field:
-    kind = cfg.get("params", "u0", "bump")
-    amp = cfg.get("params", "u0_amp", 0.5, float)
+    kind, amp = cfg.values["params"]["u0"], cfg.values["params"]["u0_amp"]
     X, Y = grid.coords()
     if kind == "zero":
         return Field.zero(grid)
@@ -236,15 +283,6 @@ def _initial_field(cfg: ExperimentConfig, grid) -> Field:
     if kind == "constant":
         return Field(grid, np.full((grid.N, grid.N), amp))
     raise ConfigError(f"unknown u0 kind {kind!r}")
-
-
-def _reg(cfg: ExperimentConfig) -> RegularityParams:
-    try:
-        return RegularityParams(
-            alpha=cfg.get("params", "alpha", 0.75, float),
-            beta=cfg.get("params", "beta", 0.7, float))
-    except ValueError as e:
-        raise ConfigError(f"[params] {e}") from None
 
 
 def _fit_line(x, y):
@@ -265,18 +303,11 @@ def _fit_line(x, y):
 
 
 def _exp_renorm_constant(cfg: ExperimentConfig):
-    grid, times = _grid_times(cfg, default_T=1.0)
+    grid, times = _grid_times(cfg)
     spec = _noise_spec(cfg, cfg.seed)
-    eps_ladder = cfg.get_floats("params", "eps_ladder",
-                                [2.0 ** -k for k in range(2, 8)], least=2)
-    t_eval = cfg.get_positive("params", "t_eval", 1.0)
-    mc_samples = cfg.get_count("params", "mc_samples", 512, least=2)
-    mc_eps = cfg.get_positive("params", "mc_eps", 0.05, or_zero=True)
-    n2 = cfg.get("params", "n_compare", 128, int)
-    try:
-        grid2 = make_grid(n2)
-    except ValueError as e:
-        raise ConfigError(f"[params] n_compare = {n2}: {e}") from None
+    p = cfg.values["params"]
+    eps_ladder, t_eval, mc_eps = p["eps_ladder"], p["t_eval"], p["mc_eps"]
+    mc_samples, grid2 = p["mc_samples"], make_grid(p["n_compare"])
 
     rows = []
     for eps in eps_ladder:
@@ -320,15 +351,12 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
 
 
 def _exp_enhance_convergence(cfg: ExperimentConfig):
-    grid, _ = _grid_times(cfg, default_N=128, default_T=0.5)
-    T = cfg.get("grid", "t", 0.5, float)
+    grid, T = make_grid(cfg.values["grid"]["n"]), cfg.values["grid"]["t"]
     times = np.array([0.0, T / 2, T])
     spec = _noise_spec(cfg, cfg.seed)
-    reg = _reg(cfg)
-    gamma = 2.0 * reg.alpha - 2.0 - 0.1
-    eps_ladder = cfg.get_floats("params", "eps_ladder",
-                                [0.02, 0.01, 0.005, 0.0025], least=2)
-    n_samples = cfg.get_count("params", "n_samples", 32)
+    p = cfg.values["params"]
+    eps_ladder, n_samples = p["eps_ladder"], p["n_samples"]
+    gamma = 2.0 * p["alpha"] - 2.0 - 0.1
 
     diffs = np.zeros((n_samples, len(eps_ladder) - 1))
     naive_means = np.zeros((n_samples, len(eps_ladder)))
@@ -359,12 +387,11 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
 
 
 def _exp_cross_variance(cfg: ExperimentConfig):
-    grid, _ = _grid_times(cfg, default_T=0.5)
-    t_eval = cfg.get_positive("params", "t_eval", 0.5)
+    grid = make_grid(cfg.values["grid"]["n"])
+    p = cfg.values["params"]
+    t_eval, eps_pair, n_pairs = p["t_eval"], p["eps_pair"], p["n_pairs"]
     tg = np.array([0.0, t_eval / 2, t_eval])
     spec = _noise_spec(cfg, cfg.seed)
-    eps_pair = cfg.get_floats("params", "eps_pair", [0.2, 0.0125], least=2)
-    n_pairs = cfg.get_count("params", "n_pairs", 512)
 
     rows = []
     for eps in eps_pair:
@@ -396,20 +423,20 @@ def _exp_cross_variance(cfg: ExperimentConfig):
 
 
 def _exp_solve(cfg: ExperimentConfig):
-    eps = cfg.get_positive("noise", "eps", 0.1, or_zero=True)
+    eps = cfg.values["noise"]["eps"]
     grid, times = _grid_times(cfg, eps=eps)
     spec = _noise_spec(cfg, cfg.seed)
-    f_spec = _interaction(cfg, "f", "tanh_bilinear")
+    f_spec = _interaction(cfg, "f")
     g_spec = _interaction(cfg, "g")
     u0 = _initial_field(cfg, grid)
-    scheme = cfg.get("params", "scheme", "direct_renormalized")
+    p = cfg.values["params"]
+    scheme, every = p["scheme"], p["snapshot_every"]
     if scheme not in ("direct_renormalized", "paracontrolled"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    if scheme == "paracontrolled" and "kernel" in cfg.sections:
+    if scheme == "paracontrolled" and cfg.values["kernel"] is not None:
         raise ConfigError("[kernel] needs scheme = direct_renormalized")
     if scheme == "paracontrolled" and f_spec is None:
         raise ConfigError("scheme = paracontrolled needs an [f]")
-    every = cfg.get_count("params", "snapshot_every", 8)
     scfg = SolveConfig()
     raw = sample_noise(spec, grid, times, stream_id=0)
     en = enhance(raw, eps)
@@ -432,12 +459,12 @@ def _exp_solve(cfg: ExperimentConfig):
 
 
 def _exp_maxprinciple(cfg: ExperimentConfig):
-    eps = cfg.get_positive("noise", "eps", 0.05, or_zero=True)
-    grid, times = _grid_times(cfg, default_T=0.5, eps=eps)
-    C0 = cfg.get_positive("params", "c0", 1.0)
-    n_seeds = cfg.get_count("params", "n_seeds", 16)
+    eps = cfg.values["noise"]["eps"]
+    grid, times = _grid_times(cfg, eps=eps)
+    p = cfg.values["params"]
+    C0, n_seeds = p["c0"], p["n_seeds"]
     f_spec = _interaction(cfg, "f") or make_interaction(
-        "cos_bump", C0=C0, scale=cfg.get("params", "f_scale", 1.0, float))
+        "cos_bump", C0=C0, scale=p["f_scale"])
     g_spec = _interaction(cfg, "g")
     base = _initial_field(cfg, grid)
     if base.linf() == 0:
@@ -462,13 +489,11 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
 
 
 def _exp_renorm_dichotomy(cfg: ExperimentConfig):
-    grid, _ = _grid_times(cfg, default_T=10.0)
-    T = cfg.get("grid", "t", 10.0, float)
-    eps_ladder = cfg.get_floats("params", "eps_ladder", [0.1, 0.05, 0.025],
-                                least=2)
-    n_seeds = cfg.get_count("params", "n_seeds", 4)
-    f_spec = _interaction(cfg, "f") or make_interaction("tanh_bilinear",
-                                                        scale=0.4)
+    grid, T = make_grid(cfg.values["grid"]["n"]), cfg.values["grid"]["t"]
+    p = cfg.values["params"]
+    eps_ladder, n_seeds = p["eps_ladder"], p["n_seeds"]
+    low = low_damped_multiplier(p["low_k0"], p["low_floor"])
+    f_spec = _interaction(cfg, "f")
     g_spec = _interaction(cfg, "g")
     base = _initial_field(cfg, grid)
     u0 = Field(grid, 0.5 + 0.6 * base.values)
@@ -480,14 +505,8 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     frozen = [PathField.constant(times, u0)]
     D = {True: np.zeros(len(eps_ladder)), False: np.zeros(len(eps_ladder))}
     scfg = SolveConfig()
-    k0 = cfg.get("params", "low_k0", 2.0, float)
-    lfloor = cfg.get("params", "low_floor", 0.1, float)
     for s in range(n_seeds):
-        spec = _noise_spec(cfg, cfg.seed + s)
-        if spec.spatial_multiplier is None:
-            spec = NoiseSpec(seed=spec.seed, temporal=spec.temporal,
-                             lam=spec.lam,
-                             spatial_multiplier=low_damped_multiplier(k0, lfloor))
+        spec = _noise_spec(cfg, cfg.seed + s, low)
         raw = sample_noise(spec, grid, times, stream_id=0)
         sols = {}
         for eps in all_eps:
@@ -514,11 +533,10 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
 
 
 def _exp_chaos_additive(cfg: ExperimentConfig):
-    grid, times = _grid_times(cfg, default_N=32, default_T=0.25)
-    n_list = cfg.get_ints("ensemble", "n_list", [4, 16, 64], least=2)
-    K = cfg.get_count("ensemble", "k", 32)
-    M_ref = cfg.get_count("ensemble", "m_ref", 256)
-    g_spec = _interaction(cfg, "g", "tanh_revert")
+    grid, times = _grid_times(cfg)
+    e = cfg.values["ensemble"]
+    n_list, K, M_ref = e["n_list"], e["k"], e["m_ref"]
+    g_spec = _interaction(cfg, "g")
     spec = _noise_spec(cfg, cfg.seed)
     scfg = SolveConfig()
 
@@ -554,12 +572,11 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
 
 
 def _exp_chaos_singular(cfg: ExperimentConfig):
-    eps = cfg.get_positive("noise", "eps", 0.05, or_zero=True)
-    grid, times = _grid_times(cfg, default_N=32, default_T=0.2, eps=eps)
-    n_list = cfg.get_ints("ensemble", "n_list", [8, 32], least=2)
-    K = cfg.get_count("ensemble", "k", 16)
-    M = cfg.get_count("ensemble", "m", 32)
-    f_spec = _interaction(cfg, "f", "tanh_bilinear")
+    eps = cfg.values["noise"]["eps"]
+    grid, times = _grid_times(cfg, eps=eps)
+    e = cfg.values["ensemble"]
+    n_list, K, M = e["n_list"], e["k"], e["m"]
+    f_spec = _interaction(cfg, "f")
     g_spec = _interaction(cfg, "g")
     spec = _noise_spec(cfg, cfg.seed)
     u0 = _initial_field(cfg, grid)
@@ -591,16 +608,16 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
 
 
 def _exp_picard_trace(cfg: ExperimentConfig):
-    eps = cfg.get_positive("noise", "eps", 0.1, or_zero=True)
-    grid, times = _grid_times(cfg, default_T=0.25, eps=eps)
-    M = cfg.get_count("ensemble", "m", 16)
-    f_spec = _interaction(cfg, "f", "tanh_bilinear")
+    eps = cfg.values["noise"]["eps"]
+    grid, times = _grid_times(cfg, eps=eps)
+    M = cfg.values["ensemble"]["m"]
+    f_spec = _interaction(cfg, "f")
     g_spec = _interaction(cfg, "g")
     spec = _noise_spec(cfg, cfg.seed)
     u0 = _initial_field(cfg, grid)
-    scfg = SolveConfig(picard_tol=cfg.get("params", "picard_tol", 1e-4, float),
-                       picard_max_iters=cfg.get_count(
-                           "params", "picard_max_iters", 60))
+    p = cfg.values["params"]
+    scfg = SolveConfig(picard_tol=p["picard_tol"],
+                       picard_max_iters=p["picard_max_iters"])
     noises = mean_field_enhance(M, spec, eps, grid, times)
     _, iters, residuals = solve_mean_field(noises, f_spec, g_spec, u0, scfg)
     rows = [{"iteration": i, "residual": float(r)}

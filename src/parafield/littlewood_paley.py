@@ -18,7 +18,6 @@ trends and ratios, never absolute constants.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .torus import Field, TorusGrid
 
 __all__ = [
     "DyadicPartition",
-    "RegularityParams",
     "dyadic_blocks",
     "besov_norm",
 ]
@@ -36,18 +34,6 @@ __all__ = [
 # for the whole run, and a stack kept per live field (229 kB at N=64)
 # raised its peak memory by almost half
 BLOCK_CACHE_SIZE = 4
-
-
-@dataclass(frozen=True)
-class RegularityParams:
-    """Regularity exponents 2/3 < beta < alpha < 1 of the solution theory."""
-
-    alpha: float = 0.75
-    beta: float = 0.7
-
-    def __post_init__(self):
-        if not (2.0 / 3.0 < self.beta < self.alpha < 1.0):
-            raise ValueError("need 2/3 < beta < alpha < 1")
 
 
 class DyadicPartition:

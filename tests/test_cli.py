@@ -1,5 +1,6 @@
 """Config parsing, experiment pipeline outputs and CLI exit codes."""
 
+import configparser
 import importlib.util
 import json
 import os
@@ -14,7 +15,8 @@ import parafield
 import parafield.experiments
 from parafield import read_pfld
 from parafield.cli import main
-from parafield.experiments import ConfigError, parse_config, run_experiment
+from parafield.experiments import (SCHEMA, ConfigError, parse_config,
+                                   run_experiment)
 
 
 SOLVE_CFG = """\
@@ -74,10 +76,15 @@ def test_parse_config_basics(tmp_path):
     path = _write(tmp_path, SOLVE_CFG)
     cfg = parse_config(path)
     assert cfg.experiment == "solve" and cfg.seed == 11
-    assert cfg.get("grid", "n", 64, int) == 16
-    assert cfg.get("f", "scale", 1.0, float) == 0.5
-    assert cfg.get("params", "missing", 3, int) == 3
-    assert cfg.get_floats("params", "absent", [1.0, 2.0]) == [1.0, 2.0]
+    assert cfg.values["grid"]["n"] == 16
+    assert cfg.values["f"]["scale"] == 0.5
+    assert cfg.values["params"]["snapshot_every"] == 2
+    # unset keys hold the pipeline's defaults, None meaning unset
+    assert cfg.values["params"]["u0"] == "bump"
+    assert cfg.values["grid"]["dt"] is None and cfg.values["kernel"] is None
+    cfg = parse_config(text="[experiment]\nname = renorm_constant\nseed = 1\n"
+                            "[params]\neps_ladder = 0.1, 0.05 0.025\n")
+    assert cfg.values["params"]["eps_ladder"] == (0.1, 0.05, 0.025)
 
 
 def test_parse_config_overrides_change_hash(tmp_path):
@@ -98,15 +105,15 @@ def test_parse_config_errors(tmp_path):
         parse_config(text="[experiment]\nname = solve\n")  # no seed
     with pytest.raises(ConfigError):
         parse_config(text="not a config at [all")
-    cfg = parse_config(text="[experiment]\nname = solve\nseed = 1\n"
-                            "[grid]\nn = tiny\n"
-                            "[params]\neps_ladder = 0.1 abc\n")
-    with pytest.raises(ConfigError):
-        cfg.get("grid", "n", 64, int)
-    with pytest.raises(ConfigError):
-        cfg.get_floats("params", "eps_ladder")
-    with pytest.raises(ConfigError):
-        cfg.get_ints("params", "eps_ladder")
+    with pytest.raises(ConfigError, match="n = 'tiny'"):
+        parse_config(text="[experiment]\nname = solve\nseed = 1\n"
+                          "[grid]\nn = tiny\n")
+    with pytest.raises(ConfigError, match="eps_ladder = '0.1 abc'"):
+        parse_config(text="[experiment]\nname = renorm_constant\nseed = 1\n"
+                          "[params]\neps_ladder = 0.1 abc\n")
+    with pytest.raises(ConfigError, match="n_list = '0.1 abc'"):
+        parse_config(text="[experiment]\nname = chaos_additive\nseed = 1\n"
+                          "[ensemble]\nn_list = 0.1 abc\n")
 
 
 def test_run_experiment_writes_outputs(tmp_path):
@@ -209,6 +216,21 @@ def _config(name, extra):
     return f"[experiment]\nname = {name}\nseed = 1\n\n[grid]\nn = 16\n{extra}"
 
 
+def _experiment_name(text):
+    # parse_config rejects these configs, so read the name from the text
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    return cp["experiment"]["name"]
+
+
+def _forbid_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("noise sampled before the config was checked")
+
+    for name in ("sample_noise", "mean_field_enhance"):
+        monkeypatch.setattr(parafield.experiments, name, no_sampling)
+
+
 # counts each pipeline needs at least one (two) of, read before any work
 BAD_COUNTS = {
     "solve_snapshot_every_zero": SOLVE_CFG.replace("snapshot_every = 2",
@@ -228,7 +250,7 @@ BAD_COUNTS = {
 @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
 def test_cli_bad_count_exit_two(tmp_path, capsys, case):
     path = _write(tmp_path, BAD_COUNTS[case])
-    name = parse_config(path).experiment
+    name = _experiment_name(BAD_COUNTS[case])
     code = main([name, "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
@@ -236,9 +258,10 @@ def test_cli_bad_count_exit_two(tmp_path, capsys, case):
 
 
 # a trend needs two list entries, each positive; renorm_constant's
-# comparison grid must be a grid; times, mollification levels and the
-# noise's decay rate must be in range, the regularity exponents valid and
-# maxprinciple's u0 nonzero; each is checked before any noise is drawn
+# comparison grid must be a grid; numbers must be finite; times,
+# mollification levels, tolerances, the noise's decay rate and damping
+# must be in range, alpha valid and maxprinciple's u0 nonzero; each is
+# checked before any noise is drawn
 BAD_BEFORE_SAMPLING = {
     "chaos_additive_one_n": _config("chaos_additive",
                                     "\n[ensemble]\nn_list = 4\n"),
@@ -280,23 +303,144 @@ BAD_BEFORE_SAMPLING = {
     "maxprinciple_zero_u0": _config("maxprinciple", "\n[params]\nu0 = zero\n"),
     "solve_exp_correlated_negative_lambda": SOLVE_CFG.replace(
         "eps = 0.1", "eps = 0.1\nkind = exp_correlated\nlambda = -1"),
+    "solve_exp_correlated_infinite_lambda": SOLVE_CFG.replace(
+        "eps = 0.1", "eps = 0.1\nkind = exp_correlated\nlambda = inf"),
+    "solve_f_scale_nan": SOLVE_CFG.replace("scale = 0.5", "scale = nan"),
+    "solve_eta_multiplier_nan": SOLVE_CFG.replace(
+        "eps = 0.1", "eps = 0.1\neta_multiplier = nan"),
+    "solve_infinite_eps": SOLVE_CFG.replace("eps = 0.1", "eps = inf"),
+    "solve_infinite_t": SOLVE_CFG.replace("t = 0.1", "t = inf"),
+    "solve_u0_amp_nan": SOLVE_CFG.replace(
+        "snapshot_every = 2", "snapshot_every = 2\nu0_amp = nan"),
+    "solve_kernel_amp_nan": SOLVE_CFG
+    + "\n[kernel]\nname = gaussian\namp = nan\n",
+    "maxprinciple_infinite_c0": _config("maxprinciple",
+                                        "\n[params]\nc0 = inf\n"),
+    "picard_trace_negative_tol": PICARD_CFG + "\n[params]\npicard_tol = -1\n",
+    "renorm_dichotomy_negative_low_floor": _config(
+        "renorm_dichotomy", "\n[params]\nlow_floor = -1\n"),
+    "renorm_dichotomy_negative_low_k0": _config(
+        "renorm_dichotomy", "\n[params]\nlow_k0 = -2\n"),
+    "chaos_additive_k_beyond_float": _config(
+        "chaos_additive", "\n[ensemble]\nk = 1" + "0" * 400 + "\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_BEFORE_SAMPLING))
 def test_cli_bad_list_or_compare_grid_exit_two(tmp_path, capsys, monkeypatch,
                                                case):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("noise sampled before the config was checked")
-
-    for name in ("sample_noise", "mean_field_enhance"):
-        monkeypatch.setattr(parafield.experiments, name, no_sampling)
+    _forbid_sampling(monkeypatch)
     path = _write(tmp_path, BAD_BEFORE_SAMPLING[case])
-    name = parse_config(path).experiment
+    name = _experiment_name(BAD_BEFORE_SAMPLING[case])
     code = main([name, "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _sample(key, default):
+    # a valid value for a key whose default is unset
+    unset = {"dt": "0.025", "eta_multiplier": "1.0", "name": "tanh_bilinear"}
+    if default is None:
+        return unset[key]
+    return " ".join(map(str, default)) if isinstance(default, tuple) \
+        else str(default)
+
+
+def _keys(schema):
+    # a [kernel] section (None in SCHEMA) is free-form; its name stands
+    # for it
+    return {(sec, key): _sample(key, d) for sec, keys in schema.items()
+            for key, d in (keys or {"name": "gaussian"}).items()}
+
+
+ALL_KEYS = {k: v for schema in SCHEMA.values()
+            for k, v in _keys(schema).items()}
+
+
+@pytest.mark.parametrize("pipeline", sorted(SCHEMA))
+def test_unread_key_exit_two(tmp_path, capsys, monkeypatch, pipeline):
+    # every key some other pipeline reads and this one does not
+    _forbid_sampling(monkeypatch)
+    unread = sorted(set(ALL_KEYS) - set(_keys(SCHEMA[pipeline])))
+    assert unread
+    for sec, key in unread:
+        text = (f"[experiment]\nname = {pipeline}\nseed = 1\n\n"
+                f"[{sec}]\n{key} = {ALL_KEYS[sec, key]}\n")
+        out = tmp_path / f"{sec}_{key}"
+        code = main([pipeline, "--config", _write(tmp_path, text),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "config error" in err, (sec, key)
+        assert f"'{sec}'" in err or f"'{key}'" in err, (sec, key)
+        assert not out.exists()
+
+
+def test_schema_defaults_pass_their_parsers():
+    # one parser per key name, and no parser that no pipeline uses
+    assert set(SCHEMA) == set(parafield.experiments.EXPERIMENTS)
+    assert ({key for _, key in ALL_KEYS} | {"seed", "out"}
+            == set(parafield.experiments._PARSERS))
+    for pipeline, schema in SCHEMA.items():
+        # every default written out reads back as the default
+        text = f"[experiment]\nname = {pipeline}\nseed = 1\n"
+        for sec, keys in schema.items():
+            if keys:
+                text += f"[{sec}]\n" + "".join(
+                    f"{k} = {_sample(k, d)}\n" for k, d in keys.items()
+                    if d is not None)
+        assert parse_config(text=text).values == parse_config(
+            text=f"[experiment]\nname = {pipeline}\nseed = 1\n").values
+
+
+class _Recorded(dict):
+    """One section of ``cfg.values`` that notes the keys read from it."""
+
+    def __init__(self, section, values, reads):
+        super().__init__(values)
+        self.section, self.reads = section, reads
+
+    def __getitem__(self, key):
+        self.reads.add((self.section, key))
+        return super().__getitem__(key)
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+@pytest.mark.parametrize("pipeline", sorted(SCHEMA))
+def test_every_schema_key_is_read_before_the_first_draw(monkeypatch,
+                                                        pipeline):
+    # so SCHEMA holds no key that its pipeline ignores
+    def first_draw(*args, **kwargs):
+        raise _FirstDraw
+
+    for name in ("sample_noise", "mean_field_enhance"):
+        monkeypatch.setattr(parafield.experiments, name, first_draw)
+    cfg = parse_config(text=_config(pipeline, ""), out="unused")
+    reads = set()
+    cfg.values = {sec: v if v is None else _Recorded(sec, v, reads)
+                  for sec, v in cfg.values.items()}
+    with pytest.raises(_FirstDraw):
+        run_experiment(cfg)
+    assert reads == {(sec, key) for sec, keys in SCHEMA[pipeline].items()
+                     for key in keys or ()}
+
+
+def test_run_experiment_looks_up_the_pipeline_at_run_time(tmp_path,
+                                                          monkeypatch):
+    # perfbench's tracer times each pipeline by replacing its entry
+    calls = []
+    pipeline = parafield.experiments.EXPERIMENTS["solve"]
+
+    def wrapped(cfg):
+        calls.append(cfg)
+        return pipeline(cfg)
+
+    monkeypatch.setitem(parafield.experiments.EXPERIMENTS, "solve", wrapped)
+    cfg = parse_config(text=SOLVE_CFG, out=str(tmp_path / "out"))
+    assert run_experiment(cfg)["ok"] and calls == [cfg]
 
 
 def test_unknown_scheme_is_rejected_before_sampling(tmp_path, monkeypatch):

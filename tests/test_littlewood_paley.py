@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from parafield import (Field, RegularityParams, besov_norm, dyadic_blocks,
-                       make_grid)
+from parafield import Field, besov_norm, dyadic_blocks, make_grid
 from parafield.littlewood_paley import BLOCK_CACHE_SIZE, DyadicPartition
 from conftest import random_field
 
@@ -96,14 +95,6 @@ def test_besov_homogeneity_and_sum(grid32, rng):
         assert n2 == pytest.approx(3.0 * n1, rel=1e-12)
     # l^1 over blocks dominates l^inf
     assert besov_norm(f, 0.3, 2, 1) >= besov_norm(f, 0.3, 2, np.inf)
-
-
-def test_regularity_params_validation():
-    RegularityParams(alpha=0.75, beta=0.7)
-    with pytest.raises(ValueError):
-        RegularityParams(alpha=0.7, beta=0.75)
-    with pytest.raises(ValueError):
-        RegularityParams(alpha=0.75, beta=0.5)
 
 
 def test_partition_cache_shared():
