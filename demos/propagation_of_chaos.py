@@ -8,9 +8,9 @@ large reference simulation through the exact 2-Wasserstein distance.
 
 import numpy as np
 
-from parafield import (Field, NoiseSpec, SolveConfig, chaos_metric, make_grid,
-                       make_interaction, make_times, sample_noise, semigroup,
-                       solve_additive_mckean)
+from parafield import (EnhancedNoise, Field, NoiseSpec, SolveConfig,
+                       chaos_metric, make_grid, make_interaction, make_times,
+                       sample_noise, semigroup, solve_particle_system)
 
 N = 32
 K = 8        # repetitions per system size
@@ -29,20 +29,23 @@ def u0_for(stream):
     return f * (0.5 / max(f.linf(), 1e-12))
 
 
-ref_noises = [sample_noise(spec, grid, times, stream_id=500_000 + i)
-              for i in range(M_REF)]
-ref = [p[-1] for p in solve_additive_mckean(
-    g_spec, ref_noises, [u0_for(500_000 + i) for i in range(M_REF)], cfg)]
+def solve(sids):
+    """Final states of the additive system (f_spec=None) on these streams."""
+    # the additive equation reads no counterterm, so it is zero
+    noises = [EnhancedNoise(sample_noise(spec, grid, times, stream_id=s),
+                            np.zeros_like) for s in sids]
+    sols = solve_particle_system(noises, None, g_spec,
+                                 [u0_for(s) for s in sids], cfg)
+    return [p[-1] for p in sols]
+
+
+ref = solve([500_000 + i for i in range(M_REF)])
 
 runs = {}
 for n in (4, 16):
     runs_n = []
     for k in range(K):
-        sids = [1000 * (k + 1) + i for i in range(n)]
-        noises = [sample_noise(spec, grid, times, stream_id=s) for s in sids]
-        sols = solve_additive_mckean(g_spec, noises,
-                                     [u0_for(s) for s in sids], cfg)
-        runs_n.append([p[-1] for p in sols])
+        runs_n.append(solve([1000 * (k + 1) + i for i in range(n)]))
     runs[n] = runs_n
 
 print(f"additive particle systems vs a {M_REF}-sample mean-field reference")

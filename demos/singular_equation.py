@@ -30,14 +30,16 @@ times = make_times(T, dt)
 frozen = [PathField.constant(times, u0)]
 
 raw = sample_noise(spec, grid, times, stream_id=0)
-sols = {}
+keys, noises = [], []
 for eps in all_eps:
     en = enhance(raw, eps)
     # the naive run is the same solve with a zero counterterm
     naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
-    for renorm, noise in ((True, en), (False, naive)):
-        sols[(eps, renorm)] = solve_renormalized(noise, frozen, f_spec, None,
-                                                 u0, SolveConfig())
+    keys += [(eps, True), (eps, False)]
+    noises += [en, naive]
+# every (eps, renorm) field in one stacked solve against the frozen measure
+sols = dict(zip(keys, solve_renormalized(noises, frozen, f_spec, None,
+                                         [u0] * len(noises), SolveConfig())))
 
 print(f"mollification refinement on a {N} x {N} grid, T = {T}")
 print("  eps      D_renormalized  D_naive")

@@ -13,10 +13,9 @@ from .interactions import (EmpiricalMeasure, InteractionSpec, eval_f, eval_g,
 from .paracontrolled import (Paracontrolled, decompose, paralinearize_f,
                              pc_product, reconstruct)
 from .solver import (ExplosionError, FixedPointError, PicardError,
-                     SolveConfig, default_dt,
-                     solve_additive_frozen, solve_additive_mckean,
-                     solve_mean_field, solve_paracontrolled,
-                     solve_particle_system, solve_renormalized)
+                     SolveConfig, default_dt, solve_mean_field,
+                     solve_paracontrolled, solve_particle_system,
+                     solve_renormalized)
 from .measures import (chaos_metric, ground_distance_matrix,
                        subsample_ensemble, wasserstein)
 from .experiments import (ConfigError, ExperimentConfig, parse_config,

@@ -32,9 +32,9 @@ from .noise import (EnhancedNoise, NoiseSpec, enhance, low_damped_multiplier,
                     renorm_constant, sample_noise)
 from .paracontrolled import reconstruct
 from .solver import (ExplosionError, FixedPointError, PicardError,
-                     SolveConfig, default_dt, solve_additive_mckean,
-                     solve_mean_field, solve_paracontrolled,
-                     solve_particle_system, solve_renormalized)
+                     SolveConfig, default_dt, solve_mean_field,
+                     solve_paracontrolled, solve_particle_system,
+                     solve_renormalized)
 from .torus import Field, PathField, from_spectra, make_grid, make_times, \
     spectra, write_pfld
 
@@ -174,6 +174,26 @@ def _parse(section: str, key: str, text: str, parser):
         raise ConfigError(f"[{section}] {key} = {text!r}: {e}") from None
 
 
+def _check_interaction_keys(name: str, sections: dict, values: dict):
+    """Reject the interaction keys a run would not read: an [f]/[g]
+    parameter without that section's name, [kernel] without a written
+    [f] name, and maxprinciple's f_scale beside an [f] name."""
+    off = {s: values[s]["name"] in (None, "none") for s in ("f", "g")
+           if s in values}
+    unread = [f"[{s}] {k}" for s in off if off[s]
+              for k in sections.get(s, {}) if k != "name"]
+    if "kernel" in sections and sections.get("f", {}).get("name") in (
+            None, "none"):
+        unread.append("[kernel]")
+    if "f_scale" in sections.get("params", {}) and not off["f"]:
+        unread.append("[params] f_scale")
+    if unread:
+        raise ConfigError(
+            f"{name} would not read {unread}: an [f]/[g] key needs that "
+            f"section's name, [kernel] an [f] name, and f_scale no [f] "
+            f"name (name = none counts as no name)")
+
+
 def parse_config(path: str | None = None, text: str | None = None,
                  seed: int | None = None, out: str | None = None) -> ExperimentConfig:
     """Read an experiment config and parse it against the named pipeline's
@@ -217,6 +237,7 @@ def parse_config(path: str | None = None, text: str | None = None,
                               f"it reads {sorted(defaults)}")
         values[sec] = {k: _parse(sec, k, given[k], _PARSERS[k])
                        if k in given else d for k, d in defaults.items()}
+    _check_interaction_keys(name, sections, values)
     exp = values.pop("experiment")
     seed = exp["seed"] if seed is None else seed
     if seed is None:
@@ -442,7 +463,7 @@ def _exp_solve(cfg: ExperimentConfig):
     en = enhance(raw, eps)
     frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
     if scheme == "direct_renormalized":
-        u = solve_renormalized(en, frozen, f_spec, g_spec, u0, scfg)
+        u = solve_renormalized([en], frozen, f_spec, g_spec, [u0], scfg)[0]
     else:
         u = reconstruct(solve_paracontrolled(en, frozen, f_spec, g_spec, u0,
                                              scfg))
@@ -478,7 +499,7 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
         spec = _noise_spec(cfg, cfg.seed + s)
         raw = sample_noise(spec, grid, times, stream_id=0)
         en = enhance(raw, eps)
-        u = solve_renormalized(en, frozen, f_spec, g_spec, u0, scfg)
+        u = solve_renormalized([en], frozen, f_spec, g_spec, [u0], scfg)[0]
         rows.append({"seed": cfg.seed + s, "sup_linf": u.sup_linf(),
                      "bound": C0 * 1.01})
     worst = max(r["sup_linf"] for r in rows)
@@ -503,23 +524,25 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     dt = T / int(np.ceil(T / dt))
     times = make_times(T, dt)
     frozen = [PathField.constant(times, u0)]
+    keys = [(eps, renorm) for eps in all_eps for renorm in (True, False)]
     D = {True: np.zeros(len(eps_ladder)), False: np.zeros(len(eps_ladder))}
     scfg = SolveConfig()
     for s in range(n_seeds):
         spec = _noise_spec(cfg, cfg.seed + s, low)
         raw = sample_noise(spec, grid, times, stream_id=0)
-        sols = {}
+        noises = []
         for eps in all_eps:
             en = enhance(raw, eps)
             # the naive run is the same solve with a zero counterterm
-            naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
-            for renorm, noise in ((True, en), (False, naive)):
-                sols[(eps, renorm)] = solve_renormalized(
-                    noise, frozen, f_spec, g_spec, u0, scfg)
+            noises += [en, EnhancedNoise(en.xi, c_eps=np.zeros_like)]
+        # every (eps, renorm) field of the seed in one stacked solve
+        sols = dict(zip(keys, solve_renormalized(
+            noises, frozen, f_spec, g_spec, [u0] * len(keys), scfg)))
         for j, eps in enumerate(eps_ladder):
             for renorm in (True, False):
                 d = (sols[(eps, renorm)] - sols[(eps / 2, renorm)]).sup_linf()
                 D[renorm][j] += d / n_seeds
+        del sols  # release this seed's paths before the next solve
     rows = [{"eps": e, "d_renormalized": float(D[True][j]),
              "d_naive": float(D[False][j])}
             for j, e in enumerate(eps_ladder)]
@@ -553,7 +576,9 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
         S = semigroup(spectra([Field(grid, white(s)) for s in sids]), 0.5)
         u0s = [f * (0.5 / max(f.linf(), 1e-12))
                for f in from_spectra(grid, S)[1]]
-        return [p[-1] for p in solve_additive_mckean(g_spec, noises, u0s, scfg)]
+        additive = [EnhancedNoise(z, np.zeros_like) for z in noises]
+        return [p[-1] for p in solve_particle_system(additive, None, g_spec,
+                                                     u0s, scfg)]
 
     # reference: one big additive run (Tanaka reading of the mean field)
     ref = solve(range(500_000, 500_000 + M_ref))

@@ -6,6 +6,8 @@ the grid cutoff: no stiffness restriction on the time step.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .torus import Field, PathField, TorusGrid, make_grid
@@ -35,26 +37,22 @@ def _semigroup_spectrum(spec: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-_weights_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def etd_weights(grid: TorusGrid, dt: float):
-    """Per-mode weights (E, I0, I1) of the exact exponential integrator.
+    """Per-mode weights (E, I0, I1) of the exact exponential integrator,
+    built once per grid size and step and read-only.
 
     For zdot = -|k|^2 z + (a + b*tau) on a step of length dt:
     z_next = E*z + I0*a + I1*b with E = e^{-q dt}, I0 = (1-E)/q and
     I1 = dt/q - (1-E)/q^2 (limits dt and dt^2/2 at q = 0).
     """
-    key = (grid.N, float(dt))
-    if key in _weights_cache:
-        return _weights_cache[key]
     q = grid.k2
     E = np.exp(-dt * q)
     with np.errstate(divide="ignore", invalid="ignore"):
         I0 = np.where(q > 0, -np.expm1(-dt * q) / np.where(q > 0, q, 1.0), dt)
         I1 = np.where(q > 0, dt / np.where(q > 0, q, 1.0) - I0 / np.where(q > 0, q, 1.0),
                       0.5 * dt * dt)
-    _weights_cache[key] = (E, I0, I1)
+    E.flags.writeable = I0.flags.writeable = I1.flags.writeable = False
     return E, I0, I1
 
 

@@ -18,6 +18,7 @@ trends and ratios, never absolute constants.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,14 +98,10 @@ class DyadicPartition:
         return blocks
 
 
-_partition_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def dyadic_blocks(grid: TorusGrid) -> DyadicPartition:
     """The partition of the grid, built on the first call for its size."""
-    if grid.N not in _partition_cache:
-        _partition_cache[grid.N] = DyadicPartition(grid)
-    return _partition_cache[grid.N]
+    return DyadicPartition(grid)
 
 
 def _lq_norm(vals: np.ndarray, q, spacing: float) -> float:

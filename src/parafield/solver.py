@@ -1,5 +1,5 @@
-"""Time integrators for the additive, frozen-measure, particle and
-mean-field equations.
+"""Time integrators for the frozen-measure, particle and mean-field
+equations, renormalized or (f_spec=None) additive.
 
 All schemes are exponential-Euler in mild form: the heat part is exact
 per Fourier mode and the nonlinearity enters through the phi_1 weight.
@@ -33,8 +33,6 @@ __all__ = [
     "ExplosionError",
     "PicardError",
     "FixedPointError",
-    "solve_additive_mckean",
-    "solve_additive_frozen",
     "solve_renormalized",
     "solve_paracontrolled",
     "solve_particle_system",
@@ -143,25 +141,29 @@ def _forcing(f_spec, g_spec, U, mu, xs, xid, c):
     return spec
 
 
-def _step_fields(u0s: list, xis: list, cs: list | None,
-                 f_spec: InteractionSpec | None,
+def _step_fields(u0s: list, enhanced: list, f_spec: InteractionSpec | None,
                  g_spec: InteractionSpec | None, frozen: list | None,
                  cfg: SolveConfig) -> list:
     """Exponential-Euler steps of every field, all fields together.
 
     u^i_{n+1} = E u^i_n + I0 (f(u^i_n, mu_n) xi^i_n - c^i_n (f d1f)(u^i_n,
-    mu_n) + g(u^i_n, mu_n)), or with forcing xi^i_n + g when f_spec is
-    None.  mu_n is slice n of the ``frozen`` atoms, or the running
+    mu_n) + g(u^i_n, mu_n)), with (xi^i, c^i) the enhanced noise of field
+    i, or with forcing xi^i_n + g when f_spec is None (then c^i is not
+    read).  mu_n is slice n of the ``frozen`` atoms, or the running
     empirical measure of the fields themselves when ``frozen`` is None.
     The fields are held as one (n, N, N) value stack with its half
     spectrum, and each time step is one ``etd_step`` of the whole stack;
     a Field wraps each row only for the returned paths.
     """
-    times = xis[0].times
+    if not enhanced or len(u0s) != len(enhanced):
+        raise ValueError("need aligned, nonempty noise/initial lists")
+    times = enhanced[0].times
     dt = float(times[1] - times[0])
     grid = u0s[0].grid
     R = cfg.guard(max(u.linf() for u in u0s))
-    c = None if cs is None else np.stack(cs)[:, :, None, None]
+    xis = [en.xi for en in enhanced]
+    c = None if f_spec is None else np.stack(
+        [np.atleast_1d(en.c_eps(times)) for en in enhanced])[:, :, None, None]
     rows = list(u0s)
     paths = [[u] for u in u0s]
     U = np.stack([u.values for u in u0s])
@@ -187,46 +189,19 @@ def _step_fields(u0s: list, xis: list, cs: list | None,
     return [PathField(times, p) for p in paths]
 
 
-def _counterterm(en: EnhancedNoise) -> np.ndarray:
-    return np.atleast_1d(en.c_eps(en.times))
+def solve_renormalized(enhanced: list, frozen: list,
+                       f_spec: InteractionSpec | None,
+                       g_spec: InteractionSpec | None, u0s: list,
+                       cfg: SolveConfig) -> list:
+    """Frozen-measure renormalized equation for n fields, direct scheme.
 
-
-def solve_additive_mckean(g_spec: InteractionSpec | None, noises: list,
-                          u0s: list, cfg: SolveConfig) -> list:
-    """Coupled additive system: du^i = Lap u^i + zeta^i + g(u^i, mu^n).
-
-    mu^n is the running empirical measure of the n fields.  With n
-    equal to the Monte Carlo sample count this doubles as the additive
-    mean-field solver (the particle system restates the mean-field
-    equation on the uniform n-point space).
+    du^i = Lap u^i + f(u^i, v_t) xi^i - c^i(t) (f d1f)(u^i, v_t)
+    + g(u^i, v_t), with (xi^i, c^i) the enhanced noise of field i and
+    v_t the slice-t empirical measure of the frozen PathField atoms
+    (du^i = Lap u^i + xi^i + g(u^i, v_t) when f_spec is None).  Returns
+    one PathField per field, bitwise the solve of that field alone.
     """
-    if len(noises) != len(u0s) or not noises:
-        raise ValueError("need aligned, nonempty noise/initial lists")
-    return _step_fields(u0s, noises, None, None, g_spec, None, cfg)
-
-
-def solve_additive_frozen(g_spec: InteractionSpec | None, noise: PathField,
-                          u0: Field, frozen: list, cfg: SolveConfig) -> PathField:
-    """One additive solve against a frozen empirical measure path.
-
-    ``frozen`` is a list of PathField atoms; the measure at step n is
-    their slice n.  Shares the stepping kernel of the stacked solver,
-    so a particle re-solved against the recorded measure of a stacked
-    run reproduces it bitwise.
-    """
-    return _step_fields([u0], [noise], None, None, g_spec, frozen, cfg)[0]
-
-
-def solve_renormalized(en: EnhancedNoise, frozen: list, f_spec: InteractionSpec,
-                       g_spec: InteractionSpec | None, u0: Field,
-                       cfg: SolveConfig) -> PathField:
-    """Frozen-measure renormalized equation, direct scheme.
-
-    du = Lap u + f(u, v_t) xi_eps - c_eps(t) (f d1f)(u, v_t) + g(u, v_t)
-    with v_t the slice-t empirical measure of the frozen atoms.
-    """
-    return _step_fields([u0], [en.xi], [_counterterm(en)], f_spec, g_spec,
-                        frozen, cfg)[0]
+    return _step_fields(u0s, enhanced, f_spec, g_spec, frozen, cfg)
 
 
 def solve_paracontrolled(en: EnhancedNoise, frozen: list,
@@ -282,19 +257,16 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: list,
                           sharp=PathField(times, sharps))
 
 
-def solve_particle_system(enhanced: list, f_spec: InteractionSpec,
+def solve_particle_system(enhanced: list, f_spec: InteractionSpec | None,
                           g_spec: InteractionSpec | None, u0s: list,
                           cfg: SolveConfig) -> list:
     """Renormalized n-particle system with the running empirical measure.
 
     ``enhanced`` holds the n particles' enhanced noises, as
-    ``mean_field_enhance`` returns them.
+    ``mean_field_enhance`` returns them.  With f_spec None it is the
+    additive system du^i = Lap u^i + xi^i + g(u^i, mu^n).
     """
-    if not enhanced or len(u0s) != len(enhanced):
-        raise ValueError("need particles, one initial condition each")
-    cs = [_counterterm(enhanced[0])] * len(enhanced)
-    return _step_fields(u0s, [en.xi for en in enhanced], cs, f_spec, g_spec,
-                        None, cfg)
+    return _step_fields(u0s, enhanced, f_spec, g_spec, None, cfg)
 
 
 def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
@@ -314,11 +286,10 @@ def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
     times = enhanced[0].times
     flow = [semigroup(u0, float(t)) for t in times]
     ensemble = [PathField(times, flow) for _ in range(M)]
-    xis = [en.xi for en in enhanced]
-    cs = [_counterterm(en) for en in enhanced]
     residuals = []
     for it in range(cfg.picard_max_iters):
-        new = _step_fields([u0] * M, xis, cs, f_spec, g_spec, ensemble, cfg)
+        new = solve_renormalized(enhanced, ensemble, f_spec, g_spec, [u0] * M,
+                                 cfg)
         res = max(float(np.max(np.abs(
             np.stack([p[n].values for p in new])
             - np.stack([p[n].values for p in ensemble]))))

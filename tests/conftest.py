@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from parafield import Field, make_grid
+from parafield import EnhancedNoise, Field, make_grid
 
 
 def random_field(grid, rng, dealiased=False, smooth=0.0):
@@ -14,6 +14,12 @@ def random_field(grid, rng, dealiased=False, smooth=0.0):
     if smooth > 0:
         spec = spec * np.exp(-smooth * grid.k2)
     return Field.from_spectrum(grid, spec)
+
+
+def additive(paths):
+    """Noise paths as enhanced noises for the additive equation
+    (f_spec=None), which reads no counterterm: it is set to zero."""
+    return [EnhancedNoise(z, np.zeros_like) for z in paths]
 
 
 @pytest.fixture

@@ -21,13 +21,13 @@ import pytest
 from parafield import (Field, NoiseSpec, PathField, SolveConfig, besov_norm,
                        default_dt, dyadic_blocks, enhance, make_grid,
                        make_interaction, make_times, pointwise_product,
-                       sample_noise, semigroup, solve_additive_frozen,
-                       solve_additive_mckean, solve_renormalized, wasserstein)
+                       sample_noise, semigroup, solve_particle_system,
+                       solve_renormalized, wasserstein)
 from parafield.bony import para, resonant
 from parafield.experiments import parse_config, run_experiment
 from parafield.paracontrolled import reconstruct
 from parafield.solver import solve_paracontrolled
-from conftest import random_field
+from conftest import additive, random_field
 
 
 def _report(label, ok, detail):
@@ -203,10 +203,11 @@ def test_criterion_12_tanaka_consistency():
     noises = [sample_noise(spec, grid, times, stream_id=i) for i in range(n)]
     u0s = [random_field(grid, rng, smooth=0.3) for _ in range(n)]
     cfg = SolveConfig()
-    stacked = solve_additive_mckean(g_spec, noises, u0s, cfg)
+    stacked = solve_particle_system(additive(noises), None, g_spec, u0s, cfg)
     ok = True
     for i in range(n):
-        replay = solve_additive_frozen(g_spec, noises[i], u0s[i], stacked, cfg)
+        replay = solve_renormalized(additive(noises[i:i + 1]), stacked, None,
+                                    g_spec, u0s[i:i + 1], cfg)[0]
         for m in range(len(times)):
             ok = ok and np.array_equal(replay[m].values, stacked[i][m].values)
     assert _report("criterion 12 tanaka consistency", ok,
@@ -229,7 +230,8 @@ def test_criterion_13_two_scheme_consistency():
         times = make_times(T, dt)
         en = enhance(sample_noise(spec, grid, times, stream_id=0), eps)
         frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
-        direct = solve_renormalized(en, frozen, f_spec, None, u0, SolveConfig())
+        direct = solve_renormalized([en], frozen, f_spec, None, [u0],
+                                    SolveConfig())[0]
         pc = solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
         u2 = reconstruct(pc)
         rels[eps] = (direct - u2).sup_linf() / max(direct.sup_linf(), 1e-12)
@@ -266,11 +268,13 @@ def test_criterion_14_lipschitz_in_law():
              for i in range(M)]
     u0s = [u0_for(i) for i in range(M)]
     cfg = SolveConfig()
-    out0 = [p[-1] for p in solve_additive_mckean(g_spec, base, u0s, cfg)]
+    out0 = [p[-1] for p in solve_particle_system(additive(base), None,
+                                                 g_spec, u0s, cfg)]
     ratios = []
     for eta in (1e-1, 1e-2, 1e-3):
         pert = [b + eta * f for b, f in zip(base, fresh)]
-        out1 = [p[-1] for p in solve_additive_mckean(g_spec, pert, u0s, cfg)]
+        out1 = [p[-1] for p in solve_particle_system(additive(pert), None,
+                                                     g_spec, u0s, cfg)]
         d_in = wasserstein([b[-1] for b in base], [p[-1] for p in pert])
         d_out = wasserstein(out0, out1)
         ratios.append(d_out / d_in)

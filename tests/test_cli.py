@@ -323,6 +323,16 @@ BAD_BEFORE_SAMPLING = {
         "renorm_dichotomy", "\n[params]\nlow_k0 = -2\n"),
     "chaos_additive_k_beyond_float": _config(
         "chaos_additive", "\n[ensemble]\nk = 1" + "0" * 400 + "\n"),
+    # interaction keys that the run would not read
+    "maxprinciple_f_params_without_f_name": _config(
+        "maxprinciple", "\n[f]\nscale = 9\nc = 5\n"),
+    "maxprinciple_f_scale_with_f_name": _config(
+        "maxprinciple", "\n[f]\nname = cos_bump\n\n[params]\nf_scale = 7\n"),
+    "solve_kernel_with_f_none": SOLVE_CFG.replace(
+        "tanh_bilinear\nscale = 0.5", "none")
+    + "\n[kernel]\nname = gaussian\nwidth = 0.3\n",
+    "solve_g_params_without_g_name": SOLVE_CFG
+    + "\n[g]\nscale = 3\nm = 2\n",
 }
 
 
@@ -385,7 +395,9 @@ def test_schema_defaults_pass_their_parsers():
         # every default written out reads back as the default
         text = f"[experiment]\nname = {pipeline}\nseed = 1\n"
         for sec, keys in schema.items():
-            if keys:
+            # an [f]/[g] parameter needs that section's name, so a
+            # section whose name is unset is left out
+            if keys and keys.get("name", "") is not None:
                 text += f"[{sec}]\n" + "".join(
                     f"{k} = {_sample(k, d)}\n" for k, d in keys.items()
                     if d is not None)

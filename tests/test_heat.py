@@ -46,6 +46,18 @@ def test_etd_weights_zero_mode_limits(grid16):
                                      rel=1e-8)
 
 
+def test_etd_weights_are_shared_and_read_only(grid16):
+    # one cached table per (grid, dt), shared by every caller: a write
+    # would change every later step
+    weights = etd_weights(grid16, 0.05)
+    assert etd_weights(grid16, 0.05) is weights
+    for a in weights:
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+
+
 def test_etd_step_formula(grid16, rng):
     u = random_field(grid16, rng)
     n = random_field(grid16, rng)

@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import parafield.experiments
 import parafield.solver
 from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        FixedPointError, NoiseSpec, PathField, PicardError,
                        SolveConfig, default_dt, enhance, etd_step, eval_f,
                        eval_g, eval_partial, make_interaction, make_times,
                        mean_field_enhance, pointwise_product, reconstruct,
-                       sample_noise, semigroup, solve_additive_frozen,
-                       solve_additive_mckean, solve_mean_field,
+                       sample_noise, semigroup, solve_mean_field,
                        solve_paracontrolled, solve_particle_system,
                        solve_renormalized)
 from parafield.bony import corrector
-from conftest import random_field
+from parafield.experiments import parse_config, run_experiment
+from conftest import additive, random_field
 
 
 def _times(T=0.25, dt=0.03125):
@@ -43,7 +44,8 @@ def test_additive_without_drift_is_mild_heat_solution(grid32):
     zeta_f = Field.from_values(grid32, np.cos(3 * X) + 0.5 * np.sin(X + 2 * Y))
     zeta = PathField.constant(times, zeta_f)
     u0 = Field.from_values(grid32, 0.3 * np.cos(X + Y))
-    sol = solve_additive_mckean(None, [zeta], [u0], SolveConfig())[0]
+    sol = solve_particle_system(additive([zeta]), None, None, [u0],
+                                SolveConfig())[0]
     q = grid32.k2
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, t in enumerate(times):
@@ -64,11 +66,11 @@ def test_tanaka_frozen_replay_is_bitwise(grid16):
     rng = np.random.default_rng(0)
     u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(n)]
     cfg = SolveConfig()
-    stacked = solve_additive_mckean(g_spec, noises, u0s, cfg)
+    stacked = solve_particle_system(additive(noises), None, g_spec, u0s, cfg)
     for i in range(n):
         # the running measure at step m is the stacked state at slice m
-        replay = solve_additive_frozen(g_spec, noises[i], u0s[i],
-                                       stacked, cfg)
+        replay = solve_renormalized(additive(noises[i:i + 1]), stacked, None,
+                                    g_spec, u0s[i:i + 1], cfg)[0]
         for m in range(len(times)):
             assert np.array_equal(replay[m].values, stacked[i][m].values)
 
@@ -86,10 +88,96 @@ def test_singular_tanaka_frozen_replay_is_bitwise(grid16):
     cfg = SolveConfig()
     stacked = solve_particle_system(mf, f_spec, g_spec, u0s, cfg)
     for i in range(3):
-        replay = solve_renormalized(mf[i], stacked, f_spec, g_spec, u0s[i],
-                                    cfg)
+        replay = solve_renormalized([mf[i]], stacked, f_spec, g_spec,
+                                    [u0s[i]], cfg)[0]
         for m in range(len(times)):
             assert np.array_equal(replay[m].values, stacked[i][m].values)
+
+
+def test_mixed_frozen_stack_is_bitwise_per_field(grid16):
+    # one frozen-measure call on distinct noises, one of them with a zero
+    # counterterm, returns each field's one-field solve bit for bit
+    times = _times(T=0.125)
+    mf = mean_field_enhance(3, NoiseSpec(seed=13), 0.1, grid16, times)
+    assert np.any(mf[0].c_eps(times) != 0.0)
+    noises = [mf[0], EnhancedNoise(mf[1].xi, c_eps=np.zeros_like), mf[2]]
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    g_spec = make_interaction("tanh_revert", scale=0.7)
+    rng = np.random.default_rng(4)
+    u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(3)]
+    frozen = [PathField(times, [semigroup(a, float(t)) for t in times])
+              for a in u0s[:2]]
+    cfg = SolveConfig()
+    stacked = solve_renormalized(noises, frozen, f_spec, g_spec, u0s, cfg)
+    for i in range(3):
+        alone = solve_renormalized(noises[i:i + 1], frozen, f_spec, g_spec,
+                                   u0s[i:i + 1], cfg)[0]
+        for m in range(len(times)):
+            assert alone[m].values.tobytes() == stacked[i][m].values.tobytes()
+
+
+DICHOTOMY_CFG = """\
+[experiment]
+name = renorm_dichotomy
+seed = 1
+
+[grid]
+n = 16
+t = {t}
+
+[f]
+name = bilinear
+scale = {scale}
+
+[params]
+n_seeds = {n_seeds}
+"""
+
+
+def _recording_solves(monkeypatch):
+    # the arguments of every solver call the dichotomy pipeline makes
+    calls = []
+    solve = parafield.experiments.solve_renormalized
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(parafield.experiments, "solve_renormalized",
+                        recording)
+    return calls
+
+
+def test_dichotomy_makes_one_solver_call_per_seed(tmp_path, monkeypatch):
+    calls = _recording_solves(monkeypatch)
+    cfg = parse_config(text=DICHOTOMY_CFG.format(t=0.25, scale=0.4,
+                                                 n_seeds=2),
+                       out=str(tmp_path / "out"))
+    record = run_experiment(cfg)
+    assert "failure" not in record
+    # each call stacks the renormalized and naive field of every eps
+    assert [len(args[0]) for args in calls] == [8, 8]
+
+
+def test_dichotomy_reports_the_earliest_crossing(tmp_path, monkeypatch):
+    # the stacked solve reports the earliest explosion over its fields,
+    # not that of the first (eps, renorm) pair in loop order
+    calls = _recording_solves(monkeypatch)
+    cfg = parse_config(text=DICHOTOMY_CFG.format(t=10.0, scale=1.0,
+                                                 n_seeds=1),
+                       out=str(tmp_path / "out"))
+    failure = run_experiment(cfg)["failure"]
+    (noises, frozen, f_spec, g_spec, u0s, scfg), = calls
+    crossings = []
+    for i in range(len(noises)):
+        with pytest.raises(ExplosionError) as exc:
+            solve_renormalized(noises[i:i + 1], frozen, f_spec, g_spec,
+                               u0s[i:i + 1], scfg)
+        crossings.append((exc.value.time, exc.value.linf))
+    earliest = min(crossings, key=lambda c: c[0])
+    assert crossings[0][0] > earliest[0]
+    assert failure["type"] == "ExplosionError"
+    assert (failure["time"], failure["linf"]) == earliest
 
 
 def _step_by_hand(u0s, xis, c, f_spec, g_spec, dt):
@@ -132,7 +220,7 @@ def test_one_stacked_step_matches_field_by_field(grid16, system):
         c, f_spec = 0.0, None
         xis = [sample_noise(NoiseSpec(seed=4, temporal="exp_correlated"),
                             grid16, times, stream_id=i) for i in range(n)]
-        got = solve_additive_mckean(g_spec, xis, u0s, cfg)
+        got = solve_particle_system(additive(xis), None, g_spec, u0s, cfg)
     want = _step_by_hand(u0s, xis, c, f_spec, g_spec, dt)
     for path, w in zip(got, want):
         assert path[1].values.tobytes() == w.values.tobytes()
@@ -188,10 +276,11 @@ def test_renormalize_flag_changes_solution(grid16):
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
     frozen = [PathField.constant(times, u0)]
-    a = solve_renormalized(en, frozen, f_spec, None, u0, SolveConfig())
+    a = solve_renormalized([en], frozen, f_spec, None, [u0], SolveConfig())[0]
     # the naive run is the same solve with a zero counterterm
     naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
-    b = solve_renormalized(naive, frozen, f_spec, None, u0, SolveConfig())
+    b = solve_renormalized([naive], frozen, f_spec, None, [u0],
+                           SolveConfig())[0]
     assert (a - b).sup_linf() > 1e-6
 
 
@@ -201,7 +290,7 @@ def test_explosion_guard_raises_with_time(grid16):
     g_spec = make_interaction("constant", c=50.0)
     u0 = Field.zero(grid16)
     with pytest.raises(ExplosionError) as exc:
-        solve_additive_mckean(g_spec, [zeta], [u0],
+        solve_particle_system(additive([zeta]), None, g_spec, [u0],
                               SolveConfig(max_linf=2.0))
     assert 0.0 < exc.value.time <= 1.0
     assert exc.value.linf >= 2.0
@@ -220,9 +309,10 @@ def test_stack_explosion_reports_the_crossing_field(grid16, amps, crossing):
              for a in amps]
     u0s = [Field.zero(grid16)] * len(amps)
     with pytest.raises(ExplosionError) as exc:
-        solve_additive_mckean(None, zetas, u0s, SolveConfig(max_linf=2.0))
-    alone = solve_additive_mckean(None, [zetas[crossing]], u0s[:1],
-                                  SolveConfig(max_linf=1e9))[0]
+        solve_particle_system(additive(zetas), None, None, u0s,
+                              SolveConfig(max_linf=2.0))
+    alone = solve_particle_system(additive([zetas[crossing]]), None, None,
+                                  u0s[:1], SolveConfig(max_linf=1e9))[0]
     k = next(k for k in range(len(times)) if alone[k].linf() >= 2.0)
     assert exc.value.time == times[k] == 0.75
     assert exc.value.linf == alone[k].linf()
@@ -291,7 +381,7 @@ def test_paracontrolled_matches_direct_with_two_atoms(grid32):
     frozen = [PathField(times, [semigroup(a, float(t)) for t in times])
               for a in (u0, w0)]
     cfg = SolveConfig()
-    direct = solve_renormalized(en, frozen, f_spec, None, u0, cfg)
+    direct = solve_renormalized([en], frozen, f_spec, None, [u0], cfg)[0]
     pc = reconstruct(solve_paracontrolled(en, frozen, f_spec, None, u0, cfg))
     assert (direct - pc).sup_linf() <= 0.05 * direct.sup_linf()
     # the second atom is read: one atom alone gives another solution
@@ -311,8 +401,8 @@ def test_mean_field_fixed_point_residual(grid16):
     ensemble, iters, residuals = solve_mean_field(noises, f_spec, None, u0, cfg)
     assert residuals[-1] < 1e-6 and iters == len(residuals)
     # the returned ensemble is a fixed point of one more sweep
-    again = [solve_renormalized(noises[i], list(ensemble), f_spec, None, u0,
-                                cfg) for i in range(3)]
+    again = [solve_renormalized([noises[i]], list(ensemble), f_spec, None,
+                                [u0], cfg)[0] for i in range(3)]
     res = max((again[i] - ensemble[i]).sup_linf() for i in range(3))
     assert res < 1e-5
 
@@ -353,11 +443,11 @@ def test_mean_field_explosion_reports_earliest_crossing(grid16, amp0):
     cfg = SolveConfig(max_linf=2.0)
     flow = [PathField.constant(times, u0)] * 2
     with pytest.raises(ExplosionError) as alone:
-        solve_renormalized(enhanced[1], flow, f_spec, None, u0, cfg)
+        solve_renormalized(enhanced[1:], flow, f_spec, None, [u0], cfg)
     assert alone.value.time == pytest.approx(0.75)
     if amp0 > 0.0:
         with pytest.raises(ExplosionError) as later:
-            solve_renormalized(enhanced[0], flow, f_spec, None, u0, cfg)
+            solve_renormalized(enhanced[:1], flow, f_spec, None, [u0], cfg)
         assert later.value.time == pytest.approx(1.125)
     with pytest.raises(ExplosionError) as exc:
         solve_mean_field(enhanced, f_spec, None, u0, cfg)
@@ -369,4 +459,5 @@ def test_input_validation(grid16, rng):
     times = _times(T=0.125)
     zeta = PathField.zero(times, grid16)
     with pytest.raises(ValueError):
-        solve_additive_mckean(None, [zeta], [], SolveConfig())
+        solve_particle_system(additive([zeta]), None, None, [],
+                              SolveConfig())
