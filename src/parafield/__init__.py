@@ -10,8 +10,7 @@ from .noise import (EnhancedNoise, NoiseSpec, cross_resonant, enhance,
                     renorm_constant, sample_noise)
 from .interactions import (EmpiricalMeasure, InteractionSpec, eval_f, eval_g,
                            eval_partial, make_interaction, make_kernel)
-from .paracontrolled import (Paracontrolled, decompose, paralinearize_f,
-                             pc_product, reconstruct)
+from .paracontrolled import Paracontrolled
 from .solver import (ExplosionError, FixedPointError, PicardError,
                      SolveConfig, default_dt, solve_mean_field,
                      solve_paracontrolled, solve_particle_system,

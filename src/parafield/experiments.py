@@ -30,7 +30,6 @@ from .measures import chaos_metric
 from .noise import (EnhancedNoise, NoiseSpec, enhance, low_damped_multiplier,
                     mean_field_enhance, mollify, power_law_multiplier,
                     renorm_constant, sample_noise)
-from .paracontrolled import reconstruct
 from .solver import (ExplosionError, FixedPointError, PicardError,
                      SolveConfig, default_dt, solve_mean_field,
                      solve_paracontrolled, solve_particle_system,
@@ -74,7 +73,7 @@ def _grid_size(text):
 
 
 _REAL, _POSITIVE = _number(), _number(low=0)
-_COUNT = _number(int, 1, closed=True)
+_COUNT, _SAMPLES = _number(int, 1, closed=True), _number(int, 2, closed=True)
 # one parser per key name, shared by every pipeline
 _PARSERS = {
     **dict.fromkeys(("name", "out", "kind", "scheme", "u0"), str),
@@ -86,13 +85,16 @@ _PARSERS = {
                     _POSITIVE),
     **dict.fromkeys(("eps", "mc_eps", "lambda", "low_floor"),
                     _number(low=0, closed=True)),
-    **dict.fromkeys(("m", "k", "m_ref", "n_pairs", "n_samples", "n_seeds",
+    **dict.fromkeys(("m", "k", "m_ref", "n_samples", "n_seeds",
                      "picard_max_iters", "snapshot_every"), _COUNT),
-    "mc_samples": _number(int, 2, closed=True),
+    **dict.fromkeys(("mc_samples", "n_pairs"), _SAMPLES),
     "alpha": _number(low=2 / 3, high=1),
     **dict.fromkeys(("eps_ladder", "eps_pair"), _list(_POSITIVE)),
     "n_list": _list(_COUNT),
 }
+# parsers of one section's key, looked up before the per-name ones: a
+# Picard ensemble needs two members, while [f]/[g] m may be 1
+_SECTION_PARSERS = {("ensemble", "m"): _SAMPLES}
 _INTERACTION = {"name": None, "scale": 1.0, "c0": 1.0, "c": 1.0, "m": 1}
 
 
@@ -235,7 +237,8 @@ def parse_config(path: str | None = None, text: str | None = None,
         if unknown:
             raise ConfigError(f"{name} reads no key(s) {unknown} in [{sec}]; "
                               f"it reads {sorted(defaults)}")
-        values[sec] = {k: _parse(sec, k, given[k], _PARSERS[k])
+        values[sec] = {k: _parse(sec, k, given[k],
+                                 _SECTION_PARSERS.get((sec, k), _PARSERS[k]))
                        if k in given else d for k, d in defaults.items()}
     _check_interaction_keys(name, sections, values)
     exp = values.pop("experiment")
@@ -465,8 +468,7 @@ def _exp_solve(cfg: ExperimentConfig):
     if scheme == "direct_renormalized":
         u = solve_renormalized([en], frozen, f_spec, g_spec, [u0], scfg)[0]
     else:
-        u = reconstruct(solve_paracontrolled(en, frozen, f_spec, g_spec, u0,
-                                             scfg))
+        u = solve_paracontrolled(en, frozen, f_spec, g_spec, u0, scfg)
     keep = list(range(0, len(u), every))
     if len(keep) < 2:
         keep = [0, len(u) - 1]
@@ -540,7 +542,10 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
             noises, frozen, f_spec, g_spec, [u0] * len(keys), scfg)))
         for j, eps in enumerate(eps_ladder):
             for renorm in (True, False):
-                d = (sols[(eps, renorm)] - sols[(eps / 2, renorm)]).sup_linf()
+                # sup-in-time gap, slice by slice: no difference path
+                d = max(float(np.max(np.abs(x.values - y.values)))
+                        for x, y in zip(sols[(eps, renorm)].fields,
+                                        sols[(eps / 2, renorm)].fields))
                 D[renorm][j] += d / n_seeds
         del sols  # release this seed's paths before the next solve
     rows = [{"eps": e, "d_renormalized": float(D[True][j]),

@@ -1,13 +1,12 @@
 """Paracontrolled data, the singular product and paralinearization.
 
-A path u is stored as u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp.
-Each operator is defined once, on a single time slice (the ``*_slice``
-functions, whose Paracontrolled entries are Fields); the path versions
-apply it to every slice and collect the results into PathFields.  The
-remainder ``sharp`` is always the exact residual, so
-decompose-then-reconstruct is the identity and the regularity of sharp
-is checked as a property, not imposed.  The Bony products take the
-dyadic blocks of the grid their operands live on.
+A time slice u is stored as u = (dz < X) + mean_j (dmu_j < Xbar_j)
++ sharp.  Every operator is defined on a single slice; a solver that
+steps a path applies them slice by slice.  The remainder ``sharp`` is
+always the exact residual, so decompose-then-reconstruct is the
+identity and the regularity of sharp is checked as a property, not
+imposed.  The Bony products take the dyadic blocks of the grid their
+operands live on.
 """
 
 from __future__ import annotations
@@ -17,39 +16,31 @@ from dataclasses import dataclass, field
 from .bony import corrector, para, resonant
 from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, \
     eval_partial, eval_slot_partial
-from .noise import EnhancedNoise
-from .torus import Field, PathField, pointwise_product
+from .torus import Field, pointwise_product
 
-__all__ = ["Paracontrolled", "decompose", "reconstruct", "pc_product",
-           "paralinearize_f", "decompose_slice", "reconstruct_slice",
+__all__ = ["Paracontrolled", "decompose_slice", "reconstruct_slice",
            "pc_product_slice", "paralinearize_slice"]
 
 
 @dataclass
 class Paracontrolled:
-    """Paracontrolled decomposition of a path or of one time slice.
+    """Paracontrolled decomposition of one time slice.
 
-    The entries are all PathFields (a path) or all Fields (a slice);
-    ``pc[n]`` is slice n of a path.  ``reference`` is the rough
-    reference X; ``dz`` the Gubinelli derivative; ``dmu`` the
-    per-sample measure derivatives with their references ``dmu_refs``
-    (both empty in the null-derivative case); ``sharp`` the residual.
+    ``reference`` is the rough reference X; ``dz`` the Gubinelli
+    derivative; ``dmu`` the per-sample measure derivatives with their
+    references ``dmu_refs`` (both empty in the null-derivative case);
+    ``sharp`` the residual.  Every entry is a Field.
     """
 
-    reference: PathField | Field
-    dz: PathField | Field
-    sharp: PathField | Field
+    reference: Field
+    dz: Field
+    sharp: Field
     dmu: list = field(default_factory=list)
     dmu_refs: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.dmu) != len(self.dmu_refs):
             raise ValueError("dmu and dmu_refs must be aligned")
-
-    def __getitem__(self, n: int) -> "Paracontrolled":
-        return Paracontrolled(self.reference[n], self.dz[n], self.sharp[n],
-                              [d[n] for d in self.dmu],
-                              [r[n] for r in self.dmu_refs])
 
 
 def _mean_para(dmu: list, dmu_refs: list) -> Field:
@@ -69,31 +60,12 @@ def decompose_slice(u: Field, reference: Field, dz: Field, dmu: list,
     return Paracontrolled(reference, dz, sharp, list(dmu), list(dmu_refs))
 
 
-def decompose(u: PathField, reference: PathField, dz: PathField,
-              dmu: list | None = None,
-              dmu_refs: list | None = None) -> Paracontrolled:
-    """Store u with the given derivatives; sharp is the exact residual."""
-    dmu = list(dmu or [])
-    dmu_refs = list(dmu_refs or [])
-    sharp = [decompose_slice(u[i], reference[i], dz[i], [d[i] for d in dmu],
-                             [r[i] for r in dmu_refs]).sharp
-             for i in range(len(u))]
-    return Paracontrolled(reference, dz, PathField(u.times, sharp), dmu,
-                          dmu_refs)
-
-
 def reconstruct_slice(pc: Paracontrolled) -> Field:
     """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp on one slice."""
     out = para(pc.dz, pc.reference) + pc.sharp
     if pc.dmu:
         out = out + _mean_para(pc.dmu, pc.dmu_refs)
     return out
-
-
-def reconstruct(pc: Paracontrolled) -> PathField:
-    """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp."""
-    return PathField(pc.reference.times, [
-        reconstruct_slice(pc[i]) for i in range(len(pc.reference))])
 
 
 def pc_product_slice(pc: Paracontrolled, xi: Field, X: Field, xi2: Field,
@@ -119,33 +91,18 @@ def pc_product_slice(pc: Paracontrolled, xi: Field, X: Field, xi2: Field,
     return acc
 
 
-def pc_product(pc: Paracontrolled, en: EnhancedNoise,
-               cross: list | None = None) -> PathField:
-    """The singular product (u xi) of a paracontrolled path with the noise."""
-    cross = cross or []
-    return PathField(pc.reference.times, [
-        pc_product_slice(pc[i], en.xi[i], en.X[i], en.xi2[i],
-                         [c[i] for c in cross])
-        for i in range(len(pc.reference))])
-
-
 def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
                         sample_pcs: list,
-                        mu: EmpiricalMeasure | None = None) -> Paracontrolled:
+                        mu: EmpiricalMeasure) -> Paracontrolled:
     """Paracontrolled structure of f(u, mu) on one slice.
 
-    mu is the measure of the reconstructed samples, built here unless
-    the caller already holds it; dz = (d1 f)(u, mu) * u' and dmu_j =
-    (sum over measure slots of the slot-j partial average) * v_j';
-    sharp is the exact residual of eval_f(u, mu).  A caller that passes
-    mu with no samples takes its atoms as paths of zero derivative, so
-    there are no dmu terms.
+    ``sample_pcs[j]`` is the paracontrolled data of atom j of mu;
+    dz = (d1 f)(u, mu) * u' and dmu_j = (sum over measure slots of the
+    slot-j partial average) * v_j'; sharp is the exact residual of
+    eval_f(u, mu).  With no samples the atoms of mu are taken as paths
+    of zero derivative, so there are no dmu terms.
     """
     u = reconstruct_slice(u_pc)
-    if mu is None:
-        if not sample_pcs:
-            raise ValueError("need at least one measure sample")
-        mu = EmpiricalMeasure([reconstruct_slice(s) for s in sample_pcs])
     p1 = eval_partial(spec, 1, u, mu)
     dz = pointwise_product(p1, u_pc.dz, dealias=False)
     dmu = [pointwise_product(eval_slot_partial(spec, j, u, mu), s.dz,
@@ -153,18 +110,3 @@ def paralinearize_slice(spec: InteractionSpec, u_pc: Paracontrolled,
            for j, s in enumerate(sample_pcs)]
     return decompose_slice(eval_f(spec, u, mu), u_pc.reference, dz, dmu,
                            [s.reference for s in sample_pcs])
-
-
-def paralinearize_f(spec: InteractionSpec, u_pc: Paracontrolled,
-                    sample_pcs: list | None = None) -> Paracontrolled:
-    """Paracontrolled structure of f(u, mu) for mu the samples' measure."""
-    sample_pcs = sample_pcs or []
-    slices = [paralinearize_slice(spec, u_pc[i], [s[i] for s in sample_pcs])
-              for i in range(len(u_pc.reference))]
-    times = u_pc.reference.times
-    return Paracontrolled(
-        u_pc.reference, PathField(times, [s.dz for s in slices]),
-        PathField(times, [s.sharp for s in slices]),
-        [PathField(times, list(d)) for d in zip(*(s.dmu for s in slices))],
-        [s.reference for s in sample_pcs])
-

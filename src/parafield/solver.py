@@ -207,7 +207,7 @@ def solve_renormalized(enhanced: list, frozen: list,
 def solve_paracontrolled(en: EnhancedNoise, frozen: list,
                          f_spec: InteractionSpec,
                          g_spec: InteractionSpec | None, u0: Field,
-                         cfg: SolveConfig) -> Paracontrolled:
+                         cfg: SolveConfig) -> PathField:
     """Frozen-measure equation via the remainder formulation.
 
     ``frozen`` is a list of PathField atoms, as for ``solve_renormalized``;
@@ -215,8 +215,9 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: list,
     with zero Gubinelli derivative, so f(u, v) has no measure-derivative
     terms.  Steps sharp with (d_t - Lap) sharp = Phi_sharp where
     Phi_sharp is the paracontrolled product of f(u, v) with the enhanced
-    noise plus g minus f(u, v) < xi; the Gubinelli derivative is pinned
-    to f(u, v) at every slice and u is rebuilt as (dz < X) + sharp.
+    noise plus g minus f(u, v) < xi; the Gubinelli derivative dz is
+    pinned to f(u, v) at every slice.  Returns the path of
+    u = (dz < X) + sharp.
     """
     times = en.times
     dt = float(times[1] - times[0])
@@ -238,7 +239,7 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: list,
     mu = EmpiricalMeasure([p[0] for p in frozen])
     sharp = u0  # X_0 = 0, so u_0 = sharp_0
     u, dz = fix_dz(sharp, en.X[0], mu, u0, float(times[0]))
-    dzs, sharps = [dz], [sharp]
+    path = [para(dz, en.X[0]) + sharp]
     for n in range(times.size - 1):
         f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
                                    [], mu)
@@ -249,12 +250,11 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: list,
         sharp = etd_step(sharp, phi, dt)
         mu = EmpiricalMeasure([p[n + 1] for p in frozen])
         u, dz = fix_dz(sharp, en.X[n + 1], mu, u, float(times[n + 1]))
-        sharp = u - para(dz, en.X[n + 1])  # exact residual storage
+        dz_X = para(dz, en.X[n + 1])
+        sharp = u - dz_X  # exact residual storage
         _check_guard(u.values, R, float(times[n + 1]))
-        dzs.append(dz)
-        sharps.append(sharp)
-    return Paracontrolled(reference=en.X, dz=PathField(times, dzs),
-                          sharp=PathField(times, sharps))
+        path.append(dz_X + sharp)
+    return PathField(times, path)
 
 
 def solve_particle_system(enhanced: list, f_spec: InteractionSpec | None,

@@ -18,14 +18,13 @@ stated and is expected to fail.
 import numpy as np
 import pytest
 
-from parafield import (Field, NoiseSpec, PathField, SolveConfig, besov_norm,
-                       default_dt, dyadic_blocks, enhance, make_grid,
-                       make_interaction, make_times, pointwise_product,
-                       sample_noise, semigroup, solve_particle_system,
-                       solve_renormalized, wasserstein)
+from parafield import (EmpiricalMeasure, Field, NoiseSpec, PathField,
+                       SolveConfig, besov_norm, default_dt, dyadic_blocks,
+                       enhance, eval_f, make_grid, make_interaction,
+                       make_times, pointwise_product, sample_noise, semigroup,
+                       solve_particle_system, solve_renormalized, wasserstein)
 from parafield.bony import para, resonant
 from parafield.experiments import parse_config, run_experiment
-from parafield.paracontrolled import reconstruct
 from parafield.solver import solve_paracontrolled
 from conftest import additive, random_field
 
@@ -232,12 +231,13 @@ def test_criterion_13_two_scheme_consistency():
         frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
         direct = solve_renormalized([en], frozen, f_spec, None, [u0],
                                     SolveConfig())[0]
-        pc = solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
-        u2 = reconstruct(pc)
+        u2 = solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
         rels[eps] = (direct - u2).sup_linf() / max(direct.sup_linf(), 1e-12)
-        sharps.append(besov_norm(pc.sharp[-1], idx, np.inf, np.inf))
-        paras.append(besov_norm(para(pc.dz[-1], en.X[-1]), idx,
-                                np.inf, np.inf))
+        # the final slice's u = (dz < X) + sharp, with dz = f(u, mu_T)
+        dz = eval_f(f_spec, u2[-1], EmpiricalMeasure([p[-1] for p in frozen]))
+        paraproduct = para(dz, en.X[-1])
+        sharps.append(besov_norm(u2[-1] - paraproduct, idx, np.inf, np.inf))
+        paras.append(besov_norm(paraproduct, idx, np.inf, np.inf))
     agree = all(rels[e] <= 0.05 for e in (0.1, 0.05))
     bounded = max(sharps) <= 1.25 * min(sharps)
     growing = all(np.diff(paras) > 0) and paras[-1] >= 1.5 * paras[0]

@@ -244,6 +244,11 @@ BAD_COUNTS = {
                                           "\n[params]\nmc_samples = 1\n"),
     "enhance_convergence_one_eps": _config(
         "enhance_convergence", "\n[params]\neps_ladder = 0.02\n"),
+    "picard_trace_one_member": PICARD_CFG.replace("m = 4", "m = 1"),
+    "chaos_singular_one_member": _config("chaos_singular",
+                                         "\n[ensemble]\nm = 1\n"),
+    "cross_variance_one_pair": _config("cross_variance",
+                                       "\n[params]\nn_pairs = 1\n"),
 }
 
 
@@ -391,6 +396,7 @@ def test_schema_defaults_pass_their_parsers():
     assert set(SCHEMA) == set(parafield.experiments.EXPERIMENTS)
     assert ({key for _, key in ALL_KEYS} | {"seed", "out"}
             == set(parafield.experiments._PARSERS))
+    assert set(parafield.experiments._SECTION_PARSERS) <= set(ALL_KEYS)
     for pipeline, schema in SCHEMA.items():
         # every default written out reads back as the default
         text = f"[experiment]\nname = {pipeline}\nseed = 1\n"

@@ -11,10 +11,9 @@ from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        FixedPointError, NoiseSpec, PathField, PicardError,
                        SolveConfig, default_dt, enhance, etd_step, eval_f,
                        eval_g, eval_partial, make_interaction, make_times,
-                       mean_field_enhance, pointwise_product, reconstruct,
-                       sample_noise, semigroup, solve_mean_field,
-                       solve_paracontrolled, solve_particle_system,
-                       solve_renormalized)
+                       mean_field_enhance, pointwise_product, sample_noise,
+                       semigroup, solve_mean_field, solve_paracontrolled,
+                       solve_particle_system, solve_renormalized)
 from parafield.bony import corrector
 from parafield.experiments import parse_config, run_experiment
 from conftest import additive, random_field
@@ -157,6 +156,19 @@ def test_dichotomy_makes_one_solver_call_per_seed(tmp_path, monkeypatch):
     assert "failure" not in record
     # each call stacks the renormalized and naive field of every eps
     assert [len(args[0]) for args in calls] == [8, 8]
+
+
+def test_dichotomy_builds_no_difference_path(tmp_path, monkeypatch):
+    # the sup-in-time gaps are read slice by slice, so no whole path of
+    # differences is held beside the seed's solutions
+    def no_difference_path(self, other):
+        raise AssertionError("a difference path was built")
+
+    monkeypatch.setattr(PathField, "__sub__", no_difference_path)
+    cfg = parse_config(text=DICHOTOMY_CFG.format(t=0.25, scale=0.4,
+                                                 n_seeds=1),
+                       out=str(tmp_path / "out"))
+    assert "failure" not in run_experiment(cfg)
 
 
 def test_dichotomy_reports_the_earliest_crossing(tmp_path, monkeypatch):
@@ -368,6 +380,20 @@ def test_paracontrolled_makes_one_corrector_call_per_step(grid16,
     assert len(calls) == len(times) - 1
 
 
+def test_paracontrolled_returns_the_solution_path(grid16):
+    # like the direct solvers: a PathField on the noise's times from u0
+    times = _times(T=0.125)
+    en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
+                 0.05)
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    u0 = random_field(grid16, np.random.default_rng(3), smooth=0.2)
+    frozen = [PathField.constant(times, u0)]
+    u = solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
+    assert isinstance(u, PathField)
+    assert np.array_equal(u.times, en.times) and len(u) == len(times)
+    assert np.array_equal(u[0].values, u0.values)
+
+
 def test_paracontrolled_matches_direct_with_two_atoms(grid32):
     # criterion 13's two-scheme agreement, against a measure of two heat flows
     f_spec = make_interaction("tanh_bilinear", scale=1.0)
@@ -382,11 +408,10 @@ def test_paracontrolled_matches_direct_with_two_atoms(grid32):
               for a in (u0, w0)]
     cfg = SolveConfig()
     direct = solve_renormalized([en], frozen, f_spec, None, [u0], cfg)[0]
-    pc = reconstruct(solve_paracontrolled(en, frozen, f_spec, None, u0, cfg))
+    pc = solve_paracontrolled(en, frozen, f_spec, None, u0, cfg)
     assert (direct - pc).sup_linf() <= 0.05 * direct.sup_linf()
     # the second atom is read: one atom alone gives another solution
-    one = reconstruct(solve_paracontrolled(en, frozen[:1], f_spec, None, u0,
-                                           cfg))
+    one = solve_paracontrolled(en, frozen[:1], f_spec, None, u0, cfg)
     assert (pc - one).sup_linf() > 0.05
 
 
