@@ -31,4 +31,4 @@ for i, r in enumerate(residuals):
     ratio = "" if i == 0 else f"  (ratio {residuals[i] / residuals[i - 1]:.3f})"
     print(f"  iteration {i + 1}: residual {r:.3e}{ratio}")
 print(f"converged in {iters} iterations; "
-      f"terminal ensemble sup norm {max(p[-1].linf() for p in ensemble):.4f}")
+      f"terminal ensemble sup norm {max(u.linf() for u in ensemble[-1]):.4f}")

@@ -18,7 +18,9 @@ import json
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -464,21 +466,25 @@ def _exp_solve(cfg: ExperimentConfig):
     scfg = SolveConfig()
     raw = sample_noise(spec, grid, times, stream_id=0)
     en = enhance(raw, eps)
-    frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
+    # the heat flow of u0, built slice by slice as the solve reads it
+    frozen = ([semigroup(u0, float(t))] for t in times)
     if scheme == "direct_renormalized":
-        u = solve_renormalized([en], frozen, f_spec, g_spec, [u0], scfg)[0]
+        us = (row[0] for row in solve_renormalized([en], frozen, f_spec,
+                                                   g_spec, [u0], scfg))
     else:
-        u = solve_paracontrolled(en, frozen, f_spec, g_spec, u0, scfg)
-    keep = list(range(0, len(u), every))
+        us = solve_paracontrolled(en, frozen, f_spec, g_spec, u0, scfg)
+    keep = range(0, times.size, every)
     if len(keep) < 2:
-        keep = [0, len(u) - 1]
-    snapshots = PathField(np.asarray([u.times[i] for i in keep]),
-                          [u[i] for i in keep])
-    rows = [{"t": float(u.times[i]), "linf": u[i].linf(), "l2": u[i].l2()}
-            for i in range(len(u))]
-    metrics = [{"name": "final_linf", "value": u[-1].linf()},
-               {"name": "sup_linf", "value": u.sup_linf()}]
-    return metrics, {"solution": snapshots, "solution_norms": rows}, []
+        keep = [0, times.size - 1]
+    rows, snapshots = [], []
+    for i, u in enumerate(us):
+        rows.append({"t": float(times[i]), "linf": u.linf(), "l2": u.l2()})
+        if i in keep:
+            snapshots.append(u)
+    metrics = [{"name": "final_linf", "value": rows[-1]["linf"]},
+               {"name": "sup_linf", "value": max(r["linf"] for r in rows)}]
+    return metrics, {"solution": PathField(times[list(keep)], snapshots),
+                     "solution_norms": rows}, []
 
 
 def _exp_maxprinciple(cfg: ExperimentConfig):
@@ -495,14 +501,15 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
                           "scaled to sup norm 0.9 c0")
     u0 = base * (0.9 * C0 / base.linf())
     scfg = SolveConfig()
-    frozen = [PathField(times, [semigroup(u0, float(t)) for t in times])]
+    frozen = [[semigroup(u0, float(t))] for t in times]
     rows = []
     for s in range(n_seeds):
         spec = _noise_spec(cfg, cfg.seed + s)
         raw = sample_noise(spec, grid, times, stream_id=0)
         en = enhance(raw, eps)
-        u = solve_renormalized([en], frozen, f_spec, g_spec, [u0], scfg)[0]
-        rows.append({"seed": cfg.seed + s, "sup_linf": u.sup_linf(),
+        sup = max(u.linf() for u, in solve_renormalized(
+            [en], frozen, f_spec, g_spec, [u0], scfg))
+        rows.append({"seed": cfg.seed + s, "sup_linf": sup,
                      "bound": C0 * 1.01})
     worst = max(r["sup_linf"] for r in rows)
     metrics = [{"name": "worst_sup_linf", "value": worst},
@@ -525,9 +532,12 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     dt = 4.0 * default_dt(min(all_eps), grid.N)
     dt = T / int(np.ceil(T / dt))
     times = make_times(T, dt)
-    frozen = [PathField.constant(times, u0)]
     keys = [(eps, renorm) for eps in all_eps for renorm in (True, False)]
-    D = {True: np.zeros(len(eps_ladder)), False: np.zeros(len(eps_ladder))}
+    # D[0] averages the renormalized gaps, D[1] the naive ones: gap (r, j)
+    # is between the fields a[r][j] (eps_ladder[j]) and b[r][j] (its half)
+    a = [[keys.index((e, r)) for e in eps_ladder] for r in (True, False)]
+    b = [[keys.index((e / 2, r)) for e in eps_ladder] for r in (True, False)]
+    D = np.zeros((2, len(eps_ladder)))
     scfg = SolveConfig()
     for s in range(n_seeds):
         spec = _noise_spec(cfg, cfg.seed + s, low)
@@ -537,27 +547,29 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
             en = enhance(raw, eps)
             # the naive run is the same solve with a zero counterterm
             noises += [en, EnhancedNoise(en.xi, c_eps=np.zeros_like)]
-        # every (eps, renorm) field of the seed in one stacked solve
-        sols = dict(zip(keys, solve_renormalized(
-            noises, frozen, f_spec, g_spec, [u0] * len(keys), scfg)))
-        for j, eps in enumerate(eps_ladder):
-            for renorm in (True, False):
-                # sup-in-time gap, slice by slice: no difference path
-                d = max(float(np.max(np.abs(x.values - y.values)))
-                        for x, y in zip(sols[(eps, renorm)].fields,
-                                        sols[(eps / 2, renorm)].fields))
-                D[renorm][j] += d / n_seeds
-        del sols  # release this seed's paths before the next solve
-    rows = [{"eps": e, "d_renormalized": float(D[True][j]),
-             "d_naive": float(D[False][j])}
+        # every (eps, renorm) field of the seed in one stacked solve; its
+        # sup-in-time gaps are taken slice by slice
+        gap = np.zeros_like(D)
+        for row in solve_renormalized(noises, repeat([u0]), f_spec, g_spec,
+                                      [u0] * len(keys), scfg):
+            U = np.stack([u.values for u in row])
+            gap = np.maximum(gap, np.max(np.abs(U[a] - U[b]), axis=(-2, -1)))
+        D += gap / n_seeds
+    rows = [{"eps": e, "d_renormalized": float(D[0][j]),
+             "d_naive": float(D[1][j])}
             for j, e in enumerate(eps_ladder)]
-    metrics = [{"name": "d_renorm_finest", "value": float(D[True][-1])},
-               {"name": "d_naive_finest", "value": float(D[False][-1])}]
+    metrics = [{"name": "d_renorm_finest", "value": float(D[0][-1])},
+               {"name": "d_naive_finest", "value": float(D[1][-1])}]
     assertions = [
-        ("renormalized_cauchy_decreasing", bool(np.all(np.diff(D[True]) < 0))),
-        ("naive_3x_worse", D[False][-1] >= 3.0 * D[True][-1]),
+        ("renormalized_cauchy_decreasing", bool(np.all(np.diff(D[0]) < 0))),
+        ("naive_3x_worse", D[1][-1] >= 3.0 * D[0][-1]),
     ]
     return metrics, {"dichotomy": rows}, assertions
+
+
+def _final(slices):
+    """The last slice of a solve, read in one pass over its stream."""
+    return deque(slices, maxlen=1)[0]
 
 
 def _exp_chaos_additive(cfg: ExperimentConfig):
@@ -582,8 +594,8 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
         u0s = [f * (0.5 / max(f.linf(), 1e-12))
                for f in from_spectra(grid, S)[1]]
         additive = [EnhancedNoise(z, np.zeros_like) for z in noises]
-        return [p[-1] for p in solve_particle_system(additive, None, g_spec,
-                                                     u0s, scfg)]
+        return _final(solve_particle_system(additive, None, g_spec, u0s,
+                                            scfg))
 
     # reference: one big additive run (Tanaka reading of the mean field)
     ref = solve(range(500_000, 500_000 + M_ref))
@@ -614,8 +626,7 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
 
     ref_noises = mean_field_enhance(M, spec, eps, grid, times,
                                     master_seed=cfg.seed + 1)
-    ref_paths, _, _ = solve_mean_field(ref_noises, f_spec, g_spec, u0, scfg)
-    ref = [p[-1] for p in ref_paths]
+    ref = solve_mean_field(ref_noises, f_spec, g_spec, u0, scfg)[0][-1]
 
     # common random numbers across n: run k reuses one master seed, so
     # particle i carries the same noise at every system size
@@ -625,9 +636,8 @@ def _exp_chaos_singular(cfg: ExperimentConfig):
         for k in range(K):
             noises = mean_field_enhance(n, spec, eps, grid, times,
                                         master_seed=cfg.seed + 100 + k)
-            sols = solve_particle_system(noises, f_spec, g_spec,
-                                         [u0] * n, scfg)
-            runs_n.append([p[-1] for p in sols])
+            runs_n.append(_final(solve_particle_system(
+                noises, f_spec, g_spec, [u0] * n, scfg)))
         runs[n] = runs_n
     table = chaos_metric(runs, ref, p=2, seed=cfg.seed)
     dists = [r["measure_distance"] for r in table]

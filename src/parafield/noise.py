@@ -287,7 +287,10 @@ def cross_resonant(xi_i: PathField, X_j: PathField) -> PathField:
     if si is not None and sj is not None and si == sj:
         raise ValueError("cross_resonant needs independent streams "
                          "(equal stream ids would require renormalization)")
-    return xi_i.zip_with(X_j, lambda a, b: resonant(b, a))
+    if not np.array_equal(xi_i.times, X_j.times):
+        raise ValueError("mismatched time grids")
+    return PathField(xi_i.times, [resonant(b, a) for a, b in
+                                  zip(xi_i.fields, X_j.fields)])
 
 
 def mean_field_enhance(n: int, spec: NoiseSpec, eps: float, grid: TorusGrid,

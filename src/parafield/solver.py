@@ -3,17 +3,18 @@ equations, renormalized or (f_spec=None) additive.
 
 All schemes are exponential-Euler in mild form: the heat part is exact
 per Fourier mode and the nonlinearity enters through the phi_1 weight.
-The direct schemes share one loop, ``_step_fields``, which holds its
-fields as one (n, N, N) stack and steps the stack at once, against a
-frozen measure path or against the fields' own running measure; only
-the paracontrolled scheme has a loop of its own.  An explosion guard
-monitors the sup norm and raises ExplosionError with the earliest
-crossing time over the fields stepped together (and, within one step,
-the lowest-index field) instead of letting the run NaN out.
+Every solve yields its time slices and keeps none, and reads its frozen
+measure, any iterable whose item n is slice n's list of atoms, slice by
+slice.  The direct schemes share one loop, ``_step_fields``, which steps
+its fields as one (n, N, N) stack against a frozen measure or their own
+running measure.  An explosion guard checks the sup norm at every step
+and raises ExplosionError with the earliest crossing time over the
+fields stepped together (and, within one step, the lowest-index field).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
 from .noise import EnhancedNoise
 from .paracontrolled import Paracontrolled, paralinearize_slice, \
     pc_product_slice
-from .torus import Field, PathField, dealiased, from_spectra, \
-    pointwise_product, spectra
+from .torus import Field, dealiased, from_spectra, pointwise_product, \
+    spectra
 
 __all__ = [
     "SolveConfig",
@@ -141,22 +142,31 @@ def _forcing(f_spec, g_spec, U, mu, xs, xid, c):
     return spec
 
 
+def _frozen_slices(frozen: Iterable) -> Iterator[list]:
+    """``frozen`` slice by slice, then a ValueError, not a StopIteration."""
+    yield from frozen
+    raise ValueError("the frozen measure has fewer slices than the solve "
+                     "reads")
+
+
+def _check_aligned(enhanced: list, u0s: list):
+    if not enhanced or len(u0s) != len(enhanced):
+        raise ValueError("need aligned, nonempty noise/initial lists")
+
+
 def _step_fields(u0s: list, enhanced: list, f_spec: InteractionSpec | None,
-                 g_spec: InteractionSpec | None, frozen: list | None,
-                 cfg: SolveConfig) -> list:
+                 g_spec: InteractionSpec | None, frozen: Iterable | None,
+                 cfg: SolveConfig) -> Iterator[list]:
     """Exponential-Euler steps of every field, all fields together.
 
     u^i_{n+1} = E u^i_n + I0 (f(u^i_n, mu_n) xi^i_n - c^i_n (f d1f)(u^i_n,
     mu_n) + g(u^i_n, mu_n)), with (xi^i, c^i) the enhanced noise of field
     i, or with forcing xi^i_n + g when f_spec is None (then c^i is not
-    read).  mu_n is slice n of the ``frozen`` atoms, or the running
-    empirical measure of the fields themselves when ``frozen`` is None.
-    The fields are held as one (n, N, N) value stack with its half
-    spectrum, and each time step is one ``etd_step`` of the whole stack;
-    a Field wraps each row only for the returned paths.
+    read).  mu_n is item n of ``frozen``, or the fields' own running
+    measure when ``frozen`` is None.  The fields are one (n, N, N) value
+    stack with its half spectrum, stepped by one ``etd_step``.  Yields
+    ``u0s``, then at every step one Field per row of the read-only stack.
     """
-    if not enhanced or len(u0s) != len(enhanced):
-        raise ValueError("need aligned, nonempty noise/initial lists")
     times = enhanced[0].times
     dt = float(times[1] - times[0])
     grid = u0s[0].grid
@@ -164,17 +174,18 @@ def _step_fields(u0s: list, enhanced: list, f_spec: InteractionSpec | None,
     xis = [en.xi for en in enhanced]
     c = None if f_spec is None else np.stack(
         [np.atleast_1d(en.c_eps(times)) for en in enhanced])[:, :, None, None]
+    slices = None if frozen is None else _frozen_slices(frozen)
     rows = list(u0s)
-    paths = [[u] for u in u0s]
     U = np.stack([u.values for u in u0s])
     S = spectra(u0s)
     U.flags.writeable = S.flags.writeable = False
+    yield rows
     mu, xid, kept = None, None, {}
     for n in range(times.size - 1):
-        if frozen is None:
+        if slices is None:
             mu = EmpiricalMeasure(rows, stack=U)
         else:
-            atoms = [p[n] for p in frozen]
+            atoms = next(slices)
             if mu is None or any(a is not b for a, b in zip(atoms, mu.atoms)):
                 mu = EmpiricalMeasure(atoms)
         xs = [xi[n] for xi in xis]
@@ -184,40 +195,39 @@ def _step_fields(u0s: list, enhanced: list, f_spec: InteractionSpec | None,
                                  None if c is None else c[:, n]), dt)
         U, rows = from_spectra(grid, S)
         _check_guard(U, R, float(times[n + 1]))
-        for path, row in zip(paths, rows):
-            path.append(row)
-    return [PathField(times, p) for p in paths]
+        yield rows
 
 
-def solve_renormalized(enhanced: list, frozen: list,
+def solve_renormalized(enhanced: list, frozen: Iterable,
                        f_spec: InteractionSpec | None,
                        g_spec: InteractionSpec | None, u0s: list,
-                       cfg: SolveConfig) -> list:
+                       cfg: SolveConfig) -> Iterator[list]:
     """Frozen-measure renormalized equation for n fields, direct scheme.
 
     du^i = Lap u^i + f(u^i, v_t) xi^i - c^i(t) (f d1f)(u^i, v_t)
     + g(u^i, v_t), with (xi^i, c^i) the enhanced noise of field i and
-    v_t the slice-t empirical measure of the frozen PathField atoms
+    v_t the empirical measure of item n of ``frozen`` at t = t_n
     (du^i = Lap u^i + xi^i + g(u^i, v_t) when f_spec is None).  Returns
-    one PathField per field, bitwise the solve of that field alone.
+    an iterator whose item n is the fields at t_n, each bitwise its
+    solve alone; bad lists raise here, not at the first slice.
     """
+    _check_aligned(enhanced, u0s)
     return _step_fields(u0s, enhanced, f_spec, g_spec, frozen, cfg)
 
 
-def solve_paracontrolled(en: EnhancedNoise, frozen: list,
+def solve_paracontrolled(en: EnhancedNoise, frozen: Iterable,
                          f_spec: InteractionSpec,
                          g_spec: InteractionSpec | None, u0: Field,
-                         cfg: SolveConfig) -> PathField:
+                         cfg: SolveConfig) -> Iterator[Field]:
     """Frozen-measure equation via the remainder formulation.
 
-    ``frozen`` is a list of PathField atoms, as for ``solve_renormalized``;
-    the measure at step n is their slice n.  The atoms are given paths
-    with zero Gubinelli derivative, so f(u, v) has no measure-derivative
+    ``frozen`` is read as by ``solve_renormalized``, with its atoms of
+    zero Gubinelli derivative, so f(u, v) has no measure-derivative
     terms.  Steps sharp with (d_t - Lap) sharp = Phi_sharp where
     Phi_sharp is the paracontrolled product of f(u, v) with the enhanced
-    noise plus g minus f(u, v) < xi; the Gubinelli derivative dz is
-    pinned to f(u, v) at every slice.  Returns the path of
-    u = (dz < X) + sharp.
+    noise plus g minus f(u, v) < xi; the Gubinelli
+    derivative dz is pinned to f(u, v) at every slice.  Yields
+    u = (dz < X) + sharp at every slice.
     """
     times = en.times
     dt = float(times[1] - times[0])
@@ -236,10 +246,11 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: list,
                 return u, eval_f(f_spec, u, mu)
         raise FixedPointError(t, defect)
 
-    mu = EmpiricalMeasure([p[0] for p in frozen])
+    slices = _frozen_slices(frozen)
+    mu = EmpiricalMeasure(next(slices))
     sharp = u0  # X_0 = 0, so u_0 = sharp_0
     u, dz = fix_dz(sharp, en.X[0], mu, u0, float(times[0]))
-    path = [para(dz, en.X[0]) + sharp]
+    yield para(dz, en.X[0]) + sharp
     for n in range(times.size - 1):
         f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
                                    [], mu)
@@ -248,24 +259,25 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: list,
         if g_spec is not None:
             phi = phi + eval_g(g_spec, u, mu)
         sharp = etd_step(sharp, phi, dt)
-        mu = EmpiricalMeasure([p[n + 1] for p in frozen])
+        mu = EmpiricalMeasure(next(slices))
         u, dz = fix_dz(sharp, en.X[n + 1], mu, u, float(times[n + 1]))
         dz_X = para(dz, en.X[n + 1])
         sharp = u - dz_X  # exact residual storage
         _check_guard(u.values, R, float(times[n + 1]))
-        path.append(dz_X + sharp)
-    return PathField(times, path)
+        yield dz_X + sharp
 
 
 def solve_particle_system(enhanced: list, f_spec: InteractionSpec | None,
                           g_spec: InteractionSpec | None, u0s: list,
-                          cfg: SolveConfig) -> list:
+                          cfg: SolveConfig) -> Iterator[list]:
     """Renormalized n-particle system with the running empirical measure.
 
     ``enhanced`` holds the n particles' enhanced noises, as
     ``mean_field_enhance`` returns them.  With f_spec None it is the
-    additive system du^i = Lap u^i + xi^i + g(u^i, mu^n).
+    additive system du^i = Lap u^i + xi^i + g(u^i, mu^n).  Returns an
+    iterator over the time slices, as ``solve_renormalized`` does.
     """
+    _check_aligned(enhanced, u0s)
     return _step_fields(u0s, enhanced, f_spec, g_spec, None, cfg)
 
 
@@ -278,22 +290,22 @@ def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
     numbers across iterations).  Each sweep steps all M streams
     together against the frozen empirical measure of the previous
     ensemble {u^{k,j}}, until the ensemble is a fixed point.  Returns
-    (ensemble, iterations, residuals).
+    (ensemble, iterations, residuals), the ensemble as the last sweep's
+    slices (a frozen measure).
     """
     M = len(enhanced)
     if M < 2:
         raise ValueError("need M >= 2 samples")
-    times = enhanced[0].times
-    flow = [semigroup(u0, float(t)) for t in times]
-    ensemble = [PathField(times, flow) for _ in range(M)]
+    ensemble = [[semigroup(u0, float(t))] * M for t in enhanced[0].times]
     residuals = []
     for it in range(cfg.picard_max_iters):
-        new = solve_renormalized(enhanced, ensemble, f_spec, g_spec, [u0] * M,
-                                 cfg)
-        res = max(float(np.max(np.abs(
-            np.stack([p[n].values for p in new])
-            - np.stack([p[n].values for p in ensemble]))))
-            for n in range(times.size))
+        new, res = [], 0.0
+        for now, old in zip(solve_renormalized(enhanced, ensemble, f_spec,
+                                               g_spec, [u0] * M, cfg),
+                            ensemble):
+            res = max(res, max(float(np.max(np.abs(a.values - b.values)))
+                               for a, b in zip(now, old)))
+            new.append(now)
         residuals.append(res)
         ensemble = new
         if res < cfg.picard_tol:

@@ -228,38 +228,6 @@ class PathField:
     def __getitem__(self, i) -> Field:
         return self.fields[i]
 
-    def map(self, fn) -> "PathField":
-        """Apply a Field -> Field function to every slice."""
-        return PathField(self.times, [fn(f) for f in self.fields], meta=self.meta)
-
-    def zip_with(self, other: "PathField", fn) -> "PathField":
-        if not np.array_equal(self.times, other.times):
-            raise ValueError("mismatched time grids")
-        out = [fn(a, b) for a, b in zip(self.fields, other.fields)]
-        return PathField(self.times, out)
-
-    def __add__(self, other):
-        return self.zip_with(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self.zip_with(other, lambda a, b: a - b)
-
-    def __mul__(self, c):
-        return self.map(lambda f: f * c)
-
-    __rmul__ = __mul__
-
-    def sup_linf(self) -> float:
-        return max(f.linf() for f in self.fields)
-
-    @classmethod
-    def constant(cls, times, f: Field) -> "PathField":
-        return cls(times, [f] * len(np.atleast_1d(times)))
-
-    @classmethod
-    def zero(cls, times, grid: TorusGrid) -> "PathField":
-        return cls.constant(times, Field.zero(grid))
-
 
 def make_times(T: float, dt: float) -> np.ndarray:
     """Uniform time grid 0 = t_0 < ... < t_M = T with step dt."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from parafield import EnhancedNoise, Field, make_grid
+from parafield import EnhancedNoise, Field, PathField, make_grid
 
 
 def random_field(grid, rng, dealiased=False, smooth=0.0):
@@ -14,6 +14,11 @@ def random_field(grid, rng, dealiased=False, smooth=0.0):
     if smooth > 0:
         spec = spec * np.exp(-smooth * grid.k2)
     return Field.from_spectrum(grid, spec)
+
+
+def constant_path(times, f):
+    """The path that is the Field f at every time."""
+    return PathField(times, [f] * len(times))
 
 
 def additive(paths):

@@ -130,6 +130,22 @@ def test_run_experiment_writes_outputs(tmp_path):
         if p.name != "summary.json")
 
 
+@pytest.mark.parametrize("every,kept", [(1, [0, 1, 2, 3, 4]),
+                                        (2, [0, 2, 4]), (4, [0, 4]),
+                                        (5, [0, 4]), (1000, [0, 4])])
+def test_solve_snapshot_rule(tmp_path, every, kept):
+    # SOLVE_CFG has 5 slices (t = 0.1, dt = 0.025): every snapshot_every-th
+    # slice is written, and when that is one slice, the first and the last
+    text = SOLVE_CFG.replace("snapshot_every = 2", f"snapshot_every = {every}")
+    assert run_experiment(parse_config(text=text, out=str(tmp_path / "out")))[
+        "ok"]
+    rows = (tmp_path / "out" / "solution_norms.csv").read_text().splitlines()
+    linf = [float(r.split(",")[1]) for r in rows[1:]]
+    assert len(linf) == 5 and len(set(linf)) == 5
+    _, slices = read_pfld(tmp_path / "out" / "solution.pfld")
+    assert [float(np.max(np.abs(s))) for s in slices] == [linf[i] for i in kept]
+
+
 @pytest.mark.parametrize("text,files", [
     pytest.param(SOLVE_CFG, ("solution_norms.csv", "solution.pfld"),
                  id="solve"),

@@ -5,7 +5,7 @@ import pytest
 
 from parafield import Field, PathField, duhamel, etd_step, make_times, semigroup
 from parafield.heat import etd_weights
-from conftest import random_field
+from conftest import constant_path, random_field
 
 
 def test_semigroup_single_mode(grid32):
@@ -98,7 +98,7 @@ def test_duhamel_zero_mode_integrates(grid16):
     # constant-in-space forcing accumulates linearly (no decay at k = 0)
     times = make_times(1.0, 0.25)
     one = Field(grid16, np.ones((16, 16)))
-    Z = duhamel(PathField.constant(times, one))
+    Z = duhamel(constant_path(times, one))
     for i, t in enumerate(times):
         assert Z[i].mean() == pytest.approx(t, abs=1e-12)
 

@@ -295,8 +295,15 @@ def test_cross_resonant_rejects_equal_streams(grid16):
     with pytest.raises(ValueError):
         cross_resonant(a, duhamel(b))
     c = sample_noise(spec, grid16, TIMES3, stream_id=1)
-    out = cross_resonant(a, duhamel(c))
+    X = duhamel(c)
+    out = cross_resonant(a, X)
     assert len(out) == 3
+    for i in range(3):
+        assert out[i].values.tobytes() == resonant(X[i], a[i]).values.tobytes()
+    # the two paths must share their times
+    with pytest.raises(ValueError, match="mismatched time grids"):
+        cross_resonant(a, duhamel(sample_noise(spec, grid16, TIMES3 * 2,
+                                               stream_id=1)))
 
 
 def test_mean_field_enhance_streams(grid16):

@@ -1,6 +1,8 @@
 """Time integrators: closed-form reductions, coupling symmetry, guards."""
 
 import math
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import parafield.experiments
 import parafield.solver
 from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
-                       FixedPointError, NoiseSpec, PathField, PicardError,
+                       FixedPointError, NoiseSpec, PicardError,
                        SolveConfig, default_dt, enhance, etd_step, eval_f,
                        eval_g, eval_partial, make_interaction, make_times,
                        mean_field_enhance, pointwise_product, sample_noise,
@@ -16,11 +18,27 @@ from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        solve_particle_system, solve_renormalized)
 from parafield.bony import corrector
 from parafield.experiments import parse_config, run_experiment
-from conftest import additive, random_field
+from conftest import additive, constant_path, random_field
 
 
 def _times(T=0.25, dt=0.03125):
     return make_times(T, dt)
+
+
+def _path(slices, i=0):
+    """Field i of every slice a solve yields, as a list."""
+    return [row[i] for row in slices]
+
+
+def _sup_gap(us, vs):
+    """sup over time of |u - v|_inf for two lists of slices."""
+    return max(float(np.max(np.abs(u.values - v.values)))
+               for u, v in zip(us, vs, strict=True))
+
+
+def _heat_flows(u0s, times):
+    """The frozen measure whose atoms are the heat flows of ``u0s``."""
+    return [[semigroup(a, float(t)) for a in u0s] for t in times]
 
 
 def test_default_dt():
@@ -41,10 +59,10 @@ def test_additive_without_drift_is_mild_heat_solution(grid32):
     times = _times()
     X, Y = grid32.coords()
     zeta_f = Field.from_values(grid32, np.cos(3 * X) + 0.5 * np.sin(X + 2 * Y))
-    zeta = PathField.constant(times, zeta_f)
+    zeta = constant_path(times, zeta_f)
     u0 = Field.from_values(grid32, 0.3 * np.cos(X + Y))
-    sol = solve_particle_system(additive([zeta]), None, None, [u0],
-                                SolveConfig())[0]
+    sol = _path(solve_particle_system(additive([zeta]), None, None, [u0],
+                                      SolveConfig()))
     q = grid32.k2
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, t in enumerate(times):
@@ -65,13 +83,15 @@ def test_tanaka_frozen_replay_is_bitwise(grid16):
     rng = np.random.default_rng(0)
     u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(n)]
     cfg = SolveConfig()
-    stacked = solve_particle_system(additive(noises), None, g_spec, u0s, cfg)
+    stacked = list(solve_particle_system(additive(noises), None, g_spec, u0s,
+                                         cfg))
     for i in range(n):
         # the running measure at step m is the stacked state at slice m
-        replay = solve_renormalized(additive(noises[i:i + 1]), stacked, None,
-                                    g_spec, u0s[i:i + 1], cfg)[0]
+        replay = _path(solve_renormalized(additive(noises[i:i + 1]), stacked,
+                                          None, g_spec, u0s[i:i + 1], cfg))
+        assert len(replay) == len(stacked) == len(times)
         for m in range(len(times)):
-            assert np.array_equal(replay[m].values, stacked[i][m].values)
+            assert np.array_equal(replay[m].values, stacked[m][i].values)
 
 
 def test_singular_tanaka_frozen_replay_is_bitwise(grid16):
@@ -85,12 +105,13 @@ def test_singular_tanaka_frozen_replay_is_bitwise(grid16):
     rng = np.random.default_rng(2)
     u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(3)]
     cfg = SolveConfig()
-    stacked = solve_particle_system(mf, f_spec, g_spec, u0s, cfg)
+    stacked = list(solve_particle_system(mf, f_spec, g_spec, u0s, cfg))
     for i in range(3):
-        replay = solve_renormalized([mf[i]], stacked, f_spec, g_spec,
-                                    [u0s[i]], cfg)[0]
+        replay = _path(solve_renormalized([mf[i]], stacked, f_spec, g_spec,
+                                          [u0s[i]], cfg))
+        assert len(replay) == len(stacked) == len(times)
         for m in range(len(times)):
-            assert np.array_equal(replay[m].values, stacked[i][m].values)
+            assert np.array_equal(replay[m].values, stacked[m][i].values)
 
 
 def test_mixed_frozen_stack_is_bitwise_per_field(grid16):
@@ -104,15 +125,15 @@ def test_mixed_frozen_stack_is_bitwise_per_field(grid16):
     g_spec = make_interaction("tanh_revert", scale=0.7)
     rng = np.random.default_rng(4)
     u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(3)]
-    frozen = [PathField(times, [semigroup(a, float(t)) for t in times])
-              for a in u0s[:2]]
+    frozen = _heat_flows(u0s[:2], times)
     cfg = SolveConfig()
-    stacked = solve_renormalized(noises, frozen, f_spec, g_spec, u0s, cfg)
+    stacked = list(solve_renormalized(noises, frozen, f_spec, g_spec, u0s,
+                                      cfg))
     for i in range(3):
-        alone = solve_renormalized(noises[i:i + 1], frozen, f_spec, g_spec,
-                                   u0s[i:i + 1], cfg)[0]
+        alone = _path(solve_renormalized(noises[i:i + 1], frozen, f_spec,
+                                         g_spec, u0s[i:i + 1], cfg))
         for m in range(len(times)):
-            assert alone[m].values.tobytes() == stacked[i][m].values.tobytes()
+            assert alone[m].values.tobytes() == stacked[m][i].values.tobytes()
 
 
 DICHOTOMY_CFG = """\
@@ -158,17 +179,30 @@ def test_dichotomy_makes_one_solver_call_per_seed(tmp_path, monkeypatch):
     assert [len(args[0]) for args in calls] == [8, 8]
 
 
-def test_dichotomy_builds_no_difference_path(tmp_path, monkeypatch):
-    # the sup-in-time gaps are read slice by slice, so no whole path of
-    # differences is held beside the seed's solutions
-    def no_difference_path(self, other):
-        raise AssertionError("a difference path was built")
+def _dichotomy_peak(tmp_path, t):
+    # the tracemalloc peak of one dichotomy run, in bytes
+    cfg = parse_config(text=DICHOTOMY_CFG.format(t=t, scale=0.4, n_seeds=1),
+                       out=str(tmp_path / f"out_{t}"))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        record = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "failure" not in record
+    return peak
 
-    monkeypatch.setattr(PathField, "__sub__", no_difference_path)
-    cfg = parse_config(text=DICHOTOMY_CFG.format(t=0.25, scale=0.4,
-                                                 n_seeds=1),
-                       out=str(tmp_path / "out"))
-    assert "failure" not in run_experiment(cfg)
+
+def test_dichotomy_peak_memory_does_not_grow_with_t(tmp_path):
+    # the gaps are read from the solve's stream slice by slice and the
+    # constant measure is one atom list, so doubling t (20 -> 40 steps at
+    # N = 16) adds only per-step references, under 10% of the peak (about
+    # 2.5% measured); holding the eight solution paths would add 35 kB
+    # of values and half spectra per slice and nearly double it
+    _dichotomy_peak(tmp_path, 0.25)  # fills the first-call caches
+    short, long = (_dichotomy_peak(tmp_path, t) for t in (0.25, 0.5))
+    assert long <= 1.1 * short
 
 
 def test_dichotomy_reports_the_earliest_crossing(tmp_path, monkeypatch):
@@ -183,8 +217,8 @@ def test_dichotomy_reports_the_earliest_crossing(tmp_path, monkeypatch):
     crossings = []
     for i in range(len(noises)):
         with pytest.raises(ExplosionError) as exc:
-            solve_renormalized(noises[i:i + 1], frozen, f_spec, g_spec,
-                               u0s[i:i + 1], scfg)
+            list(solve_renormalized(noises[i:i + 1], frozen, f_spec, g_spec,
+                                    u0s[i:i + 1], scfg))
         crossings.append((exc.value.time, exc.value.linf))
     earliest = min(crossings, key=lambda c: c[0])
     assert crossings[0][0] > earliest[0]
@@ -227,16 +261,17 @@ def test_one_stacked_step_matches_field_by_field(grid16, system):
                                            grid16, times)]
         f_spec = make_interaction("tanh_bilinear", scale=0.5)
         xis = [en.xi for en in mf]
-        got = solve_particle_system(mf, f_spec, g_spec, u0s, cfg)
+        got = list(solve_particle_system(mf, f_spec, g_spec, u0s, cfg))
     else:
         c, f_spec = 0.0, None
         xis = [sample_noise(NoiseSpec(seed=4, temporal="exp_correlated"),
                             grid16, times, stream_id=i) for i in range(n)]
-        got = solve_particle_system(additive(xis), None, g_spec, u0s, cfg)
+        got = list(solve_particle_system(additive(xis), None, g_spec, u0s,
+                                         cfg))
     want = _step_by_hand(u0s, xis, c, f_spec, g_spec, dt)
-    for path, w in zip(got, want):
-        assert path[1].values.tobytes() == w.values.tobytes()
-        assert path[1].spectrum.tobytes() == w.spectrum.tobytes()
+    for u, w in zip(got[1], want, strict=True):
+        assert u.values.tobytes() == w.values.tobytes()
+        assert u.spectrum.tobytes() == w.spectrum.tobytes()
 
 
 def test_one_etd_step_call_per_time_step(grid16, monkeypatch):
@@ -253,8 +288,8 @@ def test_one_etd_step_call_per_time_step(grid16, monkeypatch):
     mf = mean_field_enhance(n, NoiseSpec(seed=5), 0.1, grid16, times)
     rng = np.random.default_rng(1)
     u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(n)]
-    solve_particle_system(mf, make_interaction("tanh_bilinear", scale=0.5),
-                          None, u0s, SolveConfig())
+    list(solve_particle_system(mf, make_interaction("tanh_bilinear", scale=0.5),
+                               None, u0s, SolveConfig()))
     M = len(times) - 1
     assert len(planes) == M
     assert sum(planes) == n * M
@@ -268,16 +303,16 @@ def test_particle_system_permutation_symmetry(grid16):
     rng = np.random.default_rng(1)
     u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(3)]
     cfg = SolveConfig()
-    sols = solve_particle_system(mf, f_spec, None, u0s, cfg)
+    final = list(solve_particle_system(mf, f_spec, None, u0s, cfg))[-1]
     # permute particles: the i-th output only depends on the measure,
     # which is permutation invariant, and on its own noise/initial data
     perm = [2, 0, 1]
     mf_p = [mf[i] for i in perm]
-    sols_p = solve_particle_system(mf_p, f_spec, None,
-                                   [u0s[i] for i in perm], cfg)
+    final_p = list(solve_particle_system(mf_p, f_spec, None,
+                                         [u0s[i] for i in perm], cfg))[-1]
     # exact up to the summation order inside the measure average
     for j, i in enumerate(perm):
-        err = np.max(np.abs(sols_p[j][-1].values - sols[i][-1].values))
+        err = np.max(np.abs(final_p[j].values - final[i].values))
         assert err < 1e-12
 
 
@@ -287,23 +322,23 @@ def test_renormalize_flag_changes_solution(grid16):
     en = enhance(sample_noise(spec, grid16, times, stream_id=0), 0.05)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
-    frozen = [PathField.constant(times, u0)]
-    a = solve_renormalized([en], frozen, f_spec, None, [u0], SolveConfig())[0]
+    a = _path(solve_renormalized([en], repeat([u0]), f_spec, None, [u0],
+                                 SolveConfig()))
     # the naive run is the same solve with a zero counterterm
     naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
-    b = solve_renormalized([naive], frozen, f_spec, None, [u0],
-                           SolveConfig())[0]
-    assert (a - b).sup_linf() > 1e-6
+    b = _path(solve_renormalized([naive], repeat([u0]), f_spec, None, [u0],
+                                 SolveConfig()))
+    assert _sup_gap(a, b) > 1e-6
 
 
 def test_explosion_guard_raises_with_time(grid16):
     times = make_times(1.0, 0.0625)
-    zeta = PathField.zero(times, grid16)
+    zeta = constant_path(times, Field.zero(grid16))
     g_spec = make_interaction("constant", c=50.0)
     u0 = Field.zero(grid16)
     with pytest.raises(ExplosionError) as exc:
-        solve_particle_system(additive([zeta]), None, g_spec, [u0],
-                              SolveConfig(max_linf=2.0))
+        list(solve_particle_system(additive([zeta]), None, g_spec, [u0],
+                                   SolveConfig(max_linf=2.0)))
     assert 0.0 < exc.value.time <= 1.0
     assert exc.value.linf >= 2.0
 
@@ -316,15 +351,16 @@ def test_stack_explosion_reports_the_crossing_field(grid16, amps, crossing):
     # cross at one step the lower index is reported
     times = make_times(1.0, 1.0 / 16)
     X, _ = grid16.coords()
-    zetas = [PathField.constant(times, Field.from_values(grid16,
+    zetas = [constant_path(times, Field.from_values(grid16,
                                                          a * np.cos(X)))
              for a in amps]
     u0s = [Field.zero(grid16)] * len(amps)
     with pytest.raises(ExplosionError) as exc:
-        solve_particle_system(additive(zetas), None, None, u0s,
-                              SolveConfig(max_linf=2.0))
-    alone = solve_particle_system(additive([zetas[crossing]]), None, None,
-                                  u0s[:1], SolveConfig(max_linf=1e9))[0]
+        list(solve_particle_system(additive(zetas), None, None, u0s,
+                                   SolveConfig(max_linf=2.0)))
+    alone = _path(solve_particle_system(additive([zetas[crossing]]), None,
+                                        None, u0s[:1],
+                                        SolveConfig(max_linf=1e9)))
     k = next(k for k in range(len(times)) if alone[k].linf() >= 2.0)
     assert exc.value.time == times[k] == 0.75
     assert exc.value.linf == alone[k].linf()
@@ -351,11 +387,11 @@ def test_fixed_point_error_when_cap_is_reached(grid16, monkeypatch):
                  0.05)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
-    frozen = [PathField.constant(times, u0)]
     # X_0 = 0 pins the first slice in one iteration; X_1 != 0 needs more
     monkeypatch.setattr("parafield.solver.FIXED_POINT_MAX_ITERS", 1)
     with pytest.raises(FixedPointError) as exc:
-        solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
+        list(solve_paracontrolled(en, repeat([u0]), f_spec, None, u0,
+                                  SolveConfig()))
     assert exc.value.time == pytest.approx(times[1])
     assert exc.value.defect > 0.0
 
@@ -375,22 +411,22 @@ def test_paracontrolled_makes_one_corrector_call_per_step(grid16,
                  0.05)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
-    frozen = [PathField.constant(times, u0), PathField.constant(times, -u0)]
-    solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
+    list(solve_paracontrolled(en, repeat([u0, -u0]), f_spec, None, u0,
+                              SolveConfig()))
     assert len(calls) == len(times) - 1
 
 
 def test_paracontrolled_returns_the_solution_path(grid16):
-    # like the direct solvers: a PathField on the noise's times from u0
+    # like the direct solvers: one slice per time of the noise, from u0
     times = _times(T=0.125)
     en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
                  0.05)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = random_field(grid16, np.random.default_rng(3), smooth=0.2)
-    frozen = [PathField.constant(times, u0)]
-    u = solve_paracontrolled(en, frozen, f_spec, None, u0, SolveConfig())
-    assert isinstance(u, PathField)
-    assert np.array_equal(u.times, en.times) and len(u) == len(times)
+    u = list(solve_paracontrolled(en, repeat([u0]), f_spec, None, u0,
+                                  SolveConfig()))
+    assert len(u) == len(times)
+    assert all(isinstance(f, Field) for f in u)
     assert np.array_equal(u[0].values, u0.values)
 
 
@@ -404,15 +440,15 @@ def test_paracontrolled_matches_direct_with_two_atoms(grid32):
     times = make_times(0.25, 0.025)
     en = enhance(sample_noise(NoiseSpec(seed=2024), grid32, times,
                               stream_id=0), 0.1)
-    frozen = [PathField(times, [semigroup(a, float(t)) for t in times])
-              for a in (u0, w0)]
+    frozen = _heat_flows([u0, w0], times)
     cfg = SolveConfig()
-    direct = solve_renormalized([en], frozen, f_spec, None, [u0], cfg)[0]
-    pc = solve_paracontrolled(en, frozen, f_spec, None, u0, cfg)
-    assert (direct - pc).sup_linf() <= 0.05 * direct.sup_linf()
+    direct = _path(solve_renormalized([en], frozen, f_spec, None, [u0], cfg))
+    pc = list(solve_paracontrolled(en, frozen, f_spec, None, u0, cfg))
+    assert _sup_gap(direct, pc) <= 0.05 * max(u.linf() for u in direct)
     # the second atom is read: one atom alone gives another solution
-    one = solve_paracontrolled(en, frozen[:1], f_spec, None, u0, cfg)
-    assert (pc - one).sup_linf() > 0.05
+    one = list(solve_paracontrolled(en, [row[:1] for row in frozen], f_spec,
+                                    None, u0, cfg))
+    assert _sup_gap(pc, one) > 0.05
 
 
 def test_mean_field_fixed_point_residual(grid16):
@@ -426,9 +462,10 @@ def test_mean_field_fixed_point_residual(grid16):
     ensemble, iters, residuals = solve_mean_field(noises, f_spec, None, u0, cfg)
     assert residuals[-1] < 1e-6 and iters == len(residuals)
     # the returned ensemble is a fixed point of one more sweep
-    again = [solve_renormalized([noises[i]], list(ensemble), f_spec, None,
-                                [u0], cfg)[0] for i in range(3)]
-    res = max((again[i] - ensemble[i]).sup_linf() for i in range(3))
+    assert len(ensemble) == len(times)
+    again = [_path(solve_renormalized([noises[i]], ensemble, f_spec, None,
+                                      [u0], cfg)) for i in range(3)]
+    res = max(_sup_gap(again[i], _path(ensemble, i)) for i in range(3))
     assert res < 1e-5
 
 
@@ -460,19 +497,20 @@ def test_mean_field_explosion_reports_earliest_crossing(grid16, amp0):
     # (A = 3) at t = 1.125, or never when A = 0
     times = make_times(2.0, 1.0 / 16)
     X, _ = grid16.coords()
-    enhanced = [EnhancedNoise(PathField.constant(
+    enhanced = [EnhancedNoise(constant_path(
         times, Field.from_values(grid16, amp * np.cos(X))),
         lambda t: np.zeros_like(t)) for amp in (amp0, 4.0)]
     f_spec = make_interaction("constant", c=1.0)
     u0 = Field.zero(grid16)
     cfg = SolveConfig(max_linf=2.0)
-    flow = [PathField.constant(times, u0)] * 2
+    flow = repeat([u0, u0])
     with pytest.raises(ExplosionError) as alone:
-        solve_renormalized(enhanced[1:], flow, f_spec, None, [u0], cfg)
+        list(solve_renormalized(enhanced[1:], flow, f_spec, None, [u0], cfg))
     assert alone.value.time == pytest.approx(0.75)
     if amp0 > 0.0:
         with pytest.raises(ExplosionError) as later:
-            solve_renormalized(enhanced[:1], flow, f_spec, None, [u0], cfg)
+            list(solve_renormalized(enhanced[:1], flow, f_spec, None, [u0],
+                                    cfg))
         assert later.value.time == pytest.approx(1.125)
     with pytest.raises(ExplosionError) as exc:
         solve_mean_field(enhanced, f_spec, None, u0, cfg)
@@ -482,7 +520,84 @@ def test_mean_field_explosion_reports_earliest_crossing(grid16, amp0):
 
 def test_input_validation(grid16, rng):
     times = _times(T=0.125)
-    zeta = PathField.zero(times, grid16)
+    zeta = constant_path(times, Field.zero(grid16))
     with pytest.raises(ValueError):
         solve_particle_system(additive([zeta]), None, None, [],
                               SolveConfig())
+    # the lists are checked when the solver is called, not when the
+    # first slice is read
+    with pytest.raises(ValueError):
+        solve_renormalized([], repeat([zeta[0]]), None, None, [],
+                           SolveConfig())
+
+
+def _singular_setup(grid, n=2):
+    times = _times(T=0.125)
+    mf = mean_field_enhance(n, NoiseSpec(seed=17), 0.1, grid, times)
+    rng = np.random.default_rng(5)
+    u0s = [random_field(grid, rng, smooth=0.3) for _ in range(n)]
+    return times, mf, make_interaction("tanh_bilinear", scale=0.5), u0s
+
+
+def test_a_stream_yields_one_slice_per_time(grid16):
+    times, mf, f_spec, u0s = _singular_setup(grid16)
+    cfg = SolveConfig()
+    for stream in (solve_particle_system(mf, f_spec, None, u0s, cfg),
+                   solve_renormalized(mf, _heat_flows(u0s, times), f_spec,
+                                      None, u0s, cfg)):
+        slices = list(stream)
+        assert len(slices) == len(times)
+        assert all(a is b for a, b in zip(slices[0], u0s, strict=True))
+        for row in slices[1:]:
+            # the fields of a slice are rows of one read-only stack, each
+            # with its half spectrum
+            base = row[0].values.base
+            assert base.shape == (len(u0s), 16, 16)
+            assert not base.flags.writeable
+            assert all(u.values.base is base and u._spectrum is not None
+                       for u in row)
+    pc = list(solve_paracontrolled(mf[0], repeat([u0s[1]]), f_spec, None,
+                                   u0s[0], cfg))
+    assert len(pc) == len(times)
+
+
+def test_frozen_heat_flow_may_be_a_generator(grid16):
+    # a heat flow produced slice by slice as the solve reads it gives,
+    # bit for bit, the solve against the stored flow
+    times, mf, f_spec, u0s = _singular_setup(grid16)
+    cfg = SolveConfig()
+
+    def flow():
+        return ([semigroup(a, float(t)) for a in u0s] for t in times)
+
+    stored = list(solve_renormalized(mf, _heat_flows(u0s, times), f_spec,
+                                     None, u0s, cfg))
+    streamed = list(solve_renormalized(mf, flow(), f_spec, None, u0s, cfg))
+    for a, b in zip(stored, streamed, strict=True):
+        for u, v in zip(a, b, strict=True):
+            assert u.values.tobytes() == v.values.tobytes()
+    stored = list(solve_paracontrolled(mf[0], _heat_flows(u0s, times),
+                                       f_spec, None, u0s[0], cfg))
+    streamed = list(solve_paracontrolled(mf[0], flow(), f_spec, None,
+                                         u0s[0], cfg))
+    for u, v in zip(stored, streamed, strict=True):
+        assert u.values.tobytes() == v.values.tobytes()
+
+
+def test_a_frozen_measure_with_too_few_slices_raises(grid16):
+    # the direct scheme reads slices 0..M-1 of an M-step solve, the
+    # paracontrolled one also slice M; one less is a ValueError, whether
+    # the measure is a list or a generator
+    times, mf, f_spec, u0s = _singular_setup(grid16, n=1)
+    cfg = SolveConfig()
+    M = len(times) - 1
+    list(solve_renormalized(mf, [u0s] * M, f_spec, None, u0s, cfg))
+    for short in ([u0s] * (M - 1), (u0s for _ in range(M - 1))):
+        with pytest.raises(ValueError, match="fewer slices"):
+            list(solve_renormalized(mf, short, f_spec, None, u0s, cfg))
+    list(solve_paracontrolled(mf[0], [u0s] * (M + 1), f_spec, None, u0s[0],
+                              cfg))
+    for short in ([u0s] * M, (u0s for _ in range(M))):
+        with pytest.raises(ValueError, match="fewer slices"):
+            list(solve_paracontrolled(mf[0], short, f_spec, None, u0s[0],
+                                      cfg))

