@@ -4,8 +4,10 @@ Usage: ``parafield <experiment> --config <path> [--seed S] [--out DIR]``.
 
 Exit codes: 0 on success, 1 when an in-run assertion or the solver
 fails, 2 on a config or usage error.  The PARAFIELD_THREADS environment
-variable caps the BLAS/FFT thread pools before numpy gets imported by
-the pipelines.
+variable sizes the run pool of the pipelines that step independent runs
+(``experiments.pool_size``; a bad value is a config error).  It is also
+copied to the BLAS/OpenMP thread variables that are not set; numpy has
+loaded its BLAS by then, so only pools started later read them.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import sys
 
 
 def _apply_thread_env():
-    n = os.environ.get("PARAFIELD_THREADS")
-    if not n:
+    if not os.environ.get("PARAFIELD_THREADS"):
         return
+    from .experiments import pool_size
+
+    n = str(pool_size())
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, n)
@@ -38,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -48,6 +51,7 @@ def main(argv=None) -> int:
     from .experiments import ConfigError, parse_config, run_experiment
 
     try:
+        _apply_thread_env()
         cfg = parse_config(args.config, seed=args.seed, out=args.out)
         if cfg.experiment != args.experiment:
             raise ConfigError(

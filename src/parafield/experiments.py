@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -45,6 +46,23 @@ __all__ = ["ExperimentConfig", "run_experiment", "parse_config",
 
 class ConfigError(ValueError):
     pass
+
+
+def pool_size() -> int:
+    """The number of runs a pipeline steps at once: ``PARAFIELD_THREADS``,
+    an integer in 1..os.cpu_count(); unset or empty means 1."""
+    text = os.environ.get("PARAFIELD_THREADS", "")
+    if not text:
+        return 1
+    cpus = os.cpu_count() or 1
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if not 1 <= k <= cpus:
+        raise ConfigError(f"PARAFIELD_THREADS = {text!r} must be an integer "
+                          f"in 1..{cpus}")
+    return k
 
 
 def _number(cast=float, low=-math.inf, high=math.inf, closed=False):
@@ -311,6 +329,56 @@ def _initial_field(cfg: ExperimentConfig, grid) -> Field:
     raise ConfigError(f"unknown u0 kind {kind!r}")
 
 
+def _map_runs(fn, jobs, cost=None) -> list:
+    """``[fn(job) for job in jobs]``, run on ``pool_size()`` threads.
+
+    With one thread this is that loop.  With k > 1 the calling thread
+    and k - 1 workers take jobs from one shared order, the largest
+    ``cost(job)`` first (job order among equal costs, and without a
+    cost), and the results come back in job order, so they do not depend
+    on k.  Once a job has failed no job of higher index is started; when
+    every job of lower index has run, the exception of the lowest-index
+    failed job is raised, the one the loop would have raised.
+    """
+    k = min(pool_size(), len(jobs))
+    if k <= 1:
+        return [fn(job) for job in jobs]
+    order = range(len(jobs))
+    if cost is not None:
+        order = sorted(order, key=lambda i: -cost(jobs[i]))
+    order = iter(order)
+    results, failed = [None] * len(jobs), {}
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(order, None)
+                if i is None:
+                    return
+                if failed and i > min(failed):
+                    continue
+            try:
+                results[i] = fn(jobs[i])
+            except Exception as e:
+                with lock:
+                    failed[i] = e
+
+    workers = [threading.Thread(target=work) for _ in range(k - 1)]
+    for w in workers:
+        w.start()
+    try:
+        work()
+    finally:
+        with lock:  # on an interrupt, start no further job
+            deque(order, maxlen=0)
+        for w in workers:
+            w.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def _fit_line(x, y):
     """Least-squares slope/intercept/R^2."""
     x = np.asarray(x, float)
@@ -501,16 +569,18 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
                           "scaled to sup norm 0.9 c0")
     u0 = base * (0.9 * C0 / base.linf())
     scfg = SolveConfig()
-    frozen = [[semigroup(u0, float(t))] for t in times]
-    rows = []
-    for s in range(n_seeds):
-        spec = _noise_spec(cfg, cfg.seed + s)
-        raw = sample_noise(spec, grid, times, stream_id=0)
-        en = enhance(raw, eps)
-        sup = max(u.linf() for u, in solve_renormalized(
-            [en], frozen, f_spec, g_spec, [u0], scfg))
-        rows.append({"seed": cfg.seed + s, "sup_linf": sup,
-                     "bound": C0 * 1.01})
+    noises = [enhance(sample_noise(_noise_spec(cfg, cfg.seed + s), grid,
+                                   times, stream_id=0), eps)
+              for s in range(n_seeds)]
+    # every seed's field in one stacked solve against the one heat flow
+    # of u0, built slice by slice; sup norms are taken slice by slice
+    frozen = ([semigroup(u0, float(t))] for t in times)
+    sup = np.zeros(n_seeds)
+    for row in solve_renormalized(noises, frozen, f_spec, g_spec,
+                                  [u0] * n_seeds, scfg):
+        sup = np.maximum(sup, [u.linf() for u in row])
+    rows = [{"seed": cfg.seed + s, "sup_linf": float(sup[s]),
+             "bound": C0 * 1.01} for s in range(n_seeds)]
     worst = max(r["sup_linf"] for r in rows)
     metrics = [{"name": "worst_sup_linf", "value": worst},
                {"name": "c0", "value": C0}]
@@ -537,9 +607,9 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
     # is between the fields a[r][j] (eps_ladder[j]) and b[r][j] (its half)
     a = [[keys.index((e, r)) for e in eps_ladder] for r in (True, False)]
     b = [[keys.index((e / 2, r)) for e in eps_ladder] for r in (True, False)]
-    D = np.zeros((2, len(eps_ladder)))
     scfg = SolveConfig()
-    for s in range(n_seeds):
+
+    def seed_gaps(s):
         spec = _noise_spec(cfg, cfg.seed + s, low)
         raw = sample_noise(spec, grid, times, stream_id=0)
         noises = []
@@ -549,11 +619,15 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
             noises += [en, EnhancedNoise(en.xi, c_eps=np.zeros_like)]
         # every (eps, renorm) field of the seed in one stacked solve; its
         # sup-in-time gaps are taken slice by slice
-        gap = np.zeros_like(D)
+        gap = np.zeros((2, len(eps_ladder)))
         for row in solve_renormalized(noises, repeat([u0]), f_spec, g_spec,
                                       [u0] * len(keys), scfg):
             U = np.stack([u.values for u in row])
             gap = np.maximum(gap, np.max(np.abs(U[a] - U[b]), axis=(-2, -1)))
+        return gap
+
+    D = np.zeros((2, len(eps_ladder)))
+    for gap in _map_runs(seed_gaps, range(n_seeds)):  # summed in seed order
         D += gap / n_seeds
     rows = [{"eps": e, "d_renormalized": float(D[0][j]),
              "d_naive": float(D[1][j])}
@@ -593,18 +667,21 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
         S = semigroup(spectra([Field(grid, white(s)) for s in sids]), 0.5)
         u0s = [f * (0.5 / max(f.linf(), 1e-12))
                for f in from_spectra(grid, S)[1]]
+        del S
         additive = [EnhancedNoise(z, np.zeros_like) for z in noises]
-        return _final(solve_particle_system(additive, None, g_spec, u0s,
-                                            scfg))
+        # values only: a finished run keeps no stacked spectra
+        return [Field(grid, u.values) for u in _final(solve_particle_system(
+            additive, None, g_spec, u0s, scfg))]
 
-    # reference: one big additive run (Tanaka reading of the mean field)
-    ref = solve(range(500_000, 500_000 + M_ref))
-
-    # common random numbers: particle i of run k sees the same noise and
-    # initial data at every system size n, so the n-trend is not masked
-    # by resampling noise
-    runs = {n: [solve(range(1000 * (k + 1), 1000 * (k + 1) + n))
-                for k in range(K)] for n in n_list}
+    # the reference, one big additive run (Tanaka reading of the mean
+    # field), then K runs per n.  Common random numbers: particle i of run
+    # k sees the same noise and initial data at every system size n, so
+    # the n-trend is not masked by resampling noise
+    jobs = [range(500_000, 500_000 + M_ref)] + [
+        range(1000 * (k + 1), 1000 * (k + 1) + n)
+        for n in n_list for k in range(K)]
+    ref, *finals = _map_runs(solve, jobs, cost=len)
+    runs = {n: finals[j * K:(j + 1) * K] for j, n in enumerate(n_list)}
     table = chaos_metric(runs, ref, p=2, seed=cfg.seed)
     dists = [r["measure_distance"] for r in table]
     metrics = [{"name": f"w2_n{r['n']}", "value": r["measure_distance"],
@@ -731,6 +808,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     config error raised by the pipeline leaves no output directory.
     """
     _keep_freed_heap()
+    threads = pool_size()
     fn = EXPERIMENTS[cfg.experiment]
     t0 = time.perf_counter()
     failure = None
@@ -757,7 +835,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "assertions": [{"name": n, "passed": bool(ok)} for n, ok in assertions],
         "ok": failure is None and all(ok for _, ok in assertions),
         "wall_time": wall,
-        "threads": os.environ.get("PARAFIELD_THREADS", ""),
+        "threads": threads,
         "artifacts": files,
     }
     if failure is not None:

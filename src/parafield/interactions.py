@@ -157,7 +157,8 @@ def _average(spec: InteractionSpec, index: int, u, mu: EmpiricalMeasure):
         fn = spec.F if index == 0 else spec.partials[index - 1]
         V = mu.values()
         if index == 0 and vals is V:
-            out = _self_pair_sum(spec.phi, V) / len(V)
+            out = _self_pair_sum(spec.phi, V)
+            out /= len(V)
         else:
             rows = vals[None] if vals.ndim == 2 else vals
             out = np.stack([fn(row[None], V).mean(axis=0) for row in rows])

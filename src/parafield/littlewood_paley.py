@@ -17,6 +17,7 @@ trends and ratios, never absolute constants.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from functools import lru_cache
 
@@ -69,8 +70,10 @@ class DyadicPartition:
         wr.flags.writeable = False
         self.resonant_weight = wr
         # id(field) -> (field, blocks), least recently used first; the
-        # entry holds its field, so the id cannot be reused while cached
+        # entry holds its field, so the id cannot be reused while cached;
+        # the lock guards it against the threads of a run pool
         self._recent: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
     def block_fields(self, spectrum: np.ndarray) -> np.ndarray:
         """All block projections of a spectrum on the grid, as values of
@@ -86,15 +89,17 @@ class DyadicPartition:
         valid.
         """
         key = id(f)
-        hit = self._recent.get(key)
-        if hit is not None:
-            self._recent.move_to_end(key)
-            return hit[1]
+        with self._lock:
+            hit = self._recent.get(key)
+            if hit is not None:
+                self._recent.move_to_end(key)
+                return hit[1]
         blocks = self.block_fields(f.spectrum * f.grid.dealias)
         blocks.flags.writeable = False
-        self._recent[key] = (f, blocks)
-        if len(self._recent) > BLOCK_CACHE_SIZE:
-            self._recent.popitem(last=False)
+        with self._lock:
+            self._recent[key] = (f, blocks)
+            if len(self._recent) > BLOCK_CACHE_SIZE:
+                self._recent.popitem(last=False)
         return blocks
 
 

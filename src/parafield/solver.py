@@ -126,7 +126,9 @@ def _forcing(f_spec, g_spec, U, mu, xs, xid, c):
     if f_spec is None:
         if g_spec is None:
             return np.stack([x.spectrum for x in xs])
-        rhs = np.stack([x.values for x in xs]) + eval_g(g_spec, U, mu)
+        rhs = eval_g(g_spec, U, mu)  # a fresh array: add the noise in place
+        for r, x in zip(rhs, xs):
+            r += x.values
     else:
         fval = eval_f(f_spec, U, mu)
         rhs = pointwise_product(dealiased(fval), xid, dealias=False)

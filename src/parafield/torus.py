@@ -12,6 +12,7 @@ zeroed everywhere, so every retained mode has its partner -k.
 from __future__ import annotations
 
 import struct
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -173,14 +174,18 @@ def _same_grid(a, b):
 
 # the last time grids found valid, as (the object given, its read-only
 # copy): a path built on either again is not checked again, unless the
-# given object no longer holds the values of the copy
+# given object no longer holds the values of the copy; other threads may
+# append while one reads, so it is read as a snapshot taken under the lock
 _CHECKED_TIMES: deque = deque(maxlen=8)
+_CHECKED_LOCK = threading.Lock()
 
 
 def _checked_times(times) -> np.ndarray:
     """``times`` as a checked read-only float array: strictly increasing
     with a constant step."""
-    for given, copy in _CHECKED_TIMES:
+    with _CHECKED_LOCK:
+        checked = list(_CHECKED_TIMES)
+    for given, copy in checked:
         if times is copy or (times is given and np.array_equal(given, copy)):
             return copy
     copy = np.array(times, dtype=np.float64)
@@ -189,7 +194,8 @@ def _checked_times(times) -> np.ndarray:
         if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-14):
             raise ValueError("times must be strictly increasing with constant step")
     copy.flags.writeable = False
-    _CHECKED_TIMES.append((times, copy))
+    with _CHECKED_LOCK:
+        _CHECKED_TIMES.append((times, copy))
     return copy
 
 

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,35 @@ def additive(paths):
     """Noise paths as enhanced noises for the additive equation
     (f_spec=None), which reads no counterterm: it is set to zero."""
     return [EnhancedNoise(z, np.zeros_like) for z in paths]
+
+
+def on_two_threads(fn):
+    """[fn(0), fn(1)], run at once on two threads that switch about every
+    microsecond; the first exception either raised is raised here."""
+    out, errors = [None, None], []
+    barrier = threading.Barrier(2)
+
+    def run(i):
+        barrier.wait(timeout=60)
+        try:
+            out[i] = fn(i)
+        except Exception as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return out
 
 
 @pytest.fixture

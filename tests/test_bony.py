@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from parafield import Field, dyadic_blocks, pointwise_product
+from parafield import Field, dyadic_blocks, make_grid, pointwise_product
 from parafield.bony import corrector, para, resonant
 from parafield.littlewood_paley import BLOCK_CACHE_SIZE
-from conftest import random_field
+from conftest import on_two_threads, random_field
 
 
 def _fresh_blocks(f):
@@ -125,3 +125,20 @@ def test_cached_products_bitwise_equal_fresh(grid32, rng):
     for _ in range(BLOCK_CACHE_SIZE):
         para(random_field(grid32, rng), random_field(grid32, rng))
     _assert_bitwise(a, b, c)
+
+
+def test_para_from_two_threads():
+    # three fields per thread, six in all, overflow the block cache, so
+    # one thread's hits meet the other's evictions
+    grid = make_grid(8)
+    rng = np.random.default_rng(11)
+    fields = [[random_field(grid, rng) for _ in range(3)] for _ in range(2)]
+
+    def products(i):
+        fs = fields[i]
+        return [para(fs[k % 3], fs[(k + 1) % 3]).values for k in range(20000)]
+
+    serial = [products(0), products(1)]
+    threaded = on_two_threads(products)
+    for a, b in zip(serial, threaded):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -579,6 +580,103 @@ def test_thread_env_mapping(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     _apply_thread_env()
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "two",
+                                     str((os.cpu_count() or 1) + 1)])
+def test_bad_thread_count_exit_two_before_any_draw(tmp_path, capsys,
+                                                   monkeypatch, threads):
+    monkeypatch.setenv("PARAFIELD_THREADS", threads)
+    _forbid_sampling(monkeypatch)
+    path = _write(tmp_path, SOLVE_CFG)
+    assert main(["solve", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "PARAFIELD_THREADS" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="PARAFIELD_THREADS"):
+        run_experiment(parse_config(text=SOLVE_CFG, out=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads,size", [(None, 1), ("", 1), ("1", 1),
+                                          (str(os.cpu_count() or 1),
+                                           os.cpu_count() or 1)])
+def test_summary_records_the_pool_size(tmp_path, monkeypatch, threads, size):
+    if threads is None:
+        monkeypatch.delenv("PARAFIELD_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PARAFIELD_THREADS", threads)
+    record = run_experiment(parse_config(text=SOLVE_CFG,
+                                         out=str(tmp_path / "out")))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert record["threads"] == summary["threads"] == size
+
+
+def _two_threads(monkeypatch):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("a pool of 2 needs 2 CPUs")
+    monkeypatch.setenv("PARAFIELD_THREADS", "2")
+
+
+def test_map_runs_returns_results_in_job_order(monkeypatch):
+    _two_threads(monkeypatch)
+    started = []
+
+    def job(x):
+        started.append(x)
+        time.sleep(0.002 * (x % 3))  # finish out of order
+        return x * x
+
+    jobs = [3, 1, 4, 1, 5, 9, 2, 6]
+    assert parafield.experiments._map_runs(job, jobs, cost=lambda x: x) == [
+        x * x for x in jobs]
+    assert sorted(started) == sorted(jobs)  # each job ran once
+
+
+def test_map_runs_raises_the_lowest_index_failure(monkeypatch):
+    # largest index first: job 3 fails before jobs 2, 1 and 0 start; the
+    # loop would have run job 0 and raised job 1's error
+    _two_threads(monkeypatch)
+    ran = set()
+
+    def job(i):
+        ran.add(i)
+        if i in (1, 3):
+            raise ValueError(f"job {i}")
+        return i
+
+    with pytest.raises(ValueError, match="job 1"):
+        parafield.experiments._map_runs(job, range(6), cost=lambda i: i)
+    assert {0, 1, 2, 3} <= ran
+
+
+POOLED = {
+    "chaos_additive": (_config("chaos_additive",
+                               "t = 0.1\n\n[ensemble]\nn_list = 2 4\nk = 3\n"
+                               "m_ref = 8\n"), ("chaos_additive.csv",)),
+    "renorm_dichotomy": (_config("renorm_dichotomy",
+                                 "t = 0.5\n\n[params]\neps_ladder = 0.2 0.1\n"
+                                 "n_seeds = 3\n"), ("dichotomy.csv",)),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(POOLED))
+def test_pooled_runs_are_byte_identical_at_any_count(tmp_path, monkeypatch,
+                                                     pipeline):
+    text, files = POOLED[pipeline]
+    summaries = []
+    for threads in ("1", "2"):
+        if threads == "2":
+            _two_threads(monkeypatch)
+        else:
+            monkeypatch.setenv("PARAFIELD_THREADS", threads)
+        run_experiment(parse_config(text=text, out=str(tmp_path / threads)))
+        summaries.append(json.loads(
+            (tmp_path / threads / "summary.json").read_text()))
+    for name in files:
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
+    assert summaries[0]["metrics"] == summaries[1]["metrics"]
+    assert [s["threads"] for s in summaries] == [1, 2]
 
 
 HEAP_CHURN = """\

@@ -226,6 +226,46 @@ def test_dichotomy_reports_the_earliest_crossing(tmp_path, monkeypatch):
     assert (failure["time"], failure["linf"]) == earliest
 
 
+MAXPRINCIPLE_CFG = """\
+[experiment]
+name = maxprinciple
+seed = 0
+
+[grid]
+n = 16
+t = 0.5
+
+[noise]
+lambda = 10
+
+[params]
+n_seeds = 4
+f_scale = 16
+"""
+
+
+def test_maxprinciple_stacks_its_seeds_and_reports_the_earliest_crossing(
+        tmp_path, monkeypatch):
+    # one solve steps every seed against the one heat flow; it reports
+    # the earliest explosion over the seeds, not that of the first seed
+    calls = _recording_solves(monkeypatch)
+    cfg = parse_config(text=MAXPRINCIPLE_CFG, out=str(tmp_path / "out"))
+    failure = run_experiment(cfg)["failure"]
+    (noises, _, f_spec, g_spec, u0s, scfg), = calls
+    assert len(noises) == len(u0s) == 4
+    heat = [[semigroup(u0s[0], float(t))] for t in noises[0].times]
+    crossings = []
+    for i in range(len(noises)):
+        with pytest.raises(ExplosionError) as exc:
+            list(solve_renormalized(noises[i:i + 1], heat, f_spec, g_spec,
+                                    u0s[i:i + 1], scfg))
+        crossings.append((exc.value.time, exc.value.linf))
+    earliest = min(crossings, key=lambda c: c[0])
+    assert crossings[0][0] > earliest[0]
+    assert failure["type"] == "ExplosionError"
+    assert (failure["time"], failure["linf"]) == earliest
+
+
 def _step_by_hand(u0s, xis, c, f_spec, g_spec, dt):
     """One exponential-Euler step of each field through the Field API,
     one field at a time, against the running measure of ``u0s``."""

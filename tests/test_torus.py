@@ -10,8 +10,8 @@ import pytest
 
 from parafield import (Field, PathField, dealiased, make_grid, make_times,
                        pointwise_product, read_pfld, write_pfld)
-from parafield.torus import from_spectra, spectra
-from conftest import random_field
+from parafield.torus import _checked_times, from_spectra, spectra
+from conftest import on_two_threads, random_field
 
 
 def test_make_grid_validates_size():
@@ -270,3 +270,22 @@ def test_fields_from_stacked_spectra_match_each_field(grid16, rng):
         assert f.spectrum.tobytes() == w.spectrum.tobytes()
         assert not f.spectrum.flags.writeable
     assert spectra(fs).tobytes() == S.tobytes()
+
+
+def test_checked_times_from_two_threads():
+    # each thread checks fresh grids, and each again once changed in
+    # place, so its lookups compare values while the other thread appends
+    def check(i):
+        out = []
+        for k in range(2000):
+            t = make_times(1.0 + i, 1.0 / (2 + k % 7))
+            out.append(_checked_times(t))
+            t *= 2.0
+            out.append(_checked_times(t))
+        return out
+
+    serial = [check(0), check(1)]
+    threaded = on_two_threads(check)
+    for a, b in zip(serial, threaded):
+        assert len(a) == len(b) == 4000
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
