@@ -5,27 +5,15 @@ Usage: ``parafield <experiment> --config <path> [--seed S] [--out DIR]``.
 Exit codes: 0 on success, 1 when an in-run assertion or the solver
 fails, 2 on a config or usage error.  The PARAFIELD_THREADS environment
 variable sizes the run pool of the pipelines that step independent runs
-(``experiments.pool_size``; a bad value is a config error).  It is also
-copied to the BLAS/OpenMP thread variables that are not set; numpy has
-loaded its BLAS by then, so only pools started later read them.
+(``experiments.pool_size``; a bad value is a config error), and nothing
+else.  BLAS takes its thread count from the usual variables
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``) when numpy is imported.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def _apply_thread_env():
-    if not os.environ.get("PARAFIELD_THREADS"):
-        return
-    from .experiments import pool_size
-
-    n = str(pool_size())
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +39,6 @@ def main(argv=None) -> int:
     from .experiments import ConfigError, parse_config, run_experiment
 
     try:
-        _apply_thread_env()
         cfg = parse_config(args.config, seed=args.seed, out=args.out)
         if cfg.experiment != args.experiment:
             raise ConfigError(

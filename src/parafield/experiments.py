@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -30,9 +29,9 @@ from .heat import duhamel, semigroup
 from .interactions import make_interaction, make_kernel
 from .littlewood_paley import besov_norm
 from .measures import chaos_metric
-from .noise import (EnhancedNoise, NoiseSpec, enhance, low_damped_multiplier,
-                    mean_field_enhance, mollify, power_law_multiplier,
-                    renorm_constant, sample_noise)
+from .noise import (EnhancedNoise, NoiseSpec, _rng, enhance,
+                    low_damped_multiplier, mean_field_enhance, mollify,
+                    power_law_multiplier, renorm_constant, sample_noise)
 from .solver import (ExplosionError, FixedPointError, PicardError,
                      SolveConfig, default_dt, solve_mean_field,
                      solve_paracontrolled, solve_particle_system,
@@ -332,51 +331,29 @@ def _initial_field(cfg: ExperimentConfig, grid) -> Field:
 def _map_runs(fn, jobs, cost=None) -> list:
     """``[fn(job) for job in jobs]``, run on ``pool_size()`` threads.
 
-    With one thread this is that loop.  With k > 1 the calling thread
-    and k - 1 workers take jobs from one shared order, the largest
-    ``cost(job)`` first (job order among equal costs, and without a
-    cost), and the results come back in job order, so they do not depend
-    on k.  Once a job has failed no job of higher index is started; when
-    every job of lower index has run, the exception of the lowest-index
-    failed job is raised, the one the loop would have raised.
+    With one thread this is that loop.  With k > 1 the jobs are queued
+    on k workers, the largest ``cost(job)`` first (job order among equal
+    costs, and without a cost), and the results are read in job order,
+    so they do not depend on k.  A failure is raised once every job of
+    lower index has finished: the lowest-index one, which the loop would
+    have raised.  Jobs still queued then, or after an interrupt, never
+    start.
     """
     k = min(pool_size(), len(jobs))
     if k <= 1:
         return [fn(job) for job in jobs]
+    # imported here: it loads logging, which would slow every import
+    from concurrent.futures import ThreadPoolExecutor
+
     order = range(len(jobs))
     if cost is not None:
         order = sorted(order, key=lambda i: -cost(jobs[i]))
-    order = iter(order)
-    results, failed = [None] * len(jobs), {}
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                i = next(order, None)
-                if i is None:
-                    return
-                if failed and i > min(failed):
-                    continue
-            try:
-                results[i] = fn(jobs[i])
-            except Exception as e:
-                with lock:
-                    failed[i] = e
-
-    workers = [threading.Thread(target=work) for _ in range(k - 1)]
-    for w in workers:
-        w.start()
+    pool = ThreadPoolExecutor(k)
     try:
-        work()
+        futures = {i: pool.submit(fn, jobs[i]) for i in order}
+        return [futures[i].result() for i in range(len(jobs))]
     finally:
-        with lock:  # on an interrupt, start no further job
-            deque(order, maxlen=0)
-        for w in workers:
-            w.join()
-    if failed:
-        raise failed[min(failed)]
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
 def _fit_line(x, y):
@@ -655,9 +632,7 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
     scfg = SolveConfig()
 
     def white(stream):
-        key = np.array([cfg.seed + 7, stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key)).standard_normal(
-            (grid.N, grid.N))
+        return _rng(cfg.seed + 7, stream).standard_normal((grid.N, grid.N))
 
     def solve(sids):
         # each stream's noise and smooth random initial data (a white

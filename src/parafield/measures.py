@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .noise import _rng
+
 __all__ = ["linear_sum_assignment", "ground_distance_matrix", "wasserstein",
            "chaos_metric", "subsample_ensemble"]
 
@@ -120,9 +122,7 @@ def subsample_ensemble(atoms: list, size: int, seed: int = 0) -> list:
     """Seeded uniform subsample without replacement."""
     if size > len(atoms):
         raise ValueError("cannot subsample beyond the ensemble size")
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [seed, len(atoms)], dtype=np.uint64)))
-    idx = rng.choice(len(atoms), size=size, replace=False)
+    idx = _rng(seed, len(atoms)).choice(len(atoms), size=size, replace=False)
     return [atoms[i] for i in sorted(idx)]
 
 

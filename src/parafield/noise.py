@@ -112,6 +112,8 @@ class NoiseSpec:
 
 
 def _rng(seed: int, stream_id: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, stream_id), each taken mod
+    2**64, so that every int, negative ones too, is a key."""
     key = np.array([seed % 2 ** 64, stream_id % 2 ** 64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -574,12 +574,25 @@ def test_cli_seed_override(tmp_path):
     assert va != vb
 
 
-def test_thread_env_mapping(monkeypatch):
-    from parafield.cli import _apply_thread_env
-    monkeypatch.setenv("PARAFIELD_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    _apply_thread_env()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+NEGATIVE_SEED = {
+    "chaos_additive": _config("chaos_additive", "\n[ensemble]\nn_list = 2 4\n"
+                              "k = 2\nm_ref = 8\n"),
+    "chaos_singular": _config("chaos_singular", "t = 0.05\n\n[ensemble]\n"
+                              "n_list = 2 4\nk = 2\nm = 4\n"),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(NEGATIVE_SEED))
+def test_negative_seed_is_the_seed_mod_2_64(tmp_path, pipeline):
+    # every Philox key is reduced mod 2**64, so seed -10 runs and draws
+    # what seed 2**64 - 10 draws
+    path = _write(tmp_path, NEGATIVE_SEED[pipeline])
+    for seed in (-10, 2 ** 64 - 10):
+        assert main([pipeline, "--config", path, "--seed", str(seed),
+                     "--out", str(tmp_path / str(seed))]) == 0
+    name = f"{pipeline}.csv"
+    assert ((tmp_path / "-10" / name).read_bytes()
+            == (tmp_path / str(2 ** 64 - 10) / name).read_bytes())
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "two",
@@ -617,7 +630,9 @@ def _two_threads(monkeypatch):
     monkeypatch.setenv("PARAFIELD_THREADS", "2")
 
 
-def test_map_runs_returns_results_in_job_order(monkeypatch):
+@pytest.mark.parametrize("cost", [None, lambda x: x],
+                         ids=["no_cost", "identity"])
+def test_map_runs_returns_results_in_job_order(monkeypatch, cost):
     _two_threads(monkeypatch)
     started = []
 
@@ -627,7 +642,7 @@ def test_map_runs_returns_results_in_job_order(monkeypatch):
         return x * x
 
     jobs = [3, 1, 4, 1, 5, 9, 2, 6]
-    assert parafield.experiments._map_runs(job, jobs, cost=lambda x: x) == [
+    assert parafield.experiments._map_runs(job, jobs, cost=cost) == [
         x * x for x in jobs]
     assert sorted(started) == sorted(jobs)  # each job ran once
 
@@ -647,6 +662,21 @@ def test_map_runs_raises_the_lowest_index_failure(monkeypatch):
     with pytest.raises(ValueError, match="job 1"):
         parafield.experiments._map_runs(job, range(6), cost=lambda i: i)
     assert {0, 1, 2, 3} <= ran
+
+
+def test_map_runs_starts_no_queued_job_after_a_failure(monkeypatch):
+    _two_threads(monkeypatch)
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        if i == 0:
+            raise ValueError("job 0")
+        time.sleep(0.005)
+
+    with pytest.raises(ValueError, match="job 0"):
+        parafield.experiments._map_runs(job, range(40))
+    assert len(ran) < 20
 
 
 POOLED = {

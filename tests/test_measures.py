@@ -89,11 +89,14 @@ def test_wasserstein_identical_ensembles_is_zero(grid16, rng):
     assert wasserstein(atoms, list(reversed(atoms)), 1) == 0.0
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy_or_concurrent_futures():
+    # both are slow to import; the run pool imports concurrent.futures
+    # when it first runs on more than one thread
     src = os.path.dirname(os.path.dirname(parafield.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, parafield, parafield.experiments; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy', 'concurrent.futures'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
