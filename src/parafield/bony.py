@@ -7,9 +7,13 @@ the Bony reconstruction a<b + b<a + a(.)b = a*b holds to rounding.
 All grid products are dealiased, and the blocks are those of
 ``dyadic_blocks`` on the grid of the operands, read through its bounded
 cache, so an operand used in consecutive products is blocked once.
+That stack omits the top block, which dealiasing empties, so both
+products loop over the blocks they are given.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,12 +31,11 @@ def para(a: Field, b: Field) -> Field:
     ab = part.dealiased_blocks(a)
     bb = part.dealiased_blocks(b)
     # block index i corresponds to ell = i - 1; need ell' <= ell - 2,
-    # so block i meets low = ab[0] + ... + ab[i - 2]
-    low = ab[0]
+    # so block i meets low = ab[0] + ... + ab[i - 2]; zip stops at the
+    # last block of b before it asks for a low sum nothing reads
     out = np.zeros_like(ab[0])
-    for i in range(2, len(part.ells)):
-        out += low * bb[i]
-        low = low + ab[i - 1]
+    for high, low in zip(bb[2:], accumulate(ab)):
+        out += low * high
     return Field(a.grid, out)
 
 
@@ -43,7 +46,7 @@ def resonant(a: Field, b: Field) -> Field:
     part = dyadic_blocks(a.grid)
     ab = part.dealiased_blocks(a)
     bb = part.dealiased_blocks(b)
-    n = len(part.ells)
+    n = len(ab)
     out = np.zeros_like(ab[0])
     for i in range(n):
         lo, hi = max(0, i - 1), min(n, i + 2)

@@ -9,7 +9,10 @@ grid size, and every operator that needs blocks looks it up from the
 grid of its input, so no caller chooses or passes one.  The partition
 also keeps the dealiased block stacks of the last few fields it
 blocked (``DyadicPartition.dealiased_blocks``), so an operand that
-enters several Bony products in a row is transformed once.
+enters several Bony products in a row is transformed once.  A
+dealiased stack omits the top block l = L_max: it holds |k| >= N/2,
+while the 2/3 rule keeps |kx|, |ky| <= N//3, so |k| <= sqrt(2) N/3 and
+that block of a dealiased spectrum is exactly zero.
 
 The discrete Besov quantity is an *estimator*: tests downstream use
 trends and ratios, never absolute constants.
@@ -31,11 +34,12 @@ __all__ = [
     "besov_norm",
 ]
 
-# fields whose dealiased block stacks each partition keeps; bounded,
-# because a paracontrolled solve holds every noise slice and derivative
-# for the whole run, and a stack kept per live field (229 kB at N=64)
-# raised its peak memory by almost half
-BLOCK_CACHE_SIZE = 4
+# fields whose dealiased block stacks each partition keeps: one
+# paracontrolled step reads seven operands (X, xi, the old dz, f's dz,
+# u, sharp and dz < X) besides its fresh fixed-point iterates, which
+# four slots could not hold; bounded, because keeping a stack per live
+# field raised a paracontrolled solve's peak memory by almost half
+BLOCK_CACHE_SIZE = 8
 
 
 class DyadicPartition:
@@ -75,14 +79,17 @@ class DyadicPartition:
         self._recent: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def block_fields(self, spectrum: np.ndarray) -> np.ndarray:
-        """All block projections of a spectrum on the grid, as values of
-        shape (n_blocks, N, N)."""
+    def block_fields(self, spectrum: np.ndarray,
+                     stop: int | None = None) -> np.ndarray:
+        """The block projections ``weights[:stop]`` (all by default) of a
+        spectrum on the grid, as values of shape (n_blocks, N, N)."""
         N = self.grid.N
-        return np.fft.irfft2(self.weights * spectrum[None, :, :], s=(N, N))
+        return np.fft.irfft2(self.weights[:stop] * spectrum[None, :, :],
+                             s=(N, N))
 
     def dealiased_blocks(self, f: Field) -> np.ndarray:
-        """``block_fields(f.spectrum * f.grid.dealias)``, read-only.
+        """``block_fields(f.spectrum * f.grid.dealias)`` without its top
+        block, which dealiasing empties; read-only, blocks -1 .. L_max-1.
 
         The stacks of the last ``BLOCK_CACHE_SIZE`` fields are kept and
         matched by identity; a Field is immutable, so a kept stack stays
@@ -94,7 +101,7 @@ class DyadicPartition:
             if hit is not None:
                 self._recent.move_to_end(key)
                 return hit[1]
-        blocks = self.block_fields(f.spectrum * f.grid.dealias)
+        blocks = self.block_fields(f.spectrum * f.grid.dealias, stop=-1)
         blocks.flags.writeable = False
         with self._lock:
             self._recent[key] = (f, blocks)

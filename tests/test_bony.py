@@ -128,15 +128,16 @@ def test_cached_products_bitwise_equal_fresh(grid32, rng):
 
 
 def test_para_from_two_threads():
-    # three fields per thread, six in all, overflow the block cache, so
-    # one thread's hits meet the other's evictions
+    # the two threads' fields together overflow the block cache, so one
+    # thread's hits meet the other's evictions
     grid = make_grid(8)
     rng = np.random.default_rng(11)
-    fields = [[random_field(grid, rng) for _ in range(3)] for _ in range(2)]
+    m = BLOCK_CACHE_SIZE // 2 + 1
+    fields = [[random_field(grid, rng) for _ in range(m)] for _ in range(2)]
 
     def products(i):
         fs = fields[i]
-        return [para(fs[k % 3], fs[(k + 1) % 3]).values for k in range(20000)]
+        return [para(fs[k % m], fs[(k + 1) % m]).values for k in range(20000)]
 
     serial = [products(0), products(1)]
     threaded = on_two_threads(products)

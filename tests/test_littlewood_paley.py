@@ -51,7 +51,9 @@ def test_dealiased_blocks_match_fresh_transform_read_only(grid32, rng):
     again = part.dealiased_blocks(f)  # served from the cache
     assert again is first
     fresh = part.block_fields(f.spectrum * grid32.dealias)
-    assert np.array_equal(first, fresh)
+    # the kept stack omits the top block, which dealiasing empties
+    assert np.array_equal(first, fresh[:-1])
+    assert not np.any(fresh[-1])
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0, 0] = 1.0
@@ -62,7 +64,8 @@ def test_block_cache_is_bounded(grid32, rng, monkeypatch):
     transforms = []
     inner = DyadicPartition.block_fields
     monkeypatch.setattr(DyadicPartition, "block_fields",
-                        lambda self, s: transforms.append(1) or inner(self, s))
+                        lambda self, *args, **kwargs:
+                        transforms.append(1) or inner(self, *args, **kwargs))
     fields = [random_field(grid32, rng) for _ in range(3 * BLOCK_CACHE_SIZE)]
     for f in fields:
         part.dealiased_blocks(f)
@@ -75,6 +78,15 @@ def test_block_cache_is_bounded(grid32, rng, monkeypatch):
     part.dealiased_blocks(fields[0])
     assert len(transforms) == len(fields) + 1
     assert len(part._recent) == BLOCK_CACHE_SIZE
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
+def test_top_block_is_empty_after_dealiasing(N):
+    # the top block holds |k| >= N/2, the 2/3 rule keeps |k| <= sqrt(2) N/3
+    grid = make_grid(N)
+    part = dyadic_blocks(grid)
+    assert part.ells[-1] == part.L_max
+    assert not np.any(part.weights[-1][grid.dealias])
 
 
 def test_besov_single_mode_values(grid64):

@@ -18,6 +18,7 @@ from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        solve_particle_system, solve_renormalized)
 from parafield.bony import corrector
 from parafield.experiments import parse_config, run_experiment
+from parafield.littlewood_paley import DyadicPartition
 from conftest import additive, constant_path, random_field
 
 
@@ -468,6 +469,26 @@ def test_paracontrolled_returns_the_solution_path(grid16):
     assert len(u) == len(times)
     assert all(isinstance(f, Field) for f in u)
     assert np.array_equal(u[0].values, u0.values)
+
+
+def test_paracontrolled_step_keeps_its_operands_blocked(grid32, monkeypatch):
+    # four steps on time-constant noise: a block cache of four stacks
+    # made 73 block transforms here, one of eight stacks makes 60
+    transforms = []
+    inner = DyadicPartition.block_fields
+    monkeypatch.setattr(DyadicPartition, "block_fields",
+                        lambda self, *args, **kwargs:
+                        transforms.append(1) or inner(self, *args, **kwargs))
+    times = _times(T=0.125)
+    en = enhance(sample_noise(NoiseSpec(seed=9), grid32, times, stream_id=0),
+                 0.05)
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    X, Y = grid32.coords()
+    u0 = Field.from_values(grid32, 0.4 * np.cos(X) * np.sin(Y))
+    list(solve_paracontrolled(en, repeat([u0]), f_spec, None, u0,
+                              SolveConfig()))
+    assert len(times) == 5
+    assert len(transforms) <= 60
 
 
 def test_paracontrolled_matches_direct_with_two_atoms(grid32):
