@@ -436,9 +436,10 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
         xi2s, naives = [], []
         for eps in eps_ladder:
             en = enhance(raw, eps)
-            xi2s.append(en.xi2[-1])
+            xi2 = resonant(en.X[-1], en.xi[-1]).shift(-en.c_eps(times)[-1])
+            xi2s.append(xi2)
             cs = float(en.c_eps(times[-1]))
-            naives.append(en.xi2[-1].mean() + cs)  # naive = resonant mean
+            naives.append(xi2.mean() + cs)  # naive = resonant mean
         naive_means[s] = naives
         for j in range(len(eps_ladder) - 1):
             diffs[s, j] = besov_norm(xi2s[j + 1] - xi2s[j], gamma, 2)

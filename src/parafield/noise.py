@@ -15,8 +15,8 @@ drawn alone or with others.  ``mollify`` likewise takes one path or a
 list and transforms their distinct slices as one stack.
 
 Enhancement is lazy: ``enhance`` mollifies the noise and fixes c_eps,
-and the reference X and the renormalized product xi2 are built on
-first read, so a scheme that reads only xi and c_eps never builds them.
+and X is built on first read, so a scheme that reads only xi and c_eps
+never builds it; a reader forms X (.) xi - c_eps on the slice it reads.
 ``enhance`` also takes a list of paths and mollifies them as one stack;
 ``mean_field_enhance`` draws and enhances n streams that way.  The cross
 term between two streams is ``cross_resonant``.
@@ -235,10 +235,9 @@ def renorm_constant(spec: NoiseSpec, eps: float, times: np.ndarray,
 
 
 class EnhancedNoise:
-    """The pair (xi, X (.) xi - c_eps) plus the reference X.
-
-    ``X`` and ``xi2`` are built on first read and cached: the direct
-    scheme reads only ``xi`` and ``c_eps``, so it never pays for them.
+    """The noise xi, its constant c_eps and its reference X = duhamel(xi),
+    built on first read and cached (the direct scheme reads only xi and
+    c_eps).  A reader forms X (.) xi - c_eps on the slice it reads.
     """
 
     def __init__(self, xi: PathField, c_eps):
@@ -249,28 +248,18 @@ class EnhancedNoise:
     def X(self) -> PathField:
         return duhamel(self.xi)
 
-    @cached_property
-    def xi2(self) -> PathField:
-        X, xi = self.X, self.xi
-        cs = np.atleast_1d(self.c_eps(xi.times))
-        return PathField(xi.times, [
-            resonant(X[i], xi[i]).shift(-float(cs[i]))
-            for i in range(len(xi))
-        ], meta=dict(xi.meta))
-
     @property
     def times(self):
         return self.xi.times
 
 
 def enhance(xi_raw, eps: float) -> EnhancedNoise | list[EnhancedNoise]:
-    """Mollify and fix the renormalization constant; X and xi2 are lazy.
+    """Mollify and fix the renormalization constant; X is lazy.
 
     ``xi_raw`` is a path from ``sample_noise`` or a list of paths of one
     noise class, times and grid; a list is mollified as one stack and
-    its paths share the c_eps of the first.  X = duhamel(xi) and the
-    renormalized resonant part xi2 are computed when first read (see
-    ``EnhancedNoise``).
+    its paths share the c_eps of the first.  X = duhamel(xi) is computed
+    when first read (see ``EnhancedNoise``).
     """
     paths = [xi_raw] if isinstance(xi_raw, PathField) else xi_raw
     spec = paths[0].meta.get("spec")

@@ -1,12 +1,12 @@
 """Paracontrolled data, the singular product and paralinearization.
 
-A time slice u is stored as u = (dz < X) + mean_j (dmu_j < Xbar_j)
-+ sharp.  Every operator is defined on a single slice; a solver that
-steps a path applies them slice by slice.  The remainder ``sharp`` is
-always the exact residual, so decompose-then-reconstruct is the
-identity and the regularity of sharp is checked as a property, not
-imposed.  The Bony products take the dyadic blocks of the grid their
-operands live on.
+A time slice u is stored as u = low + mean_j (dmu_j < Xbar_j) + sharp,
+with low = dz < X kept so that no operator forms it twice.  Every
+operator is defined on a single slice; a solver that steps a path
+applies them slice by slice.  The remainder ``sharp`` is always the
+exact residual, so decompose-then-reconstruct is the identity and the
+regularity of sharp is checked as a property, not imposed.  The Bony
+products take the dyadic blocks of the grid their operands live on.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ class Paracontrolled:
     """Paracontrolled decomposition of one time slice.
 
     ``reference`` is the rough reference X; ``dz`` the Gubinelli
-    derivative; ``dmu`` the per-sample measure derivatives with their
-    references ``dmu_refs`` (both empty in the null-derivative case);
-    ``sharp`` the residual.  Every entry is a Field.
+    derivative and ``low`` = dz < X; ``dmu`` the per-sample measure
+    derivatives with their references ``dmu_refs`` (both empty in the
+    null-derivative case); ``sharp`` the residual.  Every entry is a Field.
     """
 
     reference: Field
     dz: Field
+    low: Field
     sharp: Field
     dmu: list = field(default_factory=list)
     dmu_refs: list = field(default_factory=list)
@@ -54,36 +55,40 @@ def _mean_para(dmu: list, dmu_refs: list) -> Field:
 def decompose_slice(u: Field, reference: Field, dz: Field, dmu: list,
                     dmu_refs: list) -> Paracontrolled:
     """Store the slice u with the given derivatives; sharp is the exact residual."""
-    sharp = u - para(dz, reference)
+    low = para(dz, reference)
+    sharp = u - low
     if dmu:
         sharp = sharp - _mean_para(dmu, dmu_refs)
-    return Paracontrolled(reference, dz, sharp, list(dmu), list(dmu_refs))
+    return Paracontrolled(reference, dz, low, sharp, list(dmu),
+                          list(dmu_refs))
 
 
 def reconstruct_slice(pc: Paracontrolled) -> Field:
     """u = (dz < X) + mean_j (dmu_j < Xbar_j) + sharp on one slice."""
-    out = para(pc.dz, pc.reference) + pc.sharp
+    out = pc.low + pc.sharp
     if pc.dmu:
         out = out + _mean_para(pc.dmu, pc.dmu_refs)
     return out
 
 
-def pc_product_slice(pc: Paracontrolled, xi: Field, X: Field, xi2: Field,
+def pc_product_slice(pc: Paracontrolled, xi: Field, c: float,
                      cross: list) -> Field:
     """One slice of the singular product (u xi).
 
     Sum of u < xi, xi < u, sharp (.) xi, the correctors of dz and each
-    dmu_j, dz * xi2 and the mean of dmu_j * cross_j.  ``X`` is the
-    reference of xi, ``xi2`` the renormalized X (.) xi and ``cross[j]``
-    the term xi (.) Xbar_j of the j-th measure derivative.
+    dmu_j, dz * (X (.) xi - c) and the mean of dmu_j * cross_j, with X
+    = ``pc.reference``, ``c`` the renormalization constant of the slice
+    and ``cross[j]`` the term xi (.) Xbar_j of the j-th measure derivative.
     """
     if len(cross) != len(pc.dmu):
         raise ValueError("need one cross term per dmu entry")
     u = reconstruct_slice(pc)
+    Xxi = resonant(pc.reference, xi)
     acc = para(u, xi) + para(xi, u)
     acc = acc + resonant(pc.sharp, xi)
-    acc = acc + corrector(pc.dz, X, xi)
-    acc = acc + pointwise_product(pc.dz, xi2)
+    # corrector(dz, X, xi) spelled out, to reuse pc.low and X (.) xi
+    acc = acc + (resonant(pc.low, xi) - pointwise_product(pc.dz, Xxi))
+    acc = acc + pointwise_product(pc.dz, Xxi.shift(-c))
     n = len(pc.dmu)
     for j in range(n):
         acc = acc + (1.0 / n) * corrector(pc.dmu[j], pc.dmu_refs[j], xi)

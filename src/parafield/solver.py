@@ -248,15 +248,17 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: Iterable,
                 return u, eval_f(f_spec, u, mu)
         raise FixedPointError(t, defect)
 
+    cs = np.atleast_1d(en.c_eps(times))
     slices = _frozen_slices(frozen)
     mu = EmpiricalMeasure(next(slices))
     sharp = u0  # X_0 = 0, so u_0 = sharp_0
     u, dz = fix_dz(sharp, en.X[0], mu, u0, float(times[0]))
-    yield para(dz, en.X[0]) + sharp
+    dz_X = para(dz, en.X[0])
+    yield dz_X + sharp
     for n in range(times.size - 1):
-        f_pc = paralinearize_slice(f_spec, Paracontrolled(en.X[n], dz, sharp),
-                                   [], mu)
-        phi = pc_product_slice(f_pc, en.xi[n], en.X[n], en.xi2[n], [])
+        f_pc = paralinearize_slice(
+            f_spec, Paracontrolled(en.X[n], dz, dz_X, sharp), [], mu)
+        phi = pc_product_slice(f_pc, en.xi[n], float(cs[n]), [])
         phi = phi - para(dz, en.xi[n])
         if g_spec is not None:
             phi = phi + eval_g(g_spec, u, mu)

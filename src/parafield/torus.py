@@ -331,12 +331,12 @@ def write_pfld(path, data) -> None:
 def read_pfld(path):
     """Read a PFLD snapshot; returns (N, list of (N, N) float arrays)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PFLD_MAGIC:
-            raise ValueError("not a PFLD file")
-        N, M = struct.unpack("<II", fh.read(8))
-        out = []
-        for _ in range(M):
-            buf = fh.read(8 * N * N)
-            out.append(np.frombuffer(buf, dtype="<f8").reshape(N, N).copy())
-    return N, out
+        data = fh.read()
+    if len(data) < 12 or data[:4] != PFLD_MAGIC:
+        raise ValueError("not a PFLD file: bad magic or header cut short")
+    N, M = struct.unpack_from("<II", data, 4)
+    if len(data) != 12 + 8 * N * N * M:  # a slice cut short, or bytes after
+        raise ValueError(f"PFLD file of {len(data)} bytes; its header "
+                         f"(N = {N}, M = {M}) needs {12 + 8 * N * N * M}")
+    flat = np.frombuffer(data, dtype="<f8", offset=12).reshape(M, N, N)
+    return N, [s.copy() for s in flat]

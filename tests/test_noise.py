@@ -13,7 +13,7 @@ from parafield import (Field, NoiseSpec, cross_resonant, duhamel, enhance,
                        power_law_multiplier, renorm_constant, sample_noise)
 from parafield.bony import resonant
 from parafield.littlewood_paley import dyadic_blocks
-from parafield.experiments import parse_config, run_experiment
+from parafield.experiments import SCHEMA, parse_config, run_experiment
 
 
 TIMES3 = np.array([0.0, 0.25, 0.5])
@@ -199,7 +199,8 @@ def test_enhance_centers_xi2(grid16):
     for s in range(M):
         raw = sample_noise(spec, grid16, TIMES3, stream_id=s)
         en = enhance(raw, 0.1)
-        means[s] = en.xi2[-1].mean()
+        c = float(en.c_eps(TIMES3)[-1])
+        means[s] = resonant(en.X[-1], en.xi[-1]).shift(-c).mean()
     se = means.std(ddof=1) / np.sqrt(M)
     assert abs(means.mean()) <= 4.0 * se
     assert en.xi.meta["eps"] == 0.1 and en.xi.meta["stream_id"] == M - 1
@@ -211,8 +212,9 @@ def test_enhance_builds_X_and_xi2_on_first_read(grid16, temporal):
     times = make_times(0.5, 0.125)
     raw = sample_noise(spec, grid16, times, stream_id=2)
     en = enhance(raw, 0.1)
-    assert "X" not in vars(en) and "xi2" not in vars(en)
-    # oracle: the eager construction, slice by slice
+    assert set(vars(en)) == {"xi", "c_eps"}
+    # oracle: the eager construction, slice by slice; a reader forms
+    # xi2 = X (.) xi - c_eps on the slice it reads
     xi = mollify(raw, 0.1)
     X = duhamel(xi)
     cs = np.atleast_1d(en.c_eps(times))
@@ -220,8 +222,10 @@ def test_enhance_builds_X_and_xi2_on_first_read(grid16, temporal):
         xi2 = resonant(X[i], xi[i]).shift(-float(cs[i]))
         assert np.array_equal(en.xi[i].values, xi[i].values)
         assert np.array_equal(en.X[i].values, X[i].values)
-        assert np.array_equal(en.xi2[i].values, xi2.values)
-    assert en.X is en.X and en.xi2 is en.xi2  # cached after the first read
+        got = resonant(en.X[i], en.xi[i]).shift(-float(cs[i]))
+        assert np.array_equal(got.values, xi2.values)
+    assert en.X is en.X  # cached after the first read
+    assert set(vars(en)) == {"xi", "c_eps", "X"}
 
 
 SINGULAR_SOLVES = {
@@ -258,17 +262,26 @@ m = 4
 
 
 def _count_enhancement_calls(monkeypatch, tmp_path, text):
-    calls = {"duhamel": 0, "resonant": 0}
+    """Run ``text``; count the references X built, the resonant products
+    formed in any module and, among them, the products X[n] (.) xi[n]."""
+    calls = {"duhamel": 0, "resonant": 0, "X (.) xi": 0}
+    Xs = []
+    inner_duhamel, inner_resonant = parafield.noise.duhamel, resonant
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counting_duhamel(*args, **kwargs):
+        calls["duhamel"] += 1
+        Xs.append(inner_duhamel(*args, **kwargs))
+        return Xs[-1]
 
-    for name in calls:
-        monkeypatch.setattr(parafield.noise, name,
-                            counting(name, getattr(parafield.noise, name)))
+    def counting_resonant(a, b):
+        calls["resonant"] += 1
+        calls["X (.) xi"] += any(a is f for X in Xs for f in X.fields)
+        return inner_resonant(a, b)
+
+    monkeypatch.setattr(parafield.noise, "duhamel", counting_duhamel)
+    for module in (parafield.bony, parafield.noise, parafield.paracontrolled,
+                   parafield.experiments):
+        monkeypatch.setattr(module, "resonant", counting_resonant)
     run_experiment(parse_config(text=text, out=str(tmp_path / "out")))
     return calls
 
@@ -277,15 +290,29 @@ def _count_enhancement_calls(monkeypatch, tmp_path, text):
 def test_direct_scheme_builds_no_X_or_xi2(monkeypatch, tmp_path, experiment):
     text = SINGULAR_SOLVES[experiment].format(scheme="direct_renormalized")
     calls = _count_enhancement_calls(monkeypatch, tmp_path, text)
-    assert calls == {"duhamel": 0, "resonant": 0}
+    assert calls == {"duhamel": 0, "resonant": 0, "X (.) xi": 0}
 
 
 def test_paracontrolled_scheme_builds_X_and_xi2_once(monkeypatch, tmp_path):
-    # the counters do see the reads: X once, one resonant product per slice
+    # the counters do see the reads: X is built once, and each step forms
+    # X (.) xi once, on its own slice (none for the final slice)
     text = SINGULAR_SOLVES["solve"].format(scheme="paracontrolled")
     calls = _count_enhancement_calls(monkeypatch, tmp_path, text)
     rows = (tmp_path / "out" / "solution_norms.csv").read_text().splitlines()
-    assert calls == {"duhamel": 1, "resonant": len(rows) - 1}
+    steps = len(rows) - 2  # a header and one row per slice
+    assert steps > 0
+    assert calls["duhamel"] == 1 and calls["X (.) xi"] == steps
+
+
+def test_enhance_convergence_forms_one_product_per_sample_and_eps(
+        monkeypatch, tmp_path):
+    # only the final slice of X (.) xi - c_eps is read, so only it is formed
+    text = ("[experiment]\nname = enhance_convergence\nseed = 9\n\n"
+            "[grid]\nn = 32\n\n[params]\nn_samples = 2\n")
+    calls = _count_enhancement_calls(monkeypatch, tmp_path, text)
+    ladder = SCHEMA["enhance_convergence"]["params"]["eps_ladder"]
+    assert calls["duhamel"] == calls["X (.) xi"] == 2 * len(ladder)
+    assert calls["resonant"] == calls["X (.) xi"]
 
 
 def test_cross_resonant_rejects_equal_streams(grid16):

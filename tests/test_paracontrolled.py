@@ -6,6 +6,7 @@ import pytest
 from parafield import (EmpiricalMeasure, Field, NoiseSpec, enhance, eval_f,
                        eval_partial, make_interaction, pointwise_product,
                        sample_noise)
+from parafield.bony import corrector, para, resonant
 from parafield.paracontrolled import (decompose_slice, paralinearize_slice,
                                       pc_product_slice, reconstruct_slice)
 from conftest import random_field
@@ -49,7 +50,7 @@ def test_pc_product_smooth_regime(grid32):
     worst = 0.0
     for i in range(len(TIMES)):
         pc = decompose_slice(us[i], en.X[i], dzs[i], [], [])
-        got = pc_product_slice(pc, en.xi[i], en.X[i], en.xi2[i], [])
+        got = pc_product_slice(pc, en.xi[i], float(cs[i]), [])
         want = pointwise_product(us[i], en.xi[i]) - float(cs[i]) * dzs[i]
         scale = max(1.0, want.linf())
         worst = max(worst, (got - want).linf() / scale)
@@ -64,7 +65,25 @@ def test_pc_product_needs_aligned_cross_terms(grid32, rng):
                          [random_field(grid32, rng, smooth=0.2)],
                          [random_field(grid32, rng)])
     with pytest.raises(ValueError):
-        pc_product_slice(pc, en.xi[-1], en.X[-1], en.xi2[-1], [])
+        pc_product_slice(pc, en.xi[-1], float(en.c_eps(TIMES)[-1]), [])
+
+
+def test_pc_product_dz_term_is_the_corrector(grid32, rng):
+    # pc_product_slice spells out corrector(dz, X, xi) on the products it
+    # holds; the sum must be, bit for bit, the one built on corrector
+    en = enhance(sample_noise(NoiseSpec(seed=102), grid32, TIMES,
+                              stream_id=0), 0.1)
+    c = float(en.c_eps(TIMES)[-1])
+    X, xi = en.X[-1], en.xi[-1]
+    pc = decompose_slice(random_field(grid32, rng), X,
+                         random_field(grid32, rng, smooth=0.2), [], [])
+    u = reconstruct_slice(pc)
+    want = para(u, xi) + para(xi, u)
+    want = want + resonant(pc.sharp, xi)
+    want = want + corrector(pc.dz, X, xi)
+    want = want + pointwise_product(pc.dz, resonant(X, xi).shift(-c))
+    got = pc_product_slice(pc, xi, c, [])
+    assert np.array_equal(got.values, want.values)
 
 
 def test_paralinearize_f_reconstructs_f_exactly(grid32, rng):

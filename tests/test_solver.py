@@ -7,7 +7,10 @@ from itertools import repeat
 import numpy as np
 import pytest
 
+import parafield.bony
 import parafield.experiments
+import parafield.noise
+import parafield.paracontrolled
 import parafield.solver
 from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
                        FixedPointError, NoiseSpec, PicardError,
@@ -437,9 +440,9 @@ def test_fixed_point_error_when_cap_is_reached(grid16, monkeypatch):
     assert exc.value.defect > 0.0
 
 
-def test_paracontrolled_makes_one_corrector_call_per_step(grid16,
-                                                          monkeypatch):
-    # frozen atoms carry no derivative: only dz has a corrector term
+def test_paracontrolled_makes_no_corrector_call(grid16, monkeypatch):
+    # frozen atoms carry no derivative, so there is no dmu corrector, and
+    # the corrector of dz is spelled out on the products the step holds
     calls = []
 
     def counting(*args):
@@ -452,9 +455,9 @@ def test_paracontrolled_makes_one_corrector_call_per_step(grid16,
                  0.05)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
-    list(solve_paracontrolled(en, repeat([u0, -u0]), f_spec, None, u0,
-                              SolveConfig()))
-    assert len(calls) == len(times) - 1
+    u = list(solve_paracontrolled(en, repeat([u0, -u0]), f_spec, None, u0,
+                                  SolveConfig()))
+    assert len(u) == len(times) and calls == []
 
 
 def test_paracontrolled_returns_the_solution_path(grid16):
@@ -471,24 +474,49 @@ def test_paracontrolled_returns_the_solution_path(grid16):
     assert np.array_equal(u[0].values, u0.values)
 
 
+def _four_paracontrolled_steps(grid):
+    """The slices of a four-step paracontrolled solve on time-constant
+    noise."""
+    en = enhance(sample_noise(NoiseSpec(seed=9), grid, _times(T=0.125),
+                              stream_id=0), 0.05)
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    X, Y = grid.coords()
+    u0 = Field.from_values(grid, 0.4 * np.cos(X) * np.sin(Y))
+    return list(solve_paracontrolled(en, repeat([u0]), f_spec, None, u0,
+                                     SolveConfig()))
+
+
 def test_paracontrolled_step_keeps_its_operands_blocked(grid32, monkeypatch):
-    # four steps on time-constant noise: a block cache of four stacks
-    # made 73 block transforms here, one of eight stacks makes 60
+    # a block cache of four stacks made 73 block transforms here and one
+    # of eight stacks 60; with each Bony product of a step formed once it
+    # makes 55
     transforms = []
     inner = DyadicPartition.block_fields
     monkeypatch.setattr(DyadicPartition, "block_fields",
                         lambda self, *args, **kwargs:
                         transforms.append(1) or inner(self, *args, **kwargs))
-    times = _times(T=0.125)
-    en = enhance(sample_noise(NoiseSpec(seed=9), grid32, times, stream_id=0),
-                 0.05)
-    f_spec = make_interaction("tanh_bilinear", scale=0.5)
-    X, Y = grid32.coords()
-    u0 = Field.from_values(grid32, 0.4 * np.cos(X) * np.sin(Y))
-    list(solve_paracontrolled(en, repeat([u0]), f_spec, None, u0,
-                              SolveConfig()))
-    assert len(times) == 5
-    assert len(transforms) <= 60
+    assert len(_four_paracontrolled_steps(grid32)) == 5
+    assert len(transforms) <= 55
+
+
+def test_paracontrolled_step_forms_each_product_once(grid32, monkeypatch):
+    # no (product, operand, operand) repeats: no step forms a paraproduct
+    # or X (.) xi it already holds
+    seen = []
+    for name in ("para", "resonant"):
+        inner = getattr(parafield.bony, name)
+
+        def recording(a, b, name=name, inner=inner):
+            seen.append((name, a, b))  # kept alive, so no id is reused
+            return inner(a, b)
+
+        for module in (parafield.bony, parafield.paracontrolled,
+                       parafield.solver, parafield.noise):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording)
+    _four_paracontrolled_steps(grid32)
+    keys = [(name, id(a), id(b)) for name, a, b in seen]
+    assert len(seen) > 0 and len(set(keys)) == len(keys)
 
 
 def test_paracontrolled_matches_direct_with_two_atoms(grid32):

@@ -214,11 +214,21 @@ def test_pfld_roundtrip(tmp_path, grid16, rng):
         assert np.array_equal(s, f.values)
 
 
-def test_pfld_rejects_bad_magic(tmp_path):
+def test_pfld_rejects_bad_magic(tmp_path, grid16, rng):
     bad = tmp_path / "bad.pfld"
     bad.write_bytes(b"NOPE" + b"\0" * 16)
     with pytest.raises(ValueError):
         read_pfld(bad)
+    # a header cut short, a slice cut short and bytes after the M slices
+    good = tmp_path / "good.pfld"
+    write_pfld(good, PathField(make_times(0.1, 0.1),
+                               [random_field(grid16, rng) for _ in range(2)]))
+    data = good.read_bytes()
+    for cut, match in ((data[:10], "cut short"), (data[:-8], "bytes"),
+                       (data + b"\0", "bytes")):
+        bad.write_bytes(cut)
+        with pytest.raises(ValueError, match=match):
+            read_pfld(bad)
 
 
 def test_a_time_grid_is_checked_once(grid16, monkeypatch):
