@@ -8,7 +8,8 @@ that exponent with the discrete Besov estimator and a least-squares fit.
 
 import numpy as np
 
-from parafield import NoiseSpec, besov_norm, make_grid, sample_noise, semigroup
+from parafield import (NoiseSpec, besov_norm, enhance, make_grid, noise_slices,
+                       semigroup)
 
 N = 64
 N_SAMPLES = 8
@@ -20,7 +21,8 @@ print(f"heat smoothing on a {N} x {N} grid, {N_SAMPLES} noise samples")
 for delta in (0.5, 1.0):
     logs = np.zeros(ts.size)
     for s in range(N_SAMPLES):
-        xi = sample_noise(spec, grid, np.array([0.0]), stream_id=s)[0]
+        # the raw noise (eps = 0) of stream s, read at its one time
+        [xi] = next(noise_slices([enhance(spec, 0.0, grid, [0.0], s)]))
         denom = besov_norm(xi, -1.0, 2)
         for i, t in enumerate(ts):
             num = besov_norm(semigroup(xi, float(t)), -1.0 + delta, 2)

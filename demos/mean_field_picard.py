@@ -9,8 +9,7 @@ script prints the residual trace.
 import numpy as np
 
 from parafield import (Field, NoiseSpec, SolveConfig, enhance, make_grid,
-                       make_interaction, make_times, sample_noise,
-                       solve_mean_field)
+                       make_interaction, make_times, solve_mean_field)
 
 N = 32
 M = 8
@@ -21,8 +20,8 @@ f_spec = make_interaction("tanh_bilinear")
 times = make_times(0.25, 1.0 / 64)
 u0 = Field(grid, np.full((N, N), 0.4))
 
-noises = [enhance(sample_noise(spec, grid, times, stream_id=i), EPS)
-          for i in range(M)]
+# M enhanced streams; every Picard sweep replays them
+noises = enhance(spec, EPS, grid, times, stream_id=range(M))
 ensemble, iters, residuals = solve_mean_field(
     noises, f_spec, None, u0, SolveConfig(picard_tol=1e-5))
 

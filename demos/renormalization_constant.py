@@ -8,8 +8,8 @@ small Monte Carlo estimate at one mollification level.
 
 import numpy as np
 
-from parafield import (NoiseSpec, duhamel, make_grid, mollify, renorm_constant,
-                       sample_noise)
+from parafield import (NoiseSpec, enhance, final_slice, make_grid,
+                       renorm_constant)
 from parafield.bony import resonant
 
 N = 32
@@ -28,10 +28,10 @@ print(f"  linear fit: c_eps ~ {kappa:.3f} log(1/eps) {b:+.3f}")
 
 eps_mc, n_mc = 0.1, 64
 vals = np.empty(n_mc)
-for s in range(n_mc):
-    xi = mollify(sample_noise(spec, grid, times, stream_id=s), eps_mc)
-    X = duhamel(xi)
-    vals[s] = resonant(X[-1], xi[-1]).mean()
-c_ref = float(renorm_constant(spec, eps_mc, times, grid)(1.0))
+noises = enhance(spec, eps_mc, grid, times, stream_id=range(n_mc))
+for s, en in enumerate(noises):
+    [xi], [X] = final_slice([en])  # only the final X slice is made
+    vals[s] = resonant(X, xi).mean()
+c_ref = float(noises[0].c_eps(1.0))
 print(f"  Monte Carlo at eps = {eps_mc}: {vals.mean():.4f} "
       f"+/- {vals.std(ddof=1) / np.sqrt(n_mc):.4f} (analytic {c_ref:.4f})")

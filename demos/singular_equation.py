@@ -7,13 +7,14 @@ the dichotomy: the renormalized solutions form a Cauchy sequence while
 the naive ones drift apart.
 """
 
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
 
-from parafield import (EnhancedNoise, Field, NoiseSpec, SolveConfig,
-                       default_dt, enhance, make_grid, make_interaction,
-                       make_times, sample_noise, solve_renormalized)
+from parafield import (Field, NoiseSpec, SolveConfig, default_dt, enhance,
+                       make_grid, make_interaction, make_times,
+                       solve_renormalized)
 
 N = 32
 T = 2.0
@@ -29,12 +30,12 @@ dt = 4.0 * default_dt(min(all_eps), N)
 dt = T / int(np.ceil(T / dt))
 times = make_times(T, dt)
 
-raw = sample_noise(spec, grid, times, stream_id=0)
 keys, noises = [], []
 for eps in all_eps:
-    en = enhance(raw, eps)
+    # every eps reads the one draw of stream 0
+    en = enhance(spec, eps, grid, times)
     # the naive run is the same solve with a zero counterterm
-    naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
+    naive = replace(en, c_eps=np.zeros_like)
     keys += [(eps, True), (eps, False)]
     noises += [en, naive]
 # every (eps, renorm) field in one stacked solve against the constant

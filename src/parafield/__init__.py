@@ -4,10 +4,10 @@ from .torus import (Field, PathField, TorusGrid, dealiased, make_grid,
                     make_times, pointwise_product, read_pfld, write_pfld)
 from .littlewood_paley import DyadicPartition, besov_norm, dyadic_blocks
 from .bony import corrector, para, resonant
-from .heat import duhamel, etd_step, semigroup
-from .noise import (EnhancedNoise, NoiseSpec, cross_resonant, enhance,
-                    mean_field_enhance, mollify, power_law_multiplier,
-                    renorm_constant, sample_noise)
+from .heat import duhamel_step, etd_step, semigroup
+from .noise import (EnhancedNoise, NoiseSpec, StoredNoise, cross_resonant,
+                    enhance, final_slice, mean_field_enhance, noise_slices,
+                    power_law_multiplier, renorm_constant)
 from .interactions import (EmpiricalMeasure, InteractionSpec, eval_f, eval_g,
                            eval_partial, make_interaction, make_kernel)
 from .paracontrolled import Paracontrolled

@@ -5,8 +5,8 @@ l' <= l - 2; the resonant product keeps |l - l'| <= 1.  Together with
 the reversed paraproduct these partition all block pairs exactly, so
 the Bony reconstruction a<b + b<a + a(.)b = a*b holds to rounding.
 All grid products are dealiased, and the blocks are those of
-``dyadic_blocks`` on the grid of the operands, read through its bounded
-cache, so an operand used in consecutive products is blocked once.
+``dyadic_blocks`` on the grid of the operands, kept on each operand
+Field, so an operand used in several products is blocked once.
 That stack omits the top block, which dealiasing empties, so both
 products loop over the blocks they are given.
 """

@@ -19,19 +19,20 @@ import math
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
 from .bony import resonant
-from .heat import duhamel, semigroup
+from .heat import semigroup
 from .interactions import make_interaction, make_kernel
 from .littlewood_paley import besov_norm
 from .measures import chaos_metric
-from .noise import (EnhancedNoise, NoiseSpec, _rng, enhance,
-                    low_damped_multiplier, mean_field_enhance, mollify,
-                    power_law_multiplier, renorm_constant, sample_noise)
+from .noise import (TIME_INDEPENDENT, EnhancedNoise, NoiseSpec, _rng,
+                    cross_resonant, enhance, final_slice,
+                    low_damped_multiplier, mean_field_enhance,
+                    power_law_multiplier, renorm_constant)
 from .solver import (ExplosionError, FixedPointError, PicardError,
                      SolveConfig, default_dt, solve_mean_field,
                      solve_paracontrolled, solve_particle_system,
@@ -379,22 +380,27 @@ def _exp_renorm_constant(cfg: ExperimentConfig):
     p = cfg.values["params"]
     eps_ladder, t_eval, mc_eps = p["eps_ladder"], p["t_eval"], p["mc_eps"]
     mc_samples, grid2 = p["mc_samples"], make_grid(p["n_compare"])
+    if spec.temporal != TIME_INDEPENDENT and t_eval > times[-1]:
+        raise ConfigError(f"[params] t_eval = {t_eval} lies past [grid] t: "
+                          f"the {spec.temporal} constant is known on the "
+                          f"time grid only")
 
     rows = []
     for eps in eps_ladder:
         c = float(renorm_constant(spec, eps, times, grid)(t_eval))
         rows.append({"eps": eps, "c_analytic": c})
 
-    # Monte Carlo oracle at one ladder point
+    # Monte Carlo oracle at one ladder point, against the constant of
+    # its own time grid tg: the exp-correlated one depends on the step
     tg = np.array([0.0, t_eval / 2, t_eval])
+    noises = enhance(spec, mc_eps, grid, tg, stream_id=range(mc_samples))
     vals = np.empty(mc_samples)
-    for s in range(mc_samples):
-        xi = mollify(sample_noise(spec, grid, tg, stream_id=s), mc_eps)
-        X = duhamel(xi)
-        vals[s] = resonant(X[-1], xi[-1]).mean()
+    for s, en in enumerate(noises):
+        [xi], [X] = final_slice([en])
+        vals[s] = resonant(X, xi).mean()
     mc_mean = float(vals.mean())
     mc_se = float(vals.std(ddof=1) / np.sqrt(mc_samples))
-    c_ref = float(renorm_constant(spec, mc_eps, times, grid)(t_eval))
+    c_ref = float(noises[0].c_eps(t_eval))
 
     xs = [np.log(1.0 / r["eps"]) for r in rows]
     ys = [r["c_analytic"] for r in rows]
@@ -431,12 +437,14 @@ def _exp_enhance_convergence(cfg: ExperimentConfig):
 
     diffs = np.zeros((n_samples, len(eps_ladder) - 1))
     naive_means = np.zeros((n_samples, len(eps_ladder)))
+    ladder = [enhance(spec, eps, grid, times, stream_id=range(n_samples))
+              for eps in eps_ladder]
     for s in range(n_samples):
-        raw = sample_noise(spec, grid, times, stream_id=s)
+        # sample s is one draw, read at every eps of the ladder
+        ens = [noises[s] for noises in ladder]
         xi2s, naives = [], []
-        for eps in eps_ladder:
-            en = enhance(raw, eps)
-            xi2 = resonant(en.X[-1], en.xi[-1]).shift(-en.c_eps(times)[-1])
+        for en, xi, X in zip(ens, *final_slice(ens)):
+            xi2 = resonant(X, xi).shift(-en.c_eps(times)[-1])
             xi2s.append(xi2)
             cs = float(en.c_eps(times[-1]))
             naives.append(xi2.mean() + cs)  # naive = resonant mean
@@ -469,16 +477,15 @@ def _exp_cross_variance(cfg: ExperimentConfig):
     for eps in eps_pair:
         acc = np.zeros((grid.N, grid.N))
         acc2 = np.zeros((grid.N, grid.N))
-        diag = 0.0
+        noises = enhance(spec, eps, grid, tg, stream_id=range(2 * n_pairs))
         for s in range(n_pairs):
-            xi = mollify(sample_noise(spec, grid, tg, stream_id=2 * s), eps)
-            xib = mollify(sample_noise(spec, grid, tg, stream_id=2 * s + 1), eps)
-            Xb = duhamel(xib)
-            cv = resonant(Xb[-1], xi[-1]).values
+            pair = noises[2 * s:2 * s + 2]
+            xis, Xs = final_slice(pair)
+            cv = cross_resonant(*pair, xis[0], Xs[1]).values
             acc += cv
             acc2 += cv * cv
         var = (acc2 / n_pairs - (acc / n_pairs) ** 2).mean()
-        c_diag = float(renorm_constant(spec, eps, tg, grid)(t_eval))
+        c_diag = float(noises[0].c_eps(t_eval))
         rows.append({"eps": eps, "cross_variance": float(var),
                      "diagonal_naive_mean": c_diag})
     v0, v1 = rows[0]["cross_variance"], rows[-1]["cross_variance"]
@@ -510,8 +517,7 @@ def _exp_solve(cfg: ExperimentConfig):
     if scheme == "paracontrolled" and f_spec is None:
         raise ConfigError("scheme = paracontrolled needs an [f]")
     scfg = SolveConfig()
-    raw = sample_noise(spec, grid, times, stream_id=0)
-    en = enhance(raw, eps)
+    en = enhance(spec, eps, grid, times)
     # the heat flow of u0, built slice by slice as the solve reads it
     frozen = ([semigroup(u0, float(t))] for t in times)
     if scheme == "direct_renormalized":
@@ -525,8 +531,8 @@ def _exp_solve(cfg: ExperimentConfig):
     rows, snapshots = [], []
     for i, u in enumerate(us):
         rows.append({"t": float(times[i]), "linf": u.linf(), "l2": u.l2()})
-        if i in keep:
-            snapshots.append(u)
+        if i in keep:  # values only: the written snapshot has no spectrum
+            snapshots.append(Field(grid, u.values))
     metrics = [{"name": "final_linf", "value": rows[-1]["linf"]},
                {"name": "sup_linf", "value": max(r["linf"] for r in rows)}]
     return metrics, {"solution": PathField(times[list(keep)], snapshots),
@@ -547,8 +553,7 @@ def _exp_maxprinciple(cfg: ExperimentConfig):
                           "scaled to sup norm 0.9 c0")
     u0 = base * (0.9 * C0 / base.linf())
     scfg = SolveConfig()
-    noises = [enhance(sample_noise(_noise_spec(cfg, cfg.seed + s), grid,
-                                   times, stream_id=0), eps)
+    noises = [enhance(_noise_spec(cfg, cfg.seed + s), eps, grid, times)
               for s in range(n_seeds)]
     # every seed's field in one stacked solve against the one heat flow
     # of u0, built slice by slice; sup norms are taken slice by slice
@@ -589,12 +594,12 @@ def _exp_renorm_dichotomy(cfg: ExperimentConfig):
 
     def seed_gaps(s):
         spec = _noise_spec(cfg, cfg.seed + s, low)
-        raw = sample_noise(spec, grid, times, stream_id=0)
         noises = []
         for eps in all_eps:
-            en = enhance(raw, eps)
-            # the naive run is the same solve with a zero counterterm
-            noises += [en, EnhancedNoise(en.xi, c_eps=np.zeros_like)]
+            # one draw for every eps; the naive run is the same solve
+            # with a zero counterterm
+            en = enhance(spec, eps, grid, times)
+            noises += [en, replace(en, c_eps=np.zeros_like)]
         # every (eps, renorm) field of the seed in one stacked solve; its
         # sup-in-time gaps are taken slice by slice
         gap = np.zeros((2, len(eps_ladder)))
@@ -636,18 +641,19 @@ def _exp_chaos_additive(cfg: ExperimentConfig):
         return _rng(cfg.seed + 7, stream).standard_normal((grid.N, grid.N))
 
     def solve(sids):
-        # each stream's noise and smooth random initial data (a white
-        # draw run through the heat flow for time 0.5, scaled to sup norm
-        # 0.5), all drawn and transformed as one stack
-        noises = sample_noise(spec, grid, times, stream_id=sids)
+        # each stream's raw noise (eps = 0, no counterterm read) and
+        # smooth random initial data (a white draw run through the heat
+        # flow for time 0.5, scaled to sup norm 0.5), each transformed
+        # as one stack
+        noises = [EnhancedNoise(spec, s, 0.0, grid, times, np.zeros_like)
+                  for s in sids]
         S = semigroup(spectra([Field(grid, white(s)) for s in sids]), 0.5)
         u0s = [f * (0.5 / max(f.linf(), 1e-12))
                for f in from_spectra(grid, S)[1]]
         del S
-        additive = [EnhancedNoise(z, np.zeros_like) for z in noises]
         # values only: a finished run keeps no stacked spectra
         return [Field(grid, u.values) for u in _final(solve_particle_system(
-            additive, None, g_spec, u0s, scfg))]
+            noises, None, g_spec, u0s, scfg))]
 
     # the reference, one big additive run (Tanaka reading of the mean
     # field), then K runs per n.  Common random numbers: particle i of run

@@ -1,7 +1,9 @@
-"""Heat semigroup, Duhamel resolvent and exponential time stepping.
+"""Heat semigroup, Duhamel recursion and exponential time stepping.
 
 Everything acts mode by mode, so the linear heat part is exact up to
-the grid cutoff: no stiffness restriction on the time step.
+the grid cutoff: no stiffness restriction on the time step.  Each
+operator maps one time slice to the next; a path is made by calling it
+slice by slice.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .torus import Field, PathField, TorusGrid, make_grid
+from .torus import Field, TorusGrid, make_grid
 
-__all__ = ["semigroup", "duhamel", "etd_step", "etd_weights"]
+__all__ = ["semigroup", "duhamel_step", "etd_step", "etd_weights"]
 
 
 def semigroup(f, t: float):
@@ -56,26 +58,17 @@ def etd_weights(grid: TorusGrid, dt: float):
     return E, I0, I1
 
 
-def duhamel(zeta: PathField) -> PathField:
-    """Mild solution Z_t = int_0^t P_{t-s} zeta_s ds with Z_0 = 0.
+def duhamel_step(z: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 dt: float) -> np.ndarray:
+    """One step of the mild solution Z_t = int_0^t P_{t-s} zeta_s ds.
 
-    Per-mode exact integration with the input interpolated piecewise
-    linearly in time (second order in dt).
+    ``z`` is the half spectrum of Z at t, ``a`` and ``b`` those of zeta
+    at t and t + dt (stacks (..., N, N//2 + 1) alike).  zeta is taken
+    linear in time over the step, which is exact per mode, so the scheme
+    is second order in dt.  Returns the half spectrum of Z at t + dt.
     """
-    g = zeta.grid
-    if len(zeta) == 1:
-        return PathField(zeta.times, [Field.zero(g)], meta=dict(zeta.meta))
-    dt = zeta.dt
-    E, I0, I1 = etd_weights(g, dt)
-    z = np.zeros(g.k2.shape, dtype=np.complex128)
-    out = [Field.zero(g)]
-    specs = [f.spectrum for f in zeta.fields]
-    for n in range(len(zeta) - 1):
-        a = specs[n]
-        b = (specs[n + 1] - a) / dt
-        z = E * z + I0 * a + I1 * b
-        out.append(Field.from_spectrum(g, z))
-    return PathField(zeta.times, out, meta=dict(zeta.meta))
+    E, I0, I1 = etd_weights(make_grid(z.shape[-2]), dt)
+    return E * z + I0 * a + I1 * ((b - a) / dt)
 
 
 def etd_step(u, nonlin, dt: float):

@@ -6,13 +6,13 @@ gives an exact partition of unity on the retained modes, hence exact
 reconstruction and an exact Bony identity downstream.  The partition
 is a function of the grid alone: ``dyadic_blocks`` builds it once per
 grid size, and every operator that needs blocks looks it up from the
-grid of its input, so no caller chooses or passes one.  The partition
-also keeps the dealiased block stacks of the last few fields it
-blocked (``DyadicPartition.dealiased_blocks``), so an operand that
-enters several Bony products in a row is transformed once.  A
-dealiased stack omits the top block l = L_max: it holds |k| >= N/2,
-while the 2/3 rule keeps |kx|, |ky| <= N//3, so |k| <= sqrt(2) N/3 and
-that block of a dealiased spectrum is exactly zero.
+grid of its input, so no caller chooses or passes one.  A Field keeps
+its own dealiased block stack (``DyadicPartition.dealiased_blocks``),
+so an operand that enters several Bony products is transformed once,
+and the stack is freed with the Field.  A dealiased stack omits the
+top block l = L_max: it holds |k| >= N/2, while the 2/3 rule keeps
+|kx|, |ky| <= N//3, so |k| <= sqrt(2) N/3 and that block of a
+dealiased spectrum is exactly zero.
 
 The discrete Besov quantity is an *estimator*: tests downstream use
 trends and ratios, never absolute constants.
@@ -20,8 +20,6 @@ trends and ratios, never absolute constants.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -33,14 +31,6 @@ __all__ = [
     "dyadic_blocks",
     "besov_norm",
 ]
-
-# fields whose dealiased block stacks each partition keeps: one
-# paracontrolled step reads seven operands (X, xi, the old dz, f's dz,
-# u, sharp and dz < X) besides its fresh fixed-point iterates, which
-# four slots could not hold; bounded, because keeping a stack per live
-# field raised a paracontrolled solve's peak memory by almost half
-BLOCK_CACHE_SIZE = 8
-
 
 class DyadicPartition:
     """Littlewood-Paley block weights rho_l on a torus grid.
@@ -73,11 +63,6 @@ class DyadicPartition:
                 wr += ws[i] * ws[j]
         wr.flags.writeable = False
         self.resonant_weight = wr
-        # id(field) -> (field, blocks), least recently used first; the
-        # entry holds its field, so the id cannot be reused while cached;
-        # the lock guards it against the threads of a run pool
-        self._recent: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def block_fields(self, spectrum: np.ndarray,
                      stop: int | None = None) -> np.ndarray:
@@ -91,22 +76,15 @@ class DyadicPartition:
         """``block_fields(f.spectrum * f.grid.dealias)`` without its top
         block, which dealiasing empties; read-only, blocks -1 .. L_max-1.
 
-        The stacks of the last ``BLOCK_CACHE_SIZE`` fields are kept and
-        matched by identity; a Field is immutable, so a kept stack stays
-        valid.
+        The stack is kept on the Field, which is immutable, on first
+        use.  Two threads that fill it at once compute the same bits, so
+        it takes no lock.
         """
-        key = id(f)
-        with self._lock:
-            hit = self._recent.get(key)
-            if hit is not None:
-                self._recent.move_to_end(key)
-                return hit[1]
-        blocks = self.block_fields(f.spectrum * f.grid.dealias, stop=-1)
-        blocks.flags.writeable = False
-        with self._lock:
-            self._recent[key] = (f, blocks)
-            if len(self._recent) > BLOCK_CACHE_SIZE:
-                self._recent.popitem(last=False)
+        blocks = f._blocks
+        if blocks is None:
+            blocks = self.block_fields(f.spectrum * f.grid.dealias, stop=-1)
+            blocks.flags.writeable = False
+            f._blocks = blocks
         return blocks
 
 

@@ -1,4 +1,4 @@
-"""Gaussian noise class, mollification, renormalization and enhancement.
+"""Gaussian noise class, renormalization and the enhanced-noise stream.
 
 Noise normalization: writing a field as sum_k ghat(k) e^{i k.x}, the
 sampler enforces E[ghat_t(k) ghat_s(-k')] = 1_{k=k'} c(t,s) Chat(k)
@@ -6,43 +6,42 @@ with Chat the spatial spectral density (Chat = 1 is spatial white
 noise) and c the temporal correlation.  The zero mode is always zero
 (null spatial mean) and Nyquist modes are dropped.
 
-Sampling is keyed by (seed, stream_id) through a counter-based Philox
-generator: identical configurations give identical bits.
-``sample_noise`` draws one stream or a sequence of them; each stream
-draws from its own key, and the drawn planes of all of them are
-transformed as one stack, so a stream has the same bits whether it is
-drawn alone or with others.  ``mollify`` likewise takes one path or a
-list and transforms their distinct slices as one stack.
-
-Enhancement is lazy: ``enhance`` mollifies the noise and fixes c_eps,
-and X is built on first read, so a scheme that reads only xi and c_eps
-never builds it; a reader forms X (.) xi - c_eps on the slice it reads.
-``enhance`` also takes a list of paths and mollifies them as one stack;
-``mean_field_enhance`` draws and enhances n streams that way.  The cross
-term between two streams is ``cross_resonant``.
+An ``EnhancedNoise`` is a description, not a path: the noise class,
+stream id, mollification level eps, grid, times and the constant c_eps.
+``noise_slices`` reads a list of them one time slice at a time.  Plane
+n of each distinct (seed, stream_id) is drawn from its own counter-based
+Philox key, so identical configurations give identical bits, a stream
+has the same bits whether it is read alone or with others, and reading
+the list again replays the same slices.  The planes of all streams are
+transformed and mollified as one stack.  A time-constant stream yields
+the same Field at every slice.  The reference X = int P_{t-s} xi_s ds
+is built only for a reader that asks for it, one Duhamel step per
+slice, and a reader forms X (.) xi - c_eps on the slice it reads.
+Draws at two time steps are unrelated realizations: a study in dt
+subsamples one fine path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .bony import resonant
-from .heat import duhamel
+from .heat import duhamel_step
 from .littlewood_paley import dyadic_blocks
-from .torus import PathField, TorusGrid, _checked_times, from_spectra, \
-    spectra
+from .torus import Field, PathField, TorusGrid, _checked_times, \
+    from_spectra
 
 __all__ = [
     "NoiseSpec",
     "EnhancedNoise",
+    "StoredNoise",
     "power_law_multiplier",
-    "sample_noise",
-    "mollify",
     "renorm_constant",
     "enhance",
+    "noise_slices",
+    "final_slice",
     "cross_resonant",
     "mean_field_enhance",
 ]
@@ -118,67 +117,6 @@ def _rng(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_noise(spec: NoiseSpec, grid: TorusGrid, times: np.ndarray,
-                 stream_id=0) -> PathField | list[PathField]:
-    """Draw one noise path, or one per id of a sequence of stream ids.
-
-    Time-independent noise reuses a single spatial draw at all times;
-    the exp-correlated class evolves every mode by a stationary AR(1)
-    update that matches exp(-lam |t-s|) exactly on the time grid.  Each
-    stream draws from its own Philox key, in the same order however many
-    streams are drawn together; the drawn planes of all streams are
-    transformed as one stack.
-    """
-    ids = [stream_id] if np.ndim(stream_id) == 0 else list(stream_id)
-    times = _checked_times(times)
-    N = grid.N
-    planes = 1 if spec.temporal == TIME_INDEPENDENT else times.size
-    W = np.empty((len(ids), planes, N, N))
-    for i, s in enumerate(ids):
-        _rng(spec.seed, s).standard_normal(out=W[i])
-    if planes > 1:
-        dt = float(times[1] - times[0])
-        a = np.exp(-spec.lam * dt)
-        for t in range(1, planes):
-            W[:, t] = a * W[:, t - 1] + np.sqrt(1.0 - a * a) * W[:, t]
-    S = np.fft.rfft2(W)
-    del W  # the real draws are not needed next to the spectra
-    S *= N * np.sqrt(spec.chat(grid))
-    _, fields = from_spectra(grid, S.reshape(-1, N, N // 2 + 1))
-    paths = []
-    for i, s in enumerate(ids):
-        row = fields[i * planes:(i + 1) * planes]
-        if planes == 1:  # one draw for every time
-            row = row * times.size
-        paths.append(PathField(times, row, meta={"spec": spec,
-                                                 "stream_id": s,
-                                                 "eps": 0.0}))
-    return paths[0] if np.ndim(stream_id) == 0 else paths
-
-
-def mollify(xi, eps: float) -> PathField | list[PathField]:
-    """Heat-kernel mollifier at scale eps: multiplier e^{-eps |k|^2}.
-
-    ``xi`` is a PathField or a list of them.  The distinct slice objects
-    of all the paths are transformed as one stack, so a time-independent
-    path (one Field repeated) stays one Field repeated.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0:
-        return xi
-    paths = [xi] if isinstance(xi, PathField) else xi
-    g = paths[0].grid
-    slices = list(dict.fromkeys(f for p in paths for f in p.fields))
-    S = spectra(slices)
-    S *= np.exp(-eps * g.k2)
-    done = dict(zip(slices, from_spectra(g, S)[1]))
-    out = [PathField(p.times, [done[f] for f in p.fields],
-                     meta={**p.meta, "eps": p.meta.get("eps", 0.0) + eps})
-           for p in paths]
-    return out[0] if isinstance(xi, PathField) else out
-
-
 def _retained(grid: TorusGrid) -> np.ndarray:
     # modes entering dealiased quadratic products, zero mode excluded
     return grid.dealias & ~grid.nyquist & (grid.k2 > 0)
@@ -193,7 +131,8 @@ def renorm_constant(spec: NoiseSpec, eps: float, times: np.ndarray,
                (1 - e^{-t |k|^2}) / |k|^2
     over the dealias-retained modes (matching the dealiased resonant
     product).  For the exp-correlated class it is the exact expectation
-    of the discrete scheme on the time grid.  Returns a callable of t.
+    of the discrete scheme on the time grid, so it depends on the step,
+    and t outside the grid raises ValueError.  Returns a callable of t.
     """
     times = np.asarray(times, dtype=np.float64)
     keep = _retained(grid)
@@ -229,72 +168,166 @@ def renorm_constant(spec: NoiseSpec, eps: float, times: np.ndarray,
         vals[n + 1] = float(np.dot(weight, m))
 
     def c_eps_ou(t):
+        if np.any((np.asarray(t) < times[0]) | (np.asarray(t) > times[-1])):
+            raise ValueError(f"c_eps is known on [{times[0]}, {times[-1]}] "
+                             f"only, not at t = {t}")
         return np.interp(t, times, vals)
 
     return c_eps_ou
 
 
+@dataclass(frozen=True, eq=False)
 class EnhancedNoise:
-    """The noise xi, its constant c_eps and its reference X = duhamel(xi),
-    built on first read and cached (the direct scheme reads only xi and
-    c_eps).  A reader forms X (.) xi - c_eps on the slice it reads.
-    """
+    """A replayable description of stream ``stream_id`` of the class
+    ``spec``, mollified at scale ``eps`` (multiplier e^{-eps |k|^2}; 0 is
+    the raw noise) on ``grid`` at ``times``, with the constant ``c_eps``
+    (a callable of t).  ``noise_slices`` draws its slices.  The naive run
+    of a noise is ``dataclasses.replace(noise, c_eps=np.zeros_like)``."""
 
-    def __init__(self, xi: PathField, c_eps):
-        self.xi = xi
-        self.c_eps = c_eps  # callable of t
-
-    @cached_property
-    def X(self) -> PathField:
-        return duhamel(self.xi)
-
-    @property
-    def times(self):
-        return self.xi.times
+    spec: NoiseSpec
+    stream_id: int
+    eps: float
+    grid: TorusGrid
+    times: np.ndarray
+    c_eps: object
 
 
-def enhance(xi_raw, eps: float) -> EnhancedNoise | list[EnhancedNoise]:
-    """Mollify and fix the renormalization constant; X is lazy.
+@dataclass(frozen=True, eq=False)
+class StoredNoise:
+    """A noise read from a stored path, slice n being ``xi[n]``, with the
+    constant ``c_eps`` (zero by default): a forcing given in full, or
+    the slices a Picard loop keeps across its sweeps."""
 
-    ``xi_raw`` is a path from ``sample_noise`` or a list of paths of one
-    noise class, times and grid; a list is mollified as one stack and
-    its paths share the c_eps of the first.  X = duhamel(xi) is computed
-    when first read (see ``EnhancedNoise``).
-    """
-    paths = [xi_raw] if isinstance(xi_raw, PathField) else xi_raw
-    spec = paths[0].meta.get("spec")
-    if any(p.meta.get("spec") is None for p in paths):
-        raise ValueError("xi_raw must come from sample_noise")
-    xis = mollify(paths, eps)
-    c_eps = renorm_constant(spec, eps, xis[0].times, xis[0].grid)
-    out = [EnhancedNoise(xi=xi, c_eps=c_eps) for xi in xis]
-    return out[0] if isinstance(xi_raw, PathField) else out
+    xi: PathField
+    c_eps: object = np.zeros_like
+    grid = property(lambda self: self.xi.grid)
+    times = property(lambda self: self.xi.times)
 
 
-def cross_resonant(xi_i: PathField, X_j: PathField) -> PathField:
-    """Cross term xi^i (.) X^j between independent streams, no counterterm."""
-    si = xi_i.meta.get("stream_id")
-    sj = X_j.meta.get("stream_id")
-    if si is not None and sj is not None and si == sj:
-        raise ValueError("cross_resonant needs independent streams "
-                         "(equal stream ids would require renormalization)")
-    if not np.array_equal(xi_i.times, X_j.times):
-        raise ValueError("mismatched time grids")
-    return PathField(xi_i.times, [resonant(b, a) for a, b in
-                                  zip(xi_i.fields, X_j.fields)])
+def enhance(spec: NoiseSpec, eps: float, grid: TorusGrid, times: np.ndarray,
+            stream_id=0) -> EnhancedNoise | list[EnhancedNoise]:
+    """The enhanced noise of one stream id, or one per id of a sequence,
+    mollified at eps; every stream shares the one c_eps.  Nothing is
+    drawn until ``noise_slices`` reads the noise."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    times = _checked_times(times)
+    c_eps = renorm_constant(spec, eps, times, grid)
+    ids = [stream_id] if np.ndim(stream_id) == 0 else list(stream_id)
+    out = [EnhancedNoise(spec, s, eps, grid, times, c_eps) for s in ids]
+    return out[0] if np.ndim(stream_id) == 0 else out
 
 
 def mean_field_enhance(n: int, spec: NoiseSpec, eps: float, grid: TorusGrid,
                        times: np.ndarray,
                        master_seed: int | None = None) -> list[EnhancedNoise]:
-    """Sample n independent streams and enhance each one.
-
-    Stream i has stream id i.  The n streams are drawn and enhanced as
-    one stack (see ``enhance``).  The cross terms xi^i (.) X^j between
-    two streams come from ``cross_resonant``.
-    """
+    """n independent enhanced streams, stream i with stream id i, of the
+    spec's class keyed by ``master_seed`` (the spec's seed by default)."""
     if n < 1:
         raise ValueError("n >= 1 required")
     seed = spec.seed if master_seed is None else master_seed
-    base = replace(spec, seed=seed)
-    return enhance(sample_noise(base, grid, times, stream_id=range(n)), eps)
+    return enhance(replace(spec, seed=seed), eps, grid, times, range(n))
+
+
+def _stream_slices(streams: list, grid: TorusGrid, times: np.ndarray):
+    """Yield, for t_0, ..., t_M, the list of each stream's slice: plane n
+    of a drawn stream (spec, stream_id, eps), mollified at eps, or slice
+    n of a StoredNoise.  The fresh planes of all draws are transformed
+    as one stack; the time-independent class draws one plane, and the
+    exp-correlated class evolves every mode by the stationary AR(1)
+    update that matches exp(-lam |t-s|) exactly on the time grid."""
+    N = grid.N
+    drawn = [s for s in streams if isinstance(s, tuple)]
+    draws = list(dict.fromkeys(s[:2] for s in drawn))
+    rngs = {d: _rng(d[0].seed, d[1]) for d in draws}
+    specs = {d[0].spatial_multiplier: d[0] for d in draws}
+    amp = {m: N * np.sqrt(spec.chat(grid)) for m, spec in specs.items()}
+    moll = {s[2]: np.exp(-s[2] * grid.k2) for s in drawn}
+    dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+    last, now = {}, {}  # each draw's last real plane, each stream's slice
+    for n in range(times.size):
+        fresh = [d for d in draws
+                 if n == 0 or d[0].temporal != TIME_INDEPENDENT]
+        if fresh:
+            W = np.empty((len(fresh), N, N))
+            for w, d in zip(W, fresh):
+                rngs[d].standard_normal(out=w)
+                if n > 0:  # the AR(1) update of a correlated draw
+                    a = np.exp(-d[0].lam * dt)
+                    w[...] = a * last[d] + np.sqrt(1.0 - a * a) * w
+                if d[0].temporal != TIME_INDEPENDENT:
+                    last[d] = w
+            S = np.fft.rfft2(W)
+            del W  # only the last planes of correlated draws are read again
+            row = {d: i for i, d in enumerate(fresh)}
+            for i, d in enumerate(fresh):
+                S[i] *= amp[d[0].spatial_multiplier]
+            new = [s for s in drawn if s[:2] in row]
+            T = np.empty((len(new),) + S.shape[1:], dtype=S.dtype)
+            for t, s in zip(T, new):  # no temporary per stream
+                np.multiply(S[row[s[:2]]], moll[s[2]], out=t)
+            del S
+            now.update(zip(new, from_spectra(grid, T)[1]))
+        yield [now[s] if isinstance(s, tuple) else s.xi[n] for s in streams]
+
+
+def _slices(noises: list, X: bool):
+    """Yield (xi, i, Z) at t_0, ..., t_M: ``xi`` the list of the noises'
+    slices and, with X, ``i`` the row of each noise in ``Z``, the half
+    spectra of X at that time of the distinct streams (None at t_0,
+    where X = 0).  Z is one Duhamel step behind the slices it reads."""
+    grid, times = noises[0].grid, noises[0].times
+    if any(en.grid != grid or not np.array_equal(en.times, times)
+           for en in noises):
+        raise ValueError("noises read together need one grid and times")
+    keys = [(en.spec, en.stream_id, en.eps) if isinstance(en, EnhancedNoise)
+            else en for en in noises]
+    row = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    streams, index = list(row), [row[k] for k in keys]
+    dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+    Z = A = None
+    for now in _stream_slices(streams, grid, times):
+        if X:
+            prev, A = A, np.stack([f.spectrum for f in now])
+            if prev is not None:
+                Z = duhamel_step(np.zeros_like(A) if Z is None else Z, prev,
+                                 A, dt)
+        yield [now[i] for i in index], index, Z
+
+
+def _X_fields(grid: TorusGrid, index: list, Z) -> list:
+    """The X Fields of the noises, from ``_slices``' rows and Z."""
+    if Z is None:  # X = 0 at t_0
+        return [Field.zero(grid)] * len(index)
+    fields = from_spectra(grid, Z)[1]
+    return [fields[i] for i in index]
+
+
+def noise_slices(noises: list, X: bool = False):
+    """Read the noises slice by slice: yield, for t_0, ..., t_M, the list
+    of their xi slices, or with X the pair (xi list, X list).
+
+    ``noises`` are ``EnhancedNoise`` and ``StoredNoise`` on one grid and
+    times.  Each call replays the same slices.  Noises of one (spec,
+    stream_id) share one draw, and of one (spec, stream_id, eps) one
+    Field.
+    """
+    for xis, index, Z in _slices(noises, X):
+        yield (xis, _X_fields(noises[0].grid, index, Z)) if X else xis
+
+
+def final_slice(noises: list):
+    """(xi list, X list) at the final time, as ``noise_slices(noises,
+    True)`` yields them last, with no X Field made for earlier times."""
+    for xis, index, Z in _slices(noises, True):
+        pass
+    return xis, _X_fields(noises[0].grid, index, Z)
+
+
+def cross_resonant(noise_i, noise_j, xi_i: Field, X_j: Field) -> Field:
+    """Cross term xi^i (.) X^j of two independent noises on one slice, no
+    counterterm: xi_i a slice of noise_i, X_j the same of noise_j."""
+    if (noise_i.spec, noise_i.stream_id) == (noise_j.spec, noise_j.stream_id):
+        raise ValueError("cross_resonant needs independent streams "
+                         "(one stream would require renormalization)")
+    return resonant(X_j, xi_i)

@@ -3,13 +3,14 @@ equations, renormalized or (f_spec=None) additive.
 
 All schemes are exponential-Euler in mild form: the heat part is exact
 per Fourier mode and the nonlinearity enters through the phi_1 weight.
-Every solve yields its time slices and keeps none, and reads its frozen
-measure, any iterable whose item n is slice n's list of atoms, slice by
-slice.  The direct schemes share one loop, ``_step_fields``, which steps
-its fields as one (n, N, N) stack against a frozen measure or their own
-running measure.  An explosion guard checks the sup norm at every step
-and raises ExplosionError with the earliest crossing time over the
-fields stepped together (and, within one step, the lowest-index field).
+Every solve yields its time slices and keeps none.  It reads its
+frozen measure, any iterable whose item n is slice n's list of atoms,
+and its noise (``noise_slices``) slice by slice.  The direct schemes
+share one loop, ``_step_fields``, which steps its fields as one
+(n, N, N) stack against a frozen measure or their own running measure.
+An explosion guard checks the sup norm at every step and raises
+ExplosionError with the earliest crossing time over the fields stepped
+together (and, within one step, the lowest-index field).
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .bony import para
 from .heat import etd_step, semigroup
 from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, eval_g, \
     eval_partial
-from .noise import EnhancedNoise
+from .noise import EnhancedNoise, StoredNoise, noise_slices
 from .paracontrolled import Paracontrolled, paralinearize_slice, \
     pc_product_slice
-from .torus import Field, dealiased, from_spectra, pointwise_product, \
-    spectra
+from .torus import Field, PathField, dealiased, from_spectra, \
+    pointwise_product, spectra
 
 __all__ = [
     "SolveConfig",
@@ -173,7 +174,6 @@ def _step_fields(u0s: list, enhanced: list, f_spec: InteractionSpec | None,
     dt = float(times[1] - times[0])
     grid = u0s[0].grid
     R = cfg.guard(max(u.linf() for u in u0s))
-    xis = [en.xi for en in enhanced]
     c = None if f_spec is None else np.stack(
         [np.atleast_1d(en.c_eps(times)) for en in enhanced])[:, :, None, None]
     slices = None if frozen is None else _frozen_slices(frozen)
@@ -183,14 +183,14 @@ def _step_fields(u0s: list, enhanced: list, f_spec: InteractionSpec | None,
     U.flags.writeable = S.flags.writeable = False
     yield rows
     mu, xid, kept = None, None, {}
-    for n in range(times.size - 1):
+    # the final noise slice drives no step, so it is not drawn
+    for n, xs in zip(range(times.size - 1), noise_slices(enhanced)):
         if slices is None:
             mu = EmpiricalMeasure(rows, stack=U)
         else:
             atoms = next(slices)
             if mu is None or any(a is not b for a, b in zip(atoms, mu.atoms)):
                 mu = EmpiricalMeasure(atoms)
-        xs = [xi[n] for xi in xis]
         if f_spec is not None:
             xid, kept = _dealiased_noise(xs, kept)
         S = etd_step(S, _forcing(f_spec, g_spec, U, mu, xs, xid,
@@ -250,22 +250,25 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: Iterable,
 
     cs = np.atleast_1d(en.c_eps(times))
     slices = _frozen_slices(frozen)
+    noise = noise_slices([en], X=True)  # slice n holds ([xi_n], [X_n])
+    ([xi], [X]) = next(noise)
     mu = EmpiricalMeasure(next(slices))
     sharp = u0  # X_0 = 0, so u_0 = sharp_0
-    u, dz = fix_dz(sharp, en.X[0], mu, u0, float(times[0]))
-    dz_X = para(dz, en.X[0])
+    u, dz = fix_dz(sharp, X, mu, u0, float(times[0]))
+    dz_X = para(dz, X)
     yield dz_X + sharp
-    for n in range(times.size - 1):
+    for n, ([xi_next], [X_next]) in enumerate(noise):
         f_pc = paralinearize_slice(
-            f_spec, Paracontrolled(en.X[n], dz, dz_X, sharp), [], mu)
-        phi = pc_product_slice(f_pc, en.xi[n], float(cs[n]), [])
-        phi = phi - para(dz, en.xi[n])
+            f_spec, Paracontrolled(X, dz, dz_X, sharp), [], mu)
+        phi = pc_product_slice(f_pc, xi, float(cs[n]), [])
+        phi = phi - para(dz, xi)
         if g_spec is not None:
             phi = phi + eval_g(g_spec, u, mu)
         sharp = etd_step(sharp, phi, dt)
+        xi, X = xi_next, X_next
         mu = EmpiricalMeasure(next(slices))
-        u, dz = fix_dz(sharp, en.X[n + 1], mu, u, float(times[n + 1]))
-        dz_X = para(dz, en.X[n + 1])
+        u, dz = fix_dz(sharp, X, mu, u, float(times[n + 1]))
+        dz_X = para(dz, X)
         sharp = u - dz_X  # exact residual storage
         _check_guard(u.values, R, float(times[n + 1]))
         yield dz_X + sharp
@@ -295,12 +298,18 @@ def solve_mean_field(enhanced: list, f_spec: InteractionSpec,
     together against the frozen empirical measure of the previous
     ensemble {u^{k,j}}, until the ensemble is a fixed point.  Returns
     (ensemble, iterations, residuals), the ensemble as the last sweep's
-    slices (a frozen measure).
+    slices (a frozen measure).  The noise slices are read once and kept
+    for every sweep: a sweep holds the ensemble's slices anyway, and
+    drawing exp-correlated streams again took about a third of the run.
     """
     M = len(enhanced)
     if M < 2:
         raise ValueError("need M >= 2 samples")
-    ensemble = [[semigroup(u0, float(t))] * M for t in enhanced[0].times]
+    times = enhanced[0].times
+    read = list(noise_slices(enhanced))
+    enhanced = [StoredNoise(PathField(times, [r[i] for r in read]), en.c_eps)
+                for i, en in enumerate(enhanced)]
+    ensemble = [[semigroup(u0, float(t))] * M for t in times]
     residuals = []
     for it in range(cfg.picard_max_iters):
         new, res = [], 0.0

@@ -12,8 +12,6 @@ zeroed everywhere, so every retained mode has its partner -k.
 from __future__ import annotations
 
 import struct
-import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,10 +87,12 @@ class Field:
     The values array is taken as it is, not copied, and marked
     read-only; a caller that hands in a buffer it still writes to passes
     a copy.  The spectrum is cached lazily and kept consistent with the
-    values.
+    values, and so is the dealiased Littlewood-Paley block stack that
+    ``DyadicPartition.dealiased_blocks`` fills on first use: it lives
+    and dies with the Field.
     """
 
-    __slots__ = ("grid", "values", "_spectrum")
+    __slots__ = ("grid", "values", "_spectrum", "_blocks")
 
     def __init__(self, grid: TorusGrid, values: np.ndarray,
                  spectrum: np.ndarray | None = None):
@@ -103,6 +103,7 @@ class Field:
         self.grid = grid
         self.values = values
         self._spectrum = spectrum
+        self._blocks = None
 
     @classmethod
     def from_values(cls, grid: TorusGrid, values: np.ndarray) -> "Field":
@@ -172,43 +173,26 @@ def _same_grid(a, b):
         raise ValueError("grid mismatch")
 
 
-# the last time grids found valid, as (the object given, its read-only
-# copy): a path built on either again is not checked again, unless the
-# given object no longer holds the values of the copy; other threads may
-# append while one reads, so it is read as a snapshot taken under the lock
-_CHECKED_TIMES: deque = deque(maxlen=8)
-_CHECKED_LOCK = threading.Lock()
-
-
 def _checked_times(times) -> np.ndarray:
-    """``times`` as a checked read-only float array: strictly increasing
-    with a constant step."""
-    with _CHECKED_LOCK:
-        checked = list(_CHECKED_TIMES)
-    for given, copy in checked:
-        if times is copy or (times is given and np.array_equal(given, copy)):
-            return copy
+    """``times`` as a read-only float copy, checked to be strictly
+    increasing with a constant step."""
     copy = np.array(times, dtype=np.float64)
     if copy.size >= 2:
         dt = np.diff(copy)
         if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-14):
             raise ValueError("times must be strictly increasing with constant step")
     copy.flags.writeable = False
-    with _CHECKED_LOCK:
-        _CHECKED_TIMES.append((times, copy))
     return copy
 
 
 class PathField:
-    """A time-indexed path of fields on a common grid and uniform times.
+    """A time-indexed path of fields on a common grid and uniform times,
+    such as the snapshots a pipeline writes or a stored noise; ``times``
+    is held as a checked read-only copy."""
 
-    ``times`` is held as a read-only copy; a time array given again, or
-    the copy of one, is not checked again.
-    """
+    __slots__ = ("times", "fields")
 
-    __slots__ = ("times", "fields", "meta")
-
-    def __init__(self, times: np.ndarray, fields: list, meta: dict | None = None):
+    def __init__(self, times: np.ndarray, fields: list):
         times = _checked_times(times)
         if len(fields) != times.size:
             raise ValueError("times/fields length mismatch")
@@ -218,15 +202,10 @@ class PathField:
                 raise ValueError("all slices must share one grid")
         self.times = times
         self.fields = list(fields)
-        self.meta = dict(meta or {})
 
     @property
     def grid(self) -> TorusGrid:
         return self.fields[0].grid
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     def __len__(self):
         return len(self.fields)

@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from parafield import EnhancedNoise, Field, PathField, make_grid
+from parafield import (Field, PathField, StoredNoise, enhance, make_grid,
+                       noise_slices)
 
 
 def random_field(grid, rng, dealiased=False, smooth=0.0):
@@ -25,9 +26,33 @@ def constant_path(times, f):
 
 
 def additive(paths):
-    """Noise paths as enhanced noises for the additive equation
-    (f_spec=None), which reads no counterterm: it is set to zero."""
-    return [EnhancedNoise(z, np.zeros_like) for z in paths]
+    """Forcing paths as noises for the additive equation (f_spec=None),
+    which reads no counterterm: it is set to zero."""
+    return [StoredNoise(z) for z in paths]
+
+
+def _columns(times, rows):
+    # one PathField per column of a list of slices
+    return [PathField(times, list(col)) for col in zip(*rows)]
+
+
+def read_paths(noises, X=False):
+    """Every slice of ``noises``, as one PathField per noise; with X, the
+    pair (xi paths, X paths)."""
+    times = noises[0].times
+    rows = list(noise_slices(noises, X=X))
+    if X:
+        return (_columns(times, [r[0] for r in rows]),
+                _columns(times, [r[1] for r in rows]))
+    return _columns(times, rows)
+
+
+def sample(spec, grid, times, stream_id=0):
+    """The raw noise (eps = 0) of one stream id, or of each of a
+    sequence, read in full as PathFields."""
+    ids = [stream_id] if np.ndim(stream_id) == 0 else list(stream_id)
+    paths = read_paths(enhance(spec, 0.0, grid, times, ids))
+    return paths[0] if np.ndim(stream_id) == 0 else paths
 
 
 def on_two_threads(fn):

@@ -20,13 +20,14 @@ import pytest
 
 from parafield import (EmpiricalMeasure, Field, NoiseSpec, PathField,
                        SolveConfig, besov_norm, default_dt, dyadic_blocks,
-                       enhance, eval_f, make_grid, make_interaction,
-                       make_times, pointwise_product, sample_noise, semigroup,
-                       solve_particle_system, solve_renormalized, wasserstein)
+                       enhance, eval_f, final_slice, make_grid,
+                       make_interaction, make_times, pointwise_product,
+                       semigroup, solve_particle_system, solve_renormalized,
+                       wasserstein)
 from parafield.bony import para, resonant
 from parafield.experiments import parse_config, run_experiment
 from parafield.solver import solve_paracontrolled
-from conftest import additive, random_field
+from conftest import additive, random_field, sample
 
 
 def _report(label, ok, detail):
@@ -90,7 +91,7 @@ def test_criterion_03_heat_smoothing_exponent():
     for delta in (0.5, 1.0):
         logs = np.zeros(ts.size)
         for s in range(n_samples):
-            xi = sample_noise(spec, grid, np.array([0.0]), stream_id=s)[0]
+            xi = sample(spec, grid, np.array([0.0]), stream_id=s)[0]
             denom = besov_norm(xi, -1.0, 2, np.inf)
             for i, t in enumerate(ts):
                 num = besov_norm(semigroup(xi, float(t)), -1.0 + delta, 2,
@@ -199,17 +200,17 @@ def test_criterion_12_tanaka_consistency():
     g_spec = make_interaction("tanh_revert", scale=0.8)
     rng = np.random.default_rng(12)
     n = 4
-    noises = [sample_noise(spec, grid, times, stream_id=i) for i in range(n)]
+    # raw noises (eps = 0) as descriptions: the additive equation reads
+    # no counterterm, and each replay draws its stream again
+    noises = enhance(spec, 0.0, grid, times, range(n))
     u0s = [random_field(grid, rng, smooth=0.3) for _ in range(n)]
     cfg = SolveConfig()
-    stacked = list(solve_particle_system(additive(noises), None, g_spec, u0s,
-                                         cfg))
+    stacked = list(solve_particle_system(noises, None, g_spec, u0s, cfg))
     ok = True
     for i in range(n):
         # the recorded slices of the stacked run are the frozen measure
         replay = [row[0] for row in solve_renormalized(
-            additive(noises[i:i + 1]), stacked, None, g_spec, u0s[i:i + 1],
-            cfg)]
+            noises[i:i + 1], stacked, None, g_spec, u0s[i:i + 1], cfg)]
         ok = ok and len(replay) == len(stacked) == len(times)
         for m in range(len(times)):
             ok = ok and np.array_equal(replay[m].values, stacked[m][i].values)
@@ -231,7 +232,7 @@ def test_criterion_13_two_scheme_consistency():
         dt = default_dt(eps, grid.N)
         dt = T / int(np.ceil(T / dt))
         times = make_times(T, dt)
-        en = enhance(sample_noise(spec, grid, times, stream_id=0), eps)
+        en = enhance(spec, eps, grid, times)
         frozen = [[semigroup(u0, float(t))] for t in times]
         direct = [row[0] for row in solve_renormalized(
             [en], frozen, f_spec, None, [u0], SolveConfig())]
@@ -241,7 +242,7 @@ def test_criterion_13_two_scheme_consistency():
         rels[eps] = gap / max(max(u.linf() for u in direct), 1e-12)
         # the final slice's u = (dz < X) + sharp, with dz = f(u, mu_T)
         dz = eval_f(f_spec, u2[-1], EmpiricalMeasure(frozen[-1]))
-        paraproduct = para(dz, en.X[-1])
+        paraproduct = para(dz, final_slice([en])[1][0])
         sharps.append(besov_norm(u2[-1] - paraproduct, idx, np.inf, np.inf))
         paras.append(besov_norm(paraproduct, idx, np.inf, np.inf))
     agree = all(rels[e] <= 0.05 for e in (0.1, 0.05))
@@ -269,9 +270,8 @@ def test_criterion_14_lipschitz_in_law():
         f = semigroup(Field.from_values(grid, w), 0.5)
         return f * (0.5 / max(f.linf(), 1e-12))
 
-    base = [sample_noise(spec, grid, times, stream_id=i) for i in range(M)]
-    fresh = [sample_noise(spec, grid, times, stream_id=10_000 + i)
-             for i in range(M)]
+    base = sample(spec, grid, times, stream_id=range(M))
+    fresh = sample(spec, grid, times, stream_id=range(10_000, 10_000 + M))
     u0s = [u0_for(i) for i in range(M)]
     cfg = SolveConfig()
     out0 = list(solve_particle_system(additive(base), None, g_spec, u0s,

@@ -4,7 +4,6 @@ import numpy as np
 
 from parafield import Field, dyadic_blocks, make_grid, pointwise_product
 from parafield.bony import corrector, para, resonant
-from parafield.littlewood_paley import BLOCK_CACHE_SIZE
 from conftest import on_two_threads, random_field
 
 
@@ -116,30 +115,27 @@ def test_cached_products_bitwise_equal_fresh(grid32, rng):
     b = random_field(grid32, rng)
     c = random_field(grid32, rng)
     _assert_bitwise(a, b, c)
-    # every operand is cached now, and a product of a with itself
+    # every operand keeps its stack now, and a product of a with itself
     # reads the same stack twice
     _assert_bitwise(a, b, c)
     assert np.array_equal(para(a, a).values, _para_cumsum(a, a).values)
     assert np.array_equal(resonant(b, b).values, _resonant_fresh(b, b).values)
-    # evict all three, then block them again
-    for _ in range(BLOCK_CACHE_SIZE):
-        para(random_field(grid32, rng), random_field(grid32, rng))
-    _assert_bitwise(a, b, c)
+    # new Fields of the same values are blocked again, to the same bits
+    _assert_bitwise(*(Field(grid32, f.values) for f in (a, b, c)))
 
 
 def test_para_from_two_threads():
-    # the two threads' fields together overflow the block cache, so one
-    # thread's hits meet the other's evictions
-    grid = make_grid(8)
+    # both threads read the same fresh Fields in the same order, so they
+    # race to fill each Field's block stack, which takes no lock
+    grid = make_grid(16)
     rng = np.random.default_rng(11)
-    m = BLOCK_CACHE_SIZE // 2 + 1
-    fields = [[random_field(grid, rng) for _ in range(m)] for _ in range(2)]
+    values = [rng.standard_normal((16, 16)) for _ in range(400)]
 
-    def products(i):
-        fs = fields[i]
-        return [para(fs[k % m], fs[(k + 1) % m]).values for k in range(20000)]
+    def products(fields):
+        return [para(a, b).values for a, b in zip(fields, fields[1:])]
 
-    serial = [products(0), products(1)]
-    threaded = on_two_threads(products)
-    for a, b in zip(serial, threaded):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    serial = products([Field(grid, v) for v in values])
+    shared = [Field(grid, v) for v in values]
+    for out in on_two_threads(lambda i: products(shared)):
+        assert all(np.array_equal(x, y) for x, y in zip(out, serial,
+                                                        strict=True))

@@ -240,11 +240,15 @@ def _experiment_name(text):
     return cp["experiment"]["name"]
 
 
+# a pipeline draws noise only through the noises it describes with these
+NOISE_ENTRIES = ("enhance", "mean_field_enhance", "EnhancedNoise")
+
+
 def _forbid_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("noise sampled before the config was checked")
 
-    for name in ("sample_noise", "mean_field_enhance"):
+    for name in NOISE_ENTRIES:
         monkeypatch.setattr(parafield.experiments, name, no_sampling)
 
 
@@ -451,7 +455,7 @@ def test_every_schema_key_is_read_before_the_first_draw(monkeypatch,
     def first_draw(*args, **kwargs):
         raise _FirstDraw
 
-    for name in ("sample_noise", "mean_field_enhance"):
+    for name in NOISE_ENTRIES:
         monkeypatch.setattr(parafield.experiments, name, first_draw)
     cfg = parse_config(text=_config(pipeline, ""), out="unused")
     reads = set()
@@ -482,7 +486,7 @@ def test_unknown_scheme_is_rejected_before_sampling(tmp_path, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("noise sampled before the config was checked")
 
-    monkeypatch.setattr(parafield.experiments, "sample_noise", no_sampling)
+    monkeypatch.setattr(parafield.experiments, "enhance", no_sampling)
     cfg = parse_config(text=BAD_VALUES["unknown_scheme"],
                        out=str(tmp_path / "out"))
     with pytest.raises(ConfigError, match="unknown scheme"):

@@ -3,9 +3,21 @@
 import numpy as np
 import pytest
 
-from parafield import Field, PathField, duhamel, etd_step, make_times, semigroup
+from parafield import (Field, PathField, StoredNoise, duhamel_step, etd_step,
+                       make_times, noise_slices, semigroup)
 from parafield.heat import etd_weights
 from conftest import constant_path, random_field
+
+
+def _duhamel(zeta):
+    """Z at every time of the path zeta, by duhamel_step from Z_0 = 0."""
+    z = np.zeros_like(zeta[0].spectrum)
+    out = [z]
+    for a, b in zip(zeta.fields, zeta.fields[1:]):
+        z = duhamel_step(z, a.spectrum, b.spectrum,
+                         float(zeta.times[1] - zeta.times[0]))
+        out.append(z)
+    return [Field.from_spectrum(zeta.grid, s) for s in out]
 
 
 def test_semigroup_single_mode(grid32):
@@ -86,23 +98,28 @@ def test_duhamel_closed_form_linear_forcing(grid32):
     times = make_times(0.5, 0.03125)
     zeta = PathField(times, [Field.from_values(grid32, (1 + 2 * s) * base)
                              for s in times])
-    Z = duhamel(zeta)
+    Z = _duhamel(zeta)
     q = 2.0
     for i, t in enumerate(times):
         E = np.exp(-q * t)
         amp = (1 - E) / q + 2.0 * (t / q - (1 - E) / q ** 2)
         assert np.max(np.abs(Z[i].values - amp * base)) < 1e-12
+    # the noise stream's X of a stored forcing is this recursion, bitwise
+    for i, (_, [Xi]) in enumerate(noise_slices([StoredNoise(zeta)], X=True)):
+        assert Xi.values.tobytes() == Z[i].values.tobytes()
 
 
 def test_duhamel_zero_mode_integrates(grid16):
     # constant-in-space forcing accumulates linearly (no decay at k = 0)
     times = make_times(1.0, 0.25)
     one = Field(grid16, np.ones((16, 16)))
-    Z = duhamel(constant_path(times, one))
+    Z = _duhamel(constant_path(times, one))
     for i, t in enumerate(times):
         assert Z[i].mean() == pytest.approx(t, abs=1e-12)
 
 
 def test_duhamel_single_slice(grid16):
-    Z = duhamel(PathField(np.array([0.0]), [Field.zero(grid16)]))
-    assert len(Z) == 1 and Z[0].linf() == 0.0
+    # on a one-point time grid X is the zero field
+    zeta = PathField(np.array([0.0]), [Field.zero(grid16)])
+    [(_, [X])] = list(noise_slices([StoredNoise(zeta)], X=True))
+    assert X.linf() == 0.0

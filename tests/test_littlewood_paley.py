@@ -1,10 +1,13 @@
 """Dyadic partition and Besov estimator contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from parafield import Field, besov_norm, dyadic_blocks, make_grid
-from parafield.littlewood_paley import BLOCK_CACHE_SIZE, DyadicPartition
+from parafield.littlewood_paley import DyadicPartition
 from conftest import random_field
 
 
@@ -48,7 +51,7 @@ def test_dealiased_blocks_match_fresh_transform_read_only(grid32, rng):
     part = dyadic_blocks(grid32)
     f = random_field(grid32, rng)
     first = part.dealiased_blocks(f)
-    again = part.dealiased_blocks(f)  # served from the cache
+    again = part.dealiased_blocks(f)  # kept on the Field
     assert again is first
     fresh = part.block_fields(f.spectrum * grid32.dealias)
     # the kept stack omits the top block, which dealiasing empties
@@ -59,25 +62,24 @@ def test_dealiased_blocks_match_fresh_transform_read_only(grid32, rng):
         first[0, 0, 0] = 1.0
 
 
-def test_block_cache_is_bounded(grid32, rng, monkeypatch):
+def test_field_owns_its_block_stack(grid32, rng, monkeypatch):
+    # each Field is blocked once, however often it is read, and its
+    # stack is freed with it; nothing else keeps one
     part = dyadic_blocks(grid32)
     transforms = []
     inner = DyadicPartition.block_fields
     monkeypatch.setattr(DyadicPartition, "block_fields",
                         lambda self, *args, **kwargs:
                         transforms.append(1) or inner(self, *args, **kwargs))
-    fields = [random_field(grid32, rng) for _ in range(3 * BLOCK_CACHE_SIZE)]
-    for f in fields:
-        part.dealiased_blocks(f)
-        assert len(part._recent) <= BLOCK_CACHE_SIZE
+    fields = [random_field(grid32, rng) for _ in range(20)]
+    for _ in range(3):
+        for f in fields:
+            part.dealiased_blocks(f)
     assert len(transforms) == len(fields)
-    # the most recent fields are kept, the first one was evicted
-    for f in fields[-BLOCK_CACHE_SIZE:]:
-        part.dealiased_blocks(f)
-    assert len(transforms) == len(fields)
-    part.dealiased_blocks(fields[0])
-    assert len(transforms) == len(fields) + 1
-    assert len(part._recent) == BLOCK_CACHE_SIZE
+    stacks = [weakref.ref(f._blocks) for f in fields]
+    del f, fields
+    gc.collect()
+    assert all(s() is None for s in stacks)
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])

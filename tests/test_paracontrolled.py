@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from parafield import (EmpiricalMeasure, Field, NoiseSpec, enhance, eval_f,
-                       eval_partial, make_interaction, pointwise_product,
-                       sample_noise)
+                       eval_partial, final_slice, make_interaction,
+                       noise_slices, pointwise_product)
 from parafield.bony import corrector, para, resonant
 from parafield.paracontrolled import (decompose_slice, paralinearize_slice,
                                       pc_product_slice, reconstruct_slice)
@@ -42,39 +42,37 @@ def test_pc_product_smooth_regime(grid32):
     # + sharp the seven-term sum telescopes to u * xi - c_eps * dz plus
     # dealiasing corrections that vanish in the smooth regime
     rng = np.random.default_rng(42)
-    en = enhance(sample_noise(NoiseSpec(seed=100), grid32, TIMES,
-                              stream_id=0), 0.5)
+    en = enhance(NoiseSpec(seed=100), 0.5, grid32, TIMES)
     us = [random_field(grid32, rng, smooth=0.3) for _ in TIMES]
     dzs = [random_field(grid32, rng, smooth=0.5) for _ in TIMES]
     cs = np.atleast_1d(en.c_eps(TIMES))
     worst = 0.0
-    for i in range(len(TIMES)):
-        pc = decompose_slice(us[i], en.X[i], dzs[i], [], [])
-        got = pc_product_slice(pc, en.xi[i], float(cs[i]), [])
-        want = pointwise_product(us[i], en.xi[i]) - float(cs[i]) * dzs[i]
+    for i, ([xi], [X]) in enumerate(noise_slices([en], X=True)):
+        pc = decompose_slice(us[i], X, dzs[i], [], [])
+        got = pc_product_slice(pc, xi, float(cs[i]), [])
+        want = pointwise_product(us[i], xi) - float(cs[i]) * dzs[i]
         scale = max(1.0, want.linf())
         worst = max(worst, (got - want).linf() / scale)
     assert worst < 2e-2
 
 
 def test_pc_product_needs_aligned_cross_terms(grid32, rng):
-    en = enhance(sample_noise(NoiseSpec(seed=101), grid32, TIMES,
-                              stream_id=0), 0.3)
-    pc = decompose_slice(random_field(grid32, rng), en.X[-1],
+    en = enhance(NoiseSpec(seed=101), 0.3, grid32, TIMES)
+    [xi], [X] = final_slice([en])
+    pc = decompose_slice(random_field(grid32, rng), X,
                          random_field(grid32, rng, smooth=0.2),
                          [random_field(grid32, rng, smooth=0.2)],
                          [random_field(grid32, rng)])
     with pytest.raises(ValueError):
-        pc_product_slice(pc, en.xi[-1], float(en.c_eps(TIMES)[-1]), [])
+        pc_product_slice(pc, xi, float(en.c_eps(TIMES)[-1]), [])
 
 
 def test_pc_product_dz_term_is_the_corrector(grid32, rng):
     # pc_product_slice spells out corrector(dz, X, xi) on the products it
     # holds; the sum must be, bit for bit, the one built on corrector
-    en = enhance(sample_noise(NoiseSpec(seed=102), grid32, TIMES,
-                              stream_id=0), 0.1)
+    en = enhance(NoiseSpec(seed=102), 0.1, grid32, TIMES)
     c = float(en.c_eps(TIMES)[-1])
-    X, xi = en.X[-1], en.xi[-1]
+    [xi], [X] = final_slice([en])
     pc = decompose_slice(random_field(grid32, rng), X,
                          random_field(grid32, rng, smooth=0.2), [], [])
     u = reconstruct_slice(pc)

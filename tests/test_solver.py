@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -12,17 +13,17 @@ import parafield.experiments
 import parafield.noise
 import parafield.paracontrolled
 import parafield.solver
-from parafield import (EmpiricalMeasure, EnhancedNoise, ExplosionError, Field,
+from parafield import (EmpiricalMeasure, ExplosionError, Field,
                        FixedPointError, NoiseSpec, PicardError,
-                       SolveConfig, default_dt, enhance, etd_step, eval_f,
-                       eval_g, eval_partial, make_interaction, make_times,
-                       mean_field_enhance, pointwise_product, sample_noise,
+                       SolveConfig, StoredNoise, default_dt, enhance, etd_step, eval_f,
+                       eval_g, eval_partial, make_grid, make_interaction,
+                       make_times, mean_field_enhance, pointwise_product,
                        semigroup, solve_mean_field, solve_paracontrolled,
                        solve_particle_system, solve_renormalized)
 from parafield.bony import corrector
 from parafield.experiments import parse_config, run_experiment
 from parafield.littlewood_paley import DyadicPartition
-from conftest import additive, constant_path, random_field
+from conftest import additive, constant_path, random_field, read_paths, sample
 
 
 def _times(T=0.25, dt=0.03125):
@@ -83,7 +84,7 @@ def test_tanaka_frozen_replay_is_bitwise(grid16):
     spec = NoiseSpec(seed=3)
     g_spec = make_interaction("tanh_revert", scale=0.7)
     n = 3
-    noises = [sample_noise(spec, grid16, times, stream_id=i) for i in range(n)]
+    noises = sample(spec, grid16, times, stream_id=range(n))
     rng = np.random.default_rng(0)
     u0s = [random_field(grid16, rng, smooth=0.3) for _ in range(n)]
     cfg = SolveConfig()
@@ -124,7 +125,7 @@ def test_mixed_frozen_stack_is_bitwise_per_field(grid16):
     times = _times(T=0.125)
     mf = mean_field_enhance(3, NoiseSpec(seed=13), 0.1, grid16, times)
     assert np.any(mf[0].c_eps(times) != 0.0)
-    noises = [mf[0], EnhancedNoise(mf[1].xi, c_eps=np.zeros_like), mf[2]]
+    noises = [mf[0], replace(mf[1], c_eps=np.zeros_like), mf[2]]
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     g_spec = make_interaction("tanh_revert", scale=0.7)
     rng = np.random.default_rng(4)
@@ -206,6 +207,36 @@ def test_dichotomy_peak_memory_does_not_grow_with_t(tmp_path):
     # of values and half spectra per slice and nearly double it
     _dichotomy_peak(tmp_path, 0.25)  # fills the first-call caches
     short, long = (_dichotomy_peak(tmp_path, t) for t in (0.25, 0.5))
+    assert long <= 1.1 * short
+
+
+def _exp_correlated_solve_peak(T):
+    # the tracemalloc peak of describing and solving one exp-correlated
+    # direct solve at N = 32, in bytes
+    grid = make_grid(32)
+    f_spec = make_interaction("tanh_bilinear", scale=0.5)
+    u0 = Field(grid, np.full((32, 32), 0.3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        en = enhance(NoiseSpec(seed=5, temporal="exp_correlated"), 0.1, grid,
+                     make_times(T, 1.0 / 64))
+        for _ in solve_renormalized([en], repeat([u0]), f_spec, None, [u0],
+                                    SolveConfig()):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_exp_correlated_solve_peak_does_not_grow_with_t():
+    # the noise is drawn slice by slice as the solve reads it, so
+    # doubling t (16 -> 32 steps) adds no stored slice (163 kB both
+    # measured); stored raw and mollified noise paths grew it from 0.73
+    # to 1.42 MB
+    _exp_correlated_solve_peak(0.25)  # fills the first-call caches
+    short, long = (_exp_correlated_solve_peak(T) for T in (0.25, 0.5))
     assert long <= 1.1 * short
 
 
@@ -300,16 +331,16 @@ def test_one_stacked_step_matches_field_by_field(grid16, system):
     if system == "particle":
         # c_eps(0) = 0, so the one step gets a constant counterterm
         c = 0.8
-        mf = [EnhancedNoise(en.xi, lambda t: np.full_like(t, c))
+        mf = [replace(en, c_eps=lambda t: np.full_like(t, c))
               for en in mean_field_enhance(n, NoiseSpec(seed=4), 0.05,
                                            grid16, times)]
         f_spec = make_interaction("tanh_bilinear", scale=0.5)
-        xis = [en.xi for en in mf]
+        xis = read_paths(mf)
         got = list(solve_particle_system(mf, f_spec, g_spec, u0s, cfg))
     else:
         c, f_spec = 0.0, None
-        xis = [sample_noise(NoiseSpec(seed=4, temporal="exp_correlated"),
-                            grid16, times, stream_id=i) for i in range(n)]
+        xis = sample(NoiseSpec(seed=4, temporal="exp_correlated"), grid16,
+                     times, stream_id=range(n))
         got = list(solve_particle_system(additive(xis), None, g_spec, u0s,
                                          cfg))
     want = _step_by_hand(u0s, xis, c, f_spec, g_spec, dt)
@@ -363,13 +394,13 @@ def test_particle_system_permutation_symmetry(grid16):
 def test_renormalize_flag_changes_solution(grid16):
     times = _times(T=0.125)
     spec = NoiseSpec(seed=6)
-    en = enhance(sample_noise(spec, grid16, times, stream_id=0), 0.05)
+    en = enhance(spec, 0.05, grid16, times)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
     a = _path(solve_renormalized([en], repeat([u0]), f_spec, None, [u0],
                                  SolveConfig()))
     # the naive run is the same solve with a zero counterterm
-    naive = EnhancedNoise(en.xi, c_eps=np.zeros_like)
+    naive = replace(en, c_eps=np.zeros_like)
     b = _path(solve_renormalized([naive], repeat([u0]), f_spec, None, [u0],
                                  SolveConfig()))
     assert _sup_gap(a, b) > 1e-6
@@ -413,7 +444,7 @@ def test_stack_explosion_reports_the_crossing_field(grid16, amps, crossing):
 def test_picard_error_on_tight_budget(grid16):
     times = _times(T=0.125)
     spec = NoiseSpec(seed=7)
-    noises = [enhance(sample_noise(spec, grid16, times, stream_id=i), 0.1)
+    noises = [enhance(spec, 0.1, grid16, times, i)
               for i in range(2)]
     f_spec = make_interaction("tanh_bilinear")
     u0 = Field(grid16, np.full((16, 16), 0.3))
@@ -427,8 +458,7 @@ def test_picard_error_on_tight_budget(grid16):
 
 def test_fixed_point_error_when_cap_is_reached(grid16, monkeypatch):
     times = _times(T=0.125)
-    en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
-                 0.05)
+    en = enhance(NoiseSpec(seed=9), 0.05, grid16, times)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
     # X_0 = 0 pins the first slice in one iteration; X_1 != 0 needs more
@@ -451,8 +481,7 @@ def test_paracontrolled_makes_no_corrector_call(grid16, monkeypatch):
 
     monkeypatch.setattr("parafield.paracontrolled.corrector", counting)
     times = _times(T=0.125)
-    en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
-                 0.05)
+    en = enhance(NoiseSpec(seed=9), 0.05, grid16, times)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.4))
     u = list(solve_paracontrolled(en, repeat([u0, -u0]), f_spec, None, u0,
@@ -463,8 +492,7 @@ def test_paracontrolled_makes_no_corrector_call(grid16, monkeypatch):
 def test_paracontrolled_returns_the_solution_path(grid16):
     # like the direct solvers: one slice per time of the noise, from u0
     times = _times(T=0.125)
-    en = enhance(sample_noise(NoiseSpec(seed=9), grid16, times, stream_id=0),
-                 0.05)
+    en = enhance(NoiseSpec(seed=9), 0.05, grid16, times)
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = random_field(grid16, np.random.default_rng(3), smooth=0.2)
     u = list(solve_paracontrolled(en, repeat([u0]), f_spec, None, u0,
@@ -477,8 +505,7 @@ def test_paracontrolled_returns_the_solution_path(grid16):
 def _four_paracontrolled_steps(grid):
     """The slices of a four-step paracontrolled solve on time-constant
     noise."""
-    en = enhance(sample_noise(NoiseSpec(seed=9), grid, _times(T=0.125),
-                              stream_id=0), 0.05)
+    en = enhance(NoiseSpec(seed=9), 0.05, grid, _times(T=0.125))
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     X, Y = grid.coords()
     u0 = Field.from_values(grid, 0.4 * np.cos(X) * np.sin(Y))
@@ -489,14 +516,14 @@ def _four_paracontrolled_steps(grid):
 def test_paracontrolled_step_keeps_its_operands_blocked(grid32, monkeypatch):
     # a block cache of four stacks made 73 block transforms here and one
     # of eight stacks 60; with each Bony product of a step formed once it
-    # makes 55
+    # made 55, and with each Field keeping its own stack it makes 52
     transforms = []
     inner = DyadicPartition.block_fields
     monkeypatch.setattr(DyadicPartition, "block_fields",
                         lambda self, *args, **kwargs:
                         transforms.append(1) or inner(self, *args, **kwargs))
     assert len(_four_paracontrolled_steps(grid32)) == 5
-    assert len(transforms) <= 55
+    assert len(transforms) <= 52
 
 
 def test_paracontrolled_step_forms_each_product_once(grid32, monkeypatch):
@@ -527,8 +554,7 @@ def test_paracontrolled_matches_direct_with_two_atoms(grid32):
     u0 = Field.from_values(grid32, 0.5 * v / np.max(np.abs(v)))
     w0 = Field.from_values(grid32, 0.8 * np.sin(2 * X) - 0.3)
     times = make_times(0.25, 0.025)
-    en = enhance(sample_noise(NoiseSpec(seed=2024), grid32, times,
-                              stream_id=0), 0.1)
+    en = enhance(NoiseSpec(seed=2024), 0.1, grid32, times)
     frozen = _heat_flows([u0, w0], times)
     cfg = SolveConfig()
     direct = _path(solve_renormalized([en], frozen, f_spec, None, [u0], cfg))
@@ -543,7 +569,7 @@ def test_paracontrolled_matches_direct_with_two_atoms(grid32):
 def test_mean_field_fixed_point_residual(grid16):
     times = _times(T=0.125)
     spec = NoiseSpec(seed=8)
-    noises = [enhance(sample_noise(spec, grid16, times, stream_id=i), 0.1)
+    noises = [enhance(spec, 0.1, grid16, times, i)
               for i in range(3)]
     f_spec = make_interaction("tanh_bilinear", scale=0.5)
     u0 = Field(grid16, np.full((16, 16), 0.3))
@@ -586,7 +612,7 @@ def test_mean_field_explosion_reports_earliest_crossing(grid16, amp0):
     # (A = 3) at t = 1.125, or never when A = 0
     times = make_times(2.0, 1.0 / 16)
     X, _ = grid16.coords()
-    enhanced = [EnhancedNoise(constant_path(
+    enhanced = [StoredNoise(constant_path(
         times, Field.from_values(grid16, amp * np.cos(X))),
         lambda t: np.zeros_like(t)) for amp in (amp0, 4.0)]
     f_spec = make_interaction("constant", c=1.0)
