@@ -8,7 +8,10 @@ All grid products are dealiased, and the blocks are those of
 ``dyadic_blocks`` on the grid of the operands, kept on each operand
 Field, so an operand used in several products is blocked once.
 That stack omits the top block, which dealiasing empties, so both
-products loop over the blocks they are given.
+products loop over the blocks they are given.  The paraproduct reads
+its low operand only through the first len - 2 blocks of the stack,
+so it asks for those alone; the stack grows when a later product
+reads more of it.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ def para(a: Field, b: Field) -> Field:
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     part = dyadic_blocks(a.grid)
-    ab = part.dealiased_blocks(a)
     bb = part.dealiased_blocks(b)
     # block index i corresponds to ell = i - 1; need ell' <= ell - 2,
-    # so block i meets low = ab[0] + ... + ab[i - 2]; zip stops at the
-    # last block of b before it asks for a low sum nothing reads
+    # so block i meets low = ab[0] + ... + ab[i - 2], and the low sums
+    # read only the first len(bb) - 2 blocks of a
+    ab = part.dealiased_blocks(a, len(bb) - 2)
     out = np.zeros_like(ab[0])
     for high, low in zip(bb[2:], accumulate(ab)):
         out += low * high

@@ -9,10 +9,13 @@ grid size, and every operator that needs blocks looks it up from the
 grid of its input, so no caller chooses or passes one.  A Field keeps
 its own dealiased block stack (``DyadicPartition.dealiased_blocks``),
 so an operand that enters several Bony products is transformed once,
-and the stack is freed with the Field.  A dealiased stack omits the
-top block l = L_max: it holds |k| >= N/2, while the 2/3 rule keeps
-|kx|, |ky| <= N//3, so |k| <= sqrt(2) N/3 and that block of a
-dealiased spectrum is exactly zero.
+and the stack is freed with the Field.  The stack grows on demand: a
+reader asks for its first planes, and only the planes not yet on the
+Field are transformed, each on its own, so a plane's bits do not
+depend on when it was made.  A dealiased stack omits the top block
+l = L_max: it holds |k| >= N/2, while the 2/3 rule keeps |kx|, |ky|
+<= N//3, so |k| <= sqrt(2) N/3 and that block of a dealiased spectrum
+is exactly zero.
 
 The discrete Besov quantity is an *estimator*: tests downstream use
 trends and ratios, never absolute constants.
@@ -64,28 +67,37 @@ class DyadicPartition:
         wr.flags.writeable = False
         self.resonant_weight = wr
 
-    def block_fields(self, spectrum: np.ndarray,
+    def block_fields(self, spectrum: np.ndarray, start: int = 0,
                      stop: int | None = None) -> np.ndarray:
-        """The block projections ``weights[:stop]`` (all by default) of a
-        spectrum on the grid, as values of shape (n_blocks, N, N)."""
+        """The block projections ``weights[start:stop]`` (all by default)
+        of a spectrum on the grid, as values of shape (n_blocks, N, N)."""
         N = self.grid.N
-        return np.fft.irfft2(self.weights[:stop] * spectrum[None, :, :],
+        return np.fft.irfft2(self.weights[start:stop] * spectrum[None, :, :],
                              s=(N, N))
 
-    def dealiased_blocks(self, f: Field) -> np.ndarray:
-        """``block_fields(f.spectrum * f.grid.dealias)`` without its top
+    def dealiased_blocks(self, f: Field, stop: int | None = None) -> np.ndarray:
+        """The first ``stop`` planes (all by default) of
+        ``block_fields(f.spectrum * f.grid.dealias)`` without its top
         block, which dealiasing empties; read-only, blocks -1 .. L_max-1.
 
-        The stack is kept on the Field, which is immutable, on first
-        use.  Two threads that fill it at once compute the same bits, so
-        it takes no lock.
+        The stack is kept on the Field, which is immutable, and grows on
+        demand: only the planes it lacks are transformed and appended,
+        and a stored stack is never replaced by a shorter one.  Two
+        threads that fill it at once compute the same bits, so it takes
+        no lock.
         """
+        stop = len(self.ells) - 1 if stop is None else stop
         blocks = f._blocks
-        if blocks is None:
-            blocks = self.block_fields(f.spectrum * f.grid.dealias, stop=-1)
-            blocks.flags.writeable = False
-            f._blocks = blocks
-        return blocks
+        have = 0 if blocks is None else len(blocks)
+        if have >= stop:
+            return blocks if have == stop else blocks[:stop]
+        new = self.block_fields(f.spectrum * f.grid.dealias, have, stop)
+        if blocks is not None:
+            new = np.concatenate((blocks, new))
+        new.flags.writeable = False
+        if f._blocks is None or len(f._blocks) < stop:
+            f._blocks = new
+        return new
 
 
 @lru_cache(maxsize=None)

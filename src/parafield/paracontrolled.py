@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .bony import corrector, para, resonant
 from .interactions import EmpiricalMeasure, InteractionSpec, eval_f, \
     eval_partial, eval_slot_partial
-from .torus import Field, pointwise_product
+from .torus import Field, dealiased, pointwise_product
 
 __all__ = ["Paracontrolled", "decompose_slice", "reconstruct_slice",
            "pc_product_slice", "paralinearize_slice"]
@@ -84,11 +84,15 @@ def pc_product_slice(pc: Paracontrolled, xi: Field, c: float,
         raise ValueError("need one cross term per dmu entry")
     u = reconstruct_slice(pc)
     Xxi = resonant(pc.reference, xi)
-    acc = para(u, xi) + para(xi, u)
+    # xi < u first: it blocks u in full, so u < xi reads a prefix of
+    # that stack and never extends it
+    acc = para(xi, u) + para(u, xi)
     acc = acc + resonant(pc.sharp, xi)
-    # corrector(dz, X, xi) spelled out, to reuse pc.low and X (.) xi
-    acc = acc + (resonant(pc.low, xi) - pointwise_product(pc.dz, Xxi))
-    acc = acc + pointwise_product(pc.dz, Xxi.shift(-c))
+    # corrector(dz, X, xi) spelled out, to reuse pc.low, X (.) xi and
+    # the dealiased dz in both of its products
+    dz = dealiased(pc.dz)
+    acc = acc + (resonant(pc.low, xi) - Field(xi.grid, dz * dealiased(Xxi)))
+    acc = acc + Field(xi.grid, dz * dealiased(Xxi.shift(-c)))
     n = len(pc.dmu)
     for j in range(n):
         acc = acc + (1.0 / n) * corrector(pc.dmu[j], pc.dmu_refs[j], xi)

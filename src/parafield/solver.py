@@ -241,7 +241,7 @@ def solve_paracontrolled(en: EnhancedNoise, frozen: Iterable,
         u = u_guess
         for _ in range(FIXED_POINT_MAX_ITERS):
             u_new = para(eval_f(f_spec, u, mu), X_f) + sharp_f
-            defect = (u_new - u).linf()
+            defect = float(np.max(np.abs(u_new.values - u.values)))
             converged = defect <= 1e-14 * max(1.0, u.linf())
             u = u_new
             if converged:

@@ -8,6 +8,7 @@ import pytest
 
 from parafield import (Field, PathField, StoredNoise, enhance, make_grid,
                        noise_slices)
+from parafield.littlewood_paley import DyadicPartition
 
 
 def random_field(grid, rng, dealiased=False, smooth=0.0):
@@ -18,6 +19,21 @@ def random_field(grid, rng, dealiased=False, smooth=0.0):
     if smooth > 0:
         spec = spec * np.exp(-smooth * grid.k2)
     return Field.from_spectrum(grid, spec)
+
+
+def block_planes(monkeypatch):
+    """A list that receives the plane count of every
+    ``DyadicPartition.block_fields`` call made from here on, in order."""
+    planes = []
+    inner = DyadicPartition.block_fields
+
+    def counting(self, *args, **kwargs):
+        out = inner(self, *args, **kwargs)
+        planes.append(len(out))
+        return out
+
+    monkeypatch.setattr(DyadicPartition, "block_fields", counting)
+    return planes
 
 
 def constant_path(times, f):

@@ -125,17 +125,25 @@ def test_cached_products_bitwise_equal_fresh(grid32, rng):
 
 
 def test_para_from_two_threads():
-    # both threads read the same fresh Fields in the same order, so they
-    # race to fill each Field's block stack, which takes no lock
+    # the threads read the same fresh Fields in opposite roles, one
+    # a < b, the other b < a and a (.) b, so a prefix fill of each
+    # Field's block stack races a full fill; the stack takes no lock
     grid = make_grid(16)
     rng = np.random.default_rng(11)
     values = [rng.standard_normal((16, 16)) for _ in range(400)]
 
-    def products(fields):
-        return [para(a, b).values for a, b in zip(fields, fields[1:])]
+    def products(fields, i):
+        out = []
+        for a, b in zip(fields, fields[1:]):
+            if i == 0:
+                out.append(para(a, b).values)
+            else:
+                out += [para(b, a).values, resonant(a, b).values]
+        return out
 
-    serial = products([Field(grid, v) for v in values])
+    serial = [products([Field(grid, v) for v in values], i) for i in (0, 1)]
     shared = [Field(grid, v) for v in values]
-    for out in on_two_threads(lambda i: products(shared)):
-        assert all(np.array_equal(x, y) for x, y in zip(out, serial,
+    outs = on_two_threads(lambda i: products(shared, i))
+    for out, want in zip(outs, serial, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(out, want,
                                                         strict=True))

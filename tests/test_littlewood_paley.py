@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from parafield import Field, besov_norm, dyadic_blocks, make_grid
+from parafield.bony import para
 from parafield.littlewood_paley import DyadicPartition
-from conftest import random_field
+from conftest import block_planes, random_field
 
 
 def single_mode(grid, kx, ky, amp=1.0):
@@ -80,6 +81,49 @@ def test_field_owns_its_block_stack(grid32, rng, monkeypatch):
     del f, fields
     gc.collect()
     assert all(s() is None for s in stacks)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
+def test_grown_stack_matches_fresh_transform(N, monkeypatch):
+    # a prefix read, then a full read, transforms each plane once and
+    # leaves on the Field the planes a fresh transform gives
+    grid = make_grid(N)
+    part = dyadic_blocks(grid)
+    f = random_field(grid, np.random.default_rng(N))
+    fresh = part.block_fields(f.spectrum * grid.dealias)[:-1]
+    planes = block_planes(monkeypatch)
+    n = len(fresh)
+    prefix = part.dealiased_blocks(f, n - 2)
+    assert len(f._blocks) == n - 2
+    full = part.dealiased_blocks(f)
+    assert planes == [n - 2, 2]
+    for got, want in zip(full, fresh, strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(prefix, full[:-2])
+    for stack in (prefix, full, part.dealiased_blocks(f, 1)):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+    # a repeated full read returns the stored stack itself, and a prefix
+    # read of a full stack neither transforms nor shortens it
+    assert part.dealiased_blocks(f) is full
+    assert part.dealiased_blocks(f) is full
+    assert np.array_equal(part.dealiased_blocks(f, n - 2), prefix)
+    assert f._blocks is full and len(planes) == 2
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
+def test_para_blocks_its_low_operand_in_part(N):
+    # a < b reads a only through its first len - 2 blocks
+    grid = make_grid(N)
+    part = dyadic_blocks(grid)
+    rng = np.random.default_rng(N)
+    a, b = random_field(grid, rng), random_field(grid, rng)
+    n = len(part.ells) - 1
+    para(a, b)
+    para(a, b)
+    assert len(a._blocks) == n - 2
+    assert len(b._blocks) == n
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])

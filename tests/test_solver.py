@@ -22,8 +22,8 @@ from parafield import (EmpiricalMeasure, ExplosionError, Field,
                        solve_particle_system, solve_renormalized)
 from parafield.bony import corrector
 from parafield.experiments import parse_config, run_experiment
-from parafield.littlewood_paley import DyadicPartition
-from conftest import additive, constant_path, random_field, read_paths, sample
+from conftest import additive, block_planes, constant_path, random_field, \
+    read_paths, sample
 
 
 def _times(T=0.25, dt=0.03125):
@@ -516,14 +516,13 @@ def _four_paracontrolled_steps(grid):
 def test_paracontrolled_step_keeps_its_operands_blocked(grid32, monkeypatch):
     # a block cache of four stacks made 73 block transforms here and one
     # of eight stacks 60; with each Bony product of a step formed once it
-    # made 55, and with each Field keeping its own stack it makes 52
-    transforms = []
-    inner = DyadicPartition.block_fields
-    monkeypatch.setattr(DyadicPartition, "block_fields",
-                        lambda self, *args, **kwargs:
-                        transforms.append(1) or inner(self, *args, **kwargs))
+    # made 55, and with each Field keeping its own stack it makes 52.
+    # Those were full stacks of 5 planes, 260 in all; with a paraproduct
+    # blocking its low operand's first 3 planes only, the 52 make 192
+    planes = block_planes(monkeypatch)
     assert len(_four_paracontrolled_steps(grid32)) == 5
-    assert len(transforms) <= 52
+    assert len(planes) <= 52
+    assert sum(planes) <= 192
 
 
 def test_paracontrolled_step_forms_each_product_once(grid32, monkeypatch):
